@@ -17,14 +17,7 @@ from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import (
-    Operator,
-    Rational,
-    as_rational,
-    kron,
-    matrix_unit,
-    wedge,
-)
+from .core import Operator, Rational, as_rational, matrix_unit
 
 __all__ = [
     "RimeParams",
@@ -360,6 +353,11 @@ def x_matrix(phi: PhiVector) -> Operator:
     return Operator(n, 1, rows)
 
 
+def _tensor_items(left, right, coeff: Fraction) -> list:
+    """Items of coeff * (left (x) right) for arity-1 factors given as (row, col, value) terms."""
+    return [((a, c), (b, d), coeff * u * v) for a, b, u in left for c, d, v in right]
+
+
 def classical_rime_r(phi: PhiVector) -> Operator:
     """Classical rime r-matrix of a strict weight vector.
 
@@ -376,16 +374,16 @@ def classical_rime_r(phi: PhiVector) -> Operator:
         raise ValueError("classical_rime_r needs a strict phi (no zero entries)")
     values = phi.phi
     n = phi.n
-    r = Operator.zero(n, 2)
+    items = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:
                 continue
             c = _ONE / (values[j - 1] - values[i - 1])
-            left = values[j - 1] * matrix_unit(i, j, n) - values[i - 1] * matrix_unit(i, i, n)
-            right = matrix_unit(j, i, n) - matrix_unit(j, j, n)
-            r = r + c * kron(left, right)
-    return r
+            left = [(i, j, values[j - 1]), (i, i, -values[i - 1])]
+            right = [(j, i, _ONE), (j, j, -_ONE)]
+            items += _tensor_items(left, right, c)
+    return Operator.from_items(n, 2, items)
 
 
 def classical_cg_r(n: int) -> Operator:
@@ -417,14 +415,14 @@ def classical_unitary_r0(mu: MuVector) -> Operator:
     """
     values = mu.mu
     n = mu.n
-    r0 = Operator.zero(n, 2)
+    items = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             c = _ONE / (values[i - 1] - values[j - 1])
-            wij = matrix_unit(j, i, n) - matrix_unit(j, j, n)
-            wji = matrix_unit(i, j, n) - matrix_unit(i, i, n)
-            r0 = r0 + c * wedge(wij, wji)
-    return r0
+            wij = [(j, i, _ONE), (j, j, -_ONE)]
+            wji = [(i, j, _ONE), (i, i, -_ONE)]
+            items += _tensor_items(wij, wji, c) + _tensor_items(wji, wij, -c)
+    return Operator.from_items(n, 2, items)
 
 
 def boundary_b(n: int) -> Operator:
@@ -433,12 +431,13 @@ def boundary_b(n: int) -> Operator:
     The orientation matches classical_unitary_r0: conjugating b by the
     basis-change matrix of the mu weights reproduces r0 entrywise.
     """
-    b = Operator.zero(n, 2)
+    items = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(1, j - i + 1):
-                b = b + wedge(matrix_unit(i, i + k, n), matrix_unit(j, j - k + 1, n))
-    return b
+                items.append(((i, j), (i + k, j - k + 1), _ONE))
+                items.append(((j, i), (j - k + 1, i + k), -_ONE))
+    return Operator.from_items(n, 2, items)
 
 
 def describe(spec: FamilySpec) -> dict[str, str]:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Union
+from functools import cache
+from typing import Callable, Optional, Union
 
 from .core import (
     Operator,
@@ -68,6 +69,7 @@ __all__ = [
     "check_equivalence_classical",
     "classify_structure",
     "check_beta_constancy",
+    "run_checks",
     "run_suite",
 ]
 
@@ -381,7 +383,24 @@ def check_beta_constancy(p: RimeParams) -> VerificationReport:
     return VerificationReport("beta-constancy", max_residual == 0, max_residual, witness, meta)
 
 
-# -- suites ----------------------------------------------------------------
+# -- check tables and suites -----------------------------------------------
+
+# skew families (r + r21 = 0) take the homogeneous acybe; their suites use _NILPOTENT
+_SKEW_FAMILIES = ("rime-unitary", "classical-unitary", "boundary")
+_IDEMPOTENT = ("cybe", "acybe", "tilde", "idempotent", "braid")
+_NILPOTENT = ("cybe", "acybe", "nilpotent")
+# each family's suite in order, before the applicability rules of _suite_checks
+_SUITES = {
+    "rime-quantum": ("beta-constancy", "ybe", "hecke", "multiplicities", "classify",
+                     "equivalence-quantum", "quantization", *_IDEMPOTENT, "equivalence-classical"),
+    "rime-unitary": ("beta-constancy", "ybe", "hecke", "multiplicities", "classify",
+                     "quantization", *_NILPOTENT, "equivalence-classical"),
+    "cg": ("ybe", "hecke", "multiplicities", "classify", "quantization"),
+    "classical-rime": (*_IDEMPOTENT, "equivalence-classical"),
+    "classical-cg": _IDEMPOTENT,
+    "classical-unitary": (*_NILPOTENT, "equivalence-classical"),
+    "boundary": _NILPOTENT,
+}
 
 
 def _multiplicity_report(rhat: Operator, beta) -> VerificationReport:
@@ -419,7 +438,101 @@ def _expected_rime_class(params: RimeParams) -> str:
     return "rime"
 
 
-def run_suite(spec: FamilySpec) -> list[VerificationReport]:
+def _no_beta() -> Fraction:
+    raise ValueError("hecke and multiplicities need beta")
+
+
+def _operator_checks(op, beta, family) -> dict[str, Callable[[], VerificationReport]]:
+    """Name -> not-yet-run check for the checks that need only an operator.
+
+    ``op`` and ``beta`` are zero-argument callables that only a running check
+    calls.  Checks are looked up as module globals at call time, so patches
+    on this module's names (perfbench/tracer.py) see every call.
+    """
+
+    def acybe() -> VerificationReport:
+        r = op()
+        if family in _SKEW_FAMILIES or (family is None and (r + flip21(r)).is_zero()):
+            return check_homogeneous_acybe(r)
+        return check_nonhomogeneous_acybe(r)
+
+    return {
+        "ybe": lambda: check_ybe(op()),
+        "hecke": lambda: check_hecke(op(), beta()),
+        "multiplicities": lambda: _multiplicity_report(op(), beta()),
+        "classify": lambda: VerificationReport(
+            "classify", True, _ZERO, None, {"observed": classify_structure(op()).tag}),
+        "cybe": lambda: check_cybe(op()),
+        "acybe": acybe,
+        "tilde": lambda: check_tilde_relations(op()),
+        "idempotent": lambda: check_idempotent_exponential(op()),
+        "nilpotent": lambda: check_nilpotent_exponential(op()),
+        "braid": lambda: check_braid_identities(op()),
+    }
+
+
+def run_checks(op: Operator, names, beta=_no_beta, family=None) -> list[VerificationReport]:
+    """Run operator-only checks on ``op`` by name, in the requested order.
+
+    ``beta`` is a zero-argument callable, called only if hecke or
+    multiplicities runs; ``family`` is the tag ``op`` was built from, or
+    None.  ``classify`` reports the observed tag and always passes.
+    """
+    table = _operator_checks(lambda: op, beta, family)
+    for name in names:
+        if name not in table:
+            raise ValueError(f"unknown check {name!r}; document input supports {', '.join(table)}")
+    return [table[name]() for name in names]
+
+
+def _suite_checks(spec: FamilySpec) -> list[tuple[str, Callable[[], VerificationReport]]]:
+    """The family's applicable checks as ordered (name, not-yet-run check) pairs."""
+    tag = spec.family
+    phi = PhiVector(spec.phi) if spec.phi is not None else None
+    mu = MuVector(spec.mu) if spec.mu is not None else None
+    params = beta = expected = None
+    if tag == "cg":
+        beta = _ONE - spec.q2inv
+        expected = "ice" if (spec.n <= 2 or spec.q2inv == 1) else "none"
+    elif tag in ("rime-quantum", "rime-unitary"):
+        params = beta_from_phi(spec.beta, phi) if phi is not None else unitary_beta(mu)
+        beta = params.beta
+        expected = _expected_rime_class(params)
+    rhat = cache(lambda: build(spec) if params is None else rime_from_beta(params))
+
+    @cache
+    def r() -> Operator:  # the family's classical operator, or Rhat's companion
+        if phi is not None:
+            return classical_rime_r(phi)
+        if mu is not None:
+            return classical_unitary_r0(mu)
+        return boundary_b(spec.n) if tag == "boundary" else classical_cg_r(spec.n)
+
+    quantum = _operator_checks(rhat, lambda: beta, tag)
+    table = _operator_checks(r, _no_beta, tag)
+    table.update((name, quantum[name]) for name in ("ybe", "hecke", "multiplicities"))
+    table.update({
+        "beta-constancy": lambda: check_beta_constancy(params),
+        "classify": lambda: _classification_report(rhat(), expected),
+        "equivalence-quantum": lambda: check_equivalence_quantum(phi, beta),
+        "quantization": lambda: check_quantization(rhat(), beta, r()),
+        "equivalence-classical": lambda: (check_equivalence_classical(phi, "rime") if mu is None
+                                          else check_equivalence_classical(mu, "boundary")),
+    })
+
+    skip = set()
+    if beta == 2:  # coincident eigenvalues: multiplicities undefined
+        skip.add("multiplicities")
+    if beta == 1:  # the Cremmer-Gervais coefficient degenerates
+        skip.add("equivalence-quantum")
+    if tag == "rime-quantum" and not phi.strict:  # no classical companion
+        skip.update(("quantization", *_IDEMPOTENT, "equivalence-classical"))
+    if (tag == "rime-quantum" and beta == 0) or (tag == "cg" and (spec.p != 1 or spec.q2inv == 1)):
+        skip.add("quantization")
+    return [(name, table[name]) for name in _SUITES[tag] if name not in skip]
+
+
+def run_suite(spec: FamilySpec, names=None) -> list[VerificationReport]:
     """Run every check applicable to the family, in a fixed order.
 
     Quantum rime: beta constancy, YBE, Hecke, multiplicities (skipped at
@@ -431,90 +544,21 @@ def run_suite(spec: FamilySpec) -> list[VerificationReport]:
     splitting, the applicable associative variant, shifted/tilde relations,
     idempotent or nilpotent exponential law, braid identities, and basis
     equivalence where a weight vector is available.
+
+    With ``names``, only the named checks run, in the requested order (a
+    repeated name runs again); a name outside the family's suite raises
+    ValueError, listing the available ones, before any check runs.
     """
-    reports: list[VerificationReport] = []
-    add = reports.append
-    tag = spec.family
-
-    if tag == "rime-quantum":
-        phi = PhiVector(spec.phi)
-        beta = spec.beta
-        params = beta_from_phi(beta, phi)
-        rhat = rime_from_beta(params)
-        add(check_beta_constancy(params))
-        add(check_ybe(rhat))
-        add(check_hecke(rhat, beta))
-        if beta != 2:
-            add(_multiplicity_report(rhat, beta))
-        add(_classification_report(rhat, _expected_rime_class(params)))
-        if beta != 1:
-            add(check_equivalence_quantum(phi, beta))
-        if phi.strict:
-            r = classical_rime_r(phi)
-            if beta != 0:
-                add(check_quantization(rhat, beta, r))
-            add(check_cybe(r))
-            add(check_nonhomogeneous_acybe(r))
-            add(check_tilde_relations(r))
-            add(check_idempotent_exponential(r))
-            add(check_braid_identities(r))
-            add(check_equivalence_classical(phi, "rime"))
-    elif tag == "rime-unitary":
-        mu = MuVector(spec.mu)
-        params = unitary_beta(mu)
-        rhat = rime_from_beta(params)
-        r0 = classical_unitary_r0(mu)
-        add(check_beta_constancy(params))
-        add(check_ybe(rhat))
-        add(check_hecke(rhat, 0))
-        add(_multiplicity_report(rhat, 0))
-        add(_classification_report(rhat, _expected_rime_class(params)))
-        add(check_quantization(rhat, 0, r0))
-        add(check_cybe(r0))
-        add(check_homogeneous_acybe(r0))
-        add(check_nilpotent_exponential(r0))
-        add(check_equivalence_classical(mu, "boundary"))
-    elif tag == "cg":
-        rhat = build(spec)
-        beta = _ONE - spec.q2inv
-        add(check_ybe(rhat))
-        add(check_hecke(rhat, beta))
-        if beta != 2:
-            add(_multiplicity_report(rhat, beta))
-        expected = "ice" if (spec.n <= 2 or spec.q2inv == 1) else "none"
-        add(_classification_report(rhat, expected))
-        if spec.p == 1 and spec.q2inv != 1:
-            add(check_quantization(rhat, beta, classical_cg_r(spec.n)))
-    elif tag == "classical-rime":
-        phi = PhiVector(spec.phi)
-        r = classical_rime_r(phi)
-        add(check_cybe(r))
-        add(check_nonhomogeneous_acybe(r))
-        add(check_tilde_relations(r))
-        add(check_idempotent_exponential(r))
-        add(check_braid_identities(r))
-        add(check_equivalence_classical(phi, "rime"))
-    elif tag == "classical-cg":
-        r = classical_cg_r(spec.n)
-        add(check_cybe(r))
-        add(check_nonhomogeneous_acybe(r))
-        add(check_tilde_relations(r))
-        add(check_idempotent_exponential(r))
-        add(check_braid_identities(r))
-    elif tag == "classical-unitary":
-        mu = MuVector(spec.mu)
-        r0 = classical_unitary_r0(mu)
-        add(check_cybe(r0))
-        add(check_homogeneous_acybe(r0))
-        add(check_nilpotent_exponential(r0))
-        add(check_equivalence_classical(mu, "boundary"))
-    elif tag == "boundary":
-        b = boundary_b(spec.n)
-        add(check_cybe(b))
-        add(check_homogeneous_acybe(b))
-        add(check_nilpotent_exponential(b))
-    else:  # FamilySpec already rejects unknown tags
-        raise ValueError(f"unknown family {tag!r}")
-
+    checks = _suite_checks(spec)
+    if names is not None:
+        table = dict(checks)
+        missing = [name for name in names if name not in table]
+        if missing:
+            raise ValueError(
+                f"check(s) {','.join(missing)} not applicable to family {spec.family!r}; "
+                f"available: {','.join(name for name, _ in checks)}"
+            )
+        checks = [(name, table[name]) for name in names]
     fam = describe(spec)
+    reports = [check() for _, check in checks]
     return [replace(rep, metadata={**fam, **rep.metadata}) for rep in reports]

@@ -251,6 +251,41 @@ def test_verify_skew_document_routes_to_homogeneous_variant(tmp_path, capsys):
     assert lines == ["acybe PASS", "nilpotent PASS"]
 
 
+def test_verify_family_runs_only_requested_checks(monkeypatch, capsys):
+    def boom(_r):
+        raise AssertionError("check_cybe ran although only ybe was requested")
+
+    monkeypatch.setattr("rimealg.verify.check_cybe", boom)
+    assert main(["verify", "--family", "rime", "--n", "3", "--beta", "1/2",
+                 "--phi", "3,2,1", "--checks", "ybe"]) == 0
+    assert capsys.readouterr().out == "ybe PASS\n"
+
+
+def test_verify_division_by_zero_exit_2(tmp_path, capsys):
+    assert main(["verify", "--family", "rime", "--n", "2", "--beta", "1/0", "--phi", "2,1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    payload = json.loads(MatrixDocument.from_operator(permutation(2)).to_json())
+    payload["entries"][0][0] = "1/0"
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["verify", "--input", str(path), "--checks", "ybe"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_document_rejects_json_floats(tmp_path, capsys):
+    payload = json.loads(MatrixDocument.from_operator(permutation(2)).to_json())
+    payload["entries"][1][1] = 0.5
+    text = json.dumps(payload)
+    with pytest.raises(ValueError, match="non-integer JSON number 0.5"):
+        MatrixDocument.from_json(text)
+    path = tmp_path / "float.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["verify", "--input", str(path), "--checks", "ybe"]) == 2
+    assert "non-integer JSON number" in capsys.readouterr().err
+    payload["entries"][1][1] = 0  # integer JSON numbers stay accepted
+    assert MatrixDocument.from_json(json.dumps(payload)).entries[1][1] == "0"
+
+
 def test_verify_missing_file_exit_2(capsys):
     assert main(["verify", "--input", "/nonexistent/doc.json"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -439,3 +439,49 @@ def test_describe_canonical_strings():
         "phi": "2,-1/3",
     }
     assert describe(FamilySpec("boundary", 4)) == {"family": "boundary", "n": "4"}
+
+
+# -- item-list constructors against the paper's kron/wedge formulas ----------------------
+
+
+def _classical_rime_oracle(phi):
+    v, n = phi.phi, phi.n
+    r = zero(n, 2)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                left = v[j - 1] * matrix_unit(i, j, n) - v[i - 1] * matrix_unit(i, i, n)
+                right = matrix_unit(j, i, n) - matrix_unit(j, j, n)
+                r = r + (1 / (v[j - 1] - v[i - 1])) * kron(left, right)
+    return r
+
+
+def _classical_unitary_oracle(mu):
+    v, n = mu.mu, mu.n
+    r0 = zero(n, 2)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            wij = matrix_unit(j, i, n) - matrix_unit(j, j, n)
+            wji = matrix_unit(i, j, n) - matrix_unit(i, i, n)
+            r0 = r0 + (1 / (v[i - 1] - v[j - 1])) * wedge(wij, wji)
+    return r0
+
+
+def _boundary_oracle(n):
+    b = zero(n, 2)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(1, j - i + 1):
+                b = b + wedge(matrix_unit(i, i + k, n), matrix_unit(j, j - k + 1, n))
+    return b
+
+
+def test_item_list_constructors_match_kron_formulas():
+    rng = random.Random("item-list-constructors")
+    for n in range(1, 5):
+        assert boundary_b(n) == _boundary_oracle(n)
+        for _ in range(5):
+            phi = PhiVector(random_distinct(rng, n, nonzero=True))
+            mu = MuVector(random_distinct(rng, n, nonzero=False))
+            assert classical_rime_r(phi) == _classical_rime_oracle(phi)
+            assert classical_unitary_r0(mu) == _classical_unitary_oracle(mu)

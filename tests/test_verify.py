@@ -51,6 +51,7 @@ from rimealg.verify import (
     check_ybe,
     classify_structure,
     hecke_multiplicities,
+    run_checks,
     run_suite,
 )
 
@@ -428,3 +429,66 @@ def test_ybe_holds_in_relaxed_mode(rng):
         values = (F(0),) + random_distinct(rng, n - 1, nonzero=True)
         rhat = rime_from_beta(beta_from_phi(F(3, 2), PhiVector(values)))
         assert check_ybe(rhat).passed
+
+
+def _seeded_specs(rng, n):
+    phi = random_distinct(rng, n, nonzero=True)
+    mu = random_distinct(rng, n, nonzero=False)
+    return [
+        FamilySpec("rime-quantum", n, beta=random_rational(rng), phi=phi),
+        FamilySpec("rime-unitary", n, mu=mu),
+        FamilySpec("cg", n, q2inv=random_rational(rng, nonzero=True),
+                   p=random_rational(rng, nonzero=True)),
+        FamilySpec("classical-rime", n, phi=phi),
+        FamilySpec("classical-cg", n),
+        FamilySpec("classical-unitary", n, mu=mu),
+        FamilySpec("boundary", n),
+    ]
+
+
+def test_run_suite_selection_matches_full_suite(rng):
+    for n in (2, 3):
+        for spec in _seeded_specs(rng, n):
+            full = run_suite(spec)
+            by_name = {rep.name: rep for rep in full}
+            names = [rep.name for rep in full]
+            picks = [names[::-1], names[1::2] + names[:1] + names[:1], [names[-1]]]
+            for requested in picks:
+                assert run_suite(spec, requested) == [by_name[name] for name in requested]
+
+
+def test_run_suite_selection_rejects_inapplicable_names():
+    spec = FamilySpec("rime-quantum", 2, beta=2, phi=(2, 1))
+    with pytest.raises(ValueError, match="multiplicities not applicable .* available: beta-"):
+        run_suite(spec, ["ybe", "multiplicities"])
+    assert run_suite(spec, []) == []
+
+
+def test_run_checks_matches_suite_and_routes_acybe():
+    spec = FamilySpec("rime-quantum", 3, beta=F(1, 2), phi=(3, 2, 1))
+    suite = {rep.name: rep for rep in run_suite(spec)}
+    rhat = build(spec)
+    names = ["multiplicities", "ybe", "hecke"]
+    reports = run_checks(rhat, names, lambda: F(1, 2), spec.family)
+    assert [(rep.passed, rep.max_residual, rep.witness) for rep in reports] == [
+        (suite[name].passed, suite[name].max_residual, suite[name].witness) for name in names
+    ]
+    r0 = classical_unitary_r0(MuVector((0, 1, 3)))
+    for family in ("classical-unitary", None):
+        (rep,) = run_checks(r0, ["acybe"], family=family)
+        assert rep.passed and rep.metadata["variant"] == "homogeneous"
+    (rep,) = run_checks(r0, ["acybe"], family="classical-rime")
+    assert rep.metadata["variant"] == "non-homogeneous"
+    (rep,) = run_checks(RIME_2, ["classify"])
+    assert rep.passed and rep.metadata == {"observed": "strict-rime"}
+
+
+def test_run_checks_validates_names_before_running(monkeypatch):
+    def boom(_op):
+        raise AssertionError("check ran")
+
+    monkeypatch.setattr("rimealg.verify.check_cybe", boom)
+    with pytest.raises(ValueError, match="unknown check 'bogus'"):
+        run_checks(RIME_2, ["cybe", "bogus"])
+    with pytest.raises(ValueError, match="need beta"):
+        run_checks(RIME_2, ["hecke"])
