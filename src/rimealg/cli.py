@@ -72,7 +72,7 @@ class MatrixDocument:
         else:
             family = None
             params = {}
-        entries = tuple(tuple(str(v) for v in row) for row in op.entries.tolist())
+        entries = tuple(tuple(str(v) for v in row) for row in op.dense_rows())
         return cls(op.n, op.arity, ORDER, family, params, entries)
 
     def to_operator(self) -> Operator:
@@ -100,8 +100,16 @@ class MatrixDocument:
         order = raw.get("order", ORDER)
         if order != ORDER:
             raise ValueError(f"unsupported index order {order!r}; expected {ORDER!r}")
-        entries = tuple(tuple(str(v) for v in row) for row in raw["entries"])
-        return cls(int(raw["n"]), int(raw["arity"]), order,
+        for key in ("n", "arity"):
+            if type(raw[key]) is not int:  # bool is an int subclass
+                raise ValueError(f"document field {key!r} must be an integer, got {raw[key]!r}")
+        rows = raw["entries"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError("document entries must be a JSON array of arrays")
+        if not all(isinstance(v, str) or type(v) is int for row in rows for v in row):
+            raise ValueError('document entries must be strings like "-3/4" or integers')
+        entries = tuple(tuple(str(v) for v in row) for row in rows)
+        return cls(raw["n"], raw["arity"], order,
                    raw.get("family"), dict(raw.get("params") or {}), entries)
 
     def to_tsv(self) -> str:
@@ -149,6 +157,15 @@ def _spec_from_flags(args) -> FamilySpec:
     return FamilySpec(tag, args.n, **kwargs)
 
 
+def _exact_str(value: Fraction) -> str:
+    """``str(value)``, or hex numerator/denominator where ``str`` refuses a huge integer."""
+    try:
+        return str(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        num = hex(value.numerator)
+        return num if value.denominator == 1 else f"{num}/{hex(value.denominator)}"
+
+
 def format_report(rep: VerificationReport) -> str:
     """One stable line per check: name, verdict, witness details on failure."""
     line = f"{rep.name} {'PASS' if rep.passed else 'FAIL'}"
@@ -157,7 +174,7 @@ def format_report(rep: VerificationReport) -> str:
             row, col, value = rep.witness
             row_s = ",".join(str(i) for i in row)
             col_s = ",".join(str(i) for i in col)
-            line += f" witness=({row_s})({col_s}) value={value}"
+            line += f" witness=({row_s})({col_s}) value={_exact_str(value)}"
         part = rep.metadata.get("failed_part")
         if part:
             line += f" part[{part}]"

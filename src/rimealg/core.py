@@ -4,21 +4,22 @@ Scalars are arbitrary-precision rationals (`fractions.Fraction`), so every
 arithmetic operation in this module is exact: a zero residual means an
 identity holds, not that it holds up to rounding.
 
-An :class:`Operator` is a dense square matrix acting on V^(tensor k) for a
-base space V of dimension ``n`` and tensor arity ``k in {1, 2, 3}``.  Rows
-and columns are addressed by 1-based multi-indices ``(i1, ..., ik)`` in
+An :class:`Operator` is a square matrix acting on V^(tensor k) for a base
+space V of dimension ``n`` and tensor arity ``k in {1, 2, 3}``.  Rows and
+columns are addressed by 1-based multi-indices ``(i1, ..., ik)`` in
 lexicographic order with the leftmost factor most significant: the linear
 offset of ``(i1, ..., ik)`` is ``sum((ia - 1) * n**(k - a))``.
 
-Operators are immutable values: entry arrays are read-only and every
-operation returns a fresh operator, so instances can be shared freely
-between threads.
+Operators store sparse rows with no stored zeros and are never mutated after
+construction, so instances can be shared freely between threads.
+``Operator.entries`` is a fresh dense view built on each access, not for hot paths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -91,15 +92,19 @@ def multi_index(lin: int, n: int, arity: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
+def _sparse(dense_rows: Iterable[Iterable[Fraction]]) -> tuple[dict[int, Fraction], ...]:
+    return tuple({c: v for c, v in enumerate(row) if v} for row in dense_rows)
+
+
 class Operator:
     """Square matrix of exact rationals on V^(tensor arity), dim V = n.
 
-    ``entries`` is a read-only numpy object array of Fractions.  ``family``
-    optionally records the construction recipe for reporting and is ignored
-    by equality.
+    ``_rows`` holds one ``{column offset: Fraction}`` dict per row.  No zero is
+    ever stored, since equality is row-dict equality.  ``family`` optionally
+    records the construction recipe for reporting and is ignored by equality.
     """
 
-    __slots__ = ("n", "arity", "entries", "family")
+    __slots__ = ("n", "arity", "_rows", "family")
 
     def __init__(self, n: int, arity: int, entries, family=None):
         if arity not in (1, 2, 3):
@@ -110,35 +115,28 @@ class Operator:
         data = [[as_rational(v) for v in row] for row in entries]
         if len(data) != size or any(len(row) != size for row in data):
             raise ValueError(f"expected a {size}x{size} array for n={n}, arity={arity}")
-        arr = np.array(data, dtype=object)
-        arr.flags.writeable = False
         self.n = n
         self.arity = arity
-        self.entries = arr
+        self._rows = _sparse(data)
         self.family = family
 
     @classmethod
-    def _wrap(cls, n: int, arity: int, arr: np.ndarray, family=None) -> "Operator":
-        # trusted constructor: arr entries are already exact rationals
+    def _wrap(cls, n: int, arity: int, rows, family=None) -> "Operator":
+        # trusted constructor: rows are dicts of nonzero exact rationals
         op = object.__new__(cls)
-        arr.flags.writeable = False
         op.n = n
         op.arity = arity
-        op.entries = arr
+        op._rows = rows
         op.family = family
         return op
 
     @classmethod
     def zero(cls, n: int, arity: int) -> "Operator":
-        size = n**arity
-        return cls._wrap(n, arity, np.full((size, size), _ZERO, dtype=object))
+        return cls._wrap(n, arity, tuple({} for _ in range(n**arity)))
 
     @classmethod
     def identity(cls, n: int, arity: int) -> "Operator":
-        size = n**arity
-        arr = np.full((size, size), _ZERO, dtype=object)
-        np.fill_diagonal(arr, _ONE)
-        return cls._wrap(n, arity, arr)
+        return cls._wrap(n, arity, tuple({i: _ONE} for i in range(n**arity)))
 
     @classmethod
     def from_items(cls, n: int, arity: int, items) -> "Operator":
@@ -148,12 +146,14 @@ class Operator:
         written as sums of elementary terms.
         """
         size = n**arity
-        rows = [[_ZERO] * size for _ in range(size)]
+        rows = [{} for _ in range(size)]
         for row_multi, col_multi, value in items:
-            r = linear_index(row_multi, n)
+            row = rows[linear_index(row_multi, n)]
             c = linear_index(col_multi, n)
-            rows[r][c] = rows[r][c] + as_rational(value)
-        return cls._wrap(n, arity, np.array(rows, dtype=object))
+            if c >= size:
+                raise IndexError(f"column offset {c} out of range for size {size}")
+            row[c] = row.get(c, _ZERO) + as_rational(value)
+        return cls._wrap(n, arity, tuple({c: v for c, v in row.items() if v} for row in rows))
 
     # -- basic structure ------------------------------------------------
 
@@ -161,36 +161,45 @@ class Operator:
     def size(self) -> int:
         return self.n**self.arity
 
+    @property
+    def entries(self) -> np.ndarray:
+        """Dense read-only numpy object array of Fractions, built on each access."""
+        arr = np.array(self.dense_rows(), dtype=object)
+        arr.flags.writeable = False
+        return arr
+
+    def dense_rows(self) -> list[list[Fraction]]:
+        """Fresh dense list-of-lists copy of the entries."""
+        return [[row.get(c, _ZERO) for c in range(self.size)] for row in self._rows]
+
     def entry(self, row, col) -> Fraction:
         """Entry at 1-based multi-indices (plain ints are allowed at arity 1)."""
         r = (row,) if isinstance(row, int) else tuple(row)
         c = (col,) if isinstance(col, int) else tuple(col)
         if len(r) != self.arity or len(c) != self.arity:
             raise IndexError(f"multi-index must have {self.arity} components")
-        return self.entries[linear_index(r, self.n), linear_index(c, self.n)]
+        return self._rows[linear_index(r, self.n)].get(linear_index(c, self.n), _ZERO)
 
     def with_family(self, family) -> "Operator":
-        return Operator._wrap(self.n, self.arity, self.entries, family)
+        return Operator._wrap(self.n, self.arity, self._rows, family)
 
     def nonzero_items(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
-        """Yield (row_multi, col_multi, value) for every nonzero entry, row-major."""
+        """Yield (row_multi, col_multi, value) for every nonzero entry, row-major
+        with ascending columns."""
         n, k = self.n, self.arity
-        for r, row in enumerate(self.entries.tolist()):
-            for c, v in enumerate(row):
-                if v:
-                    yield multi_index(r, n, k), multi_index(c, n, k), v
+        for r, row in enumerate(self._rows):
+            for c in sorted(row):
+                yield multi_index(r, n, k), multi_index(c, n, k), row[c]
 
     def first_nonzero(self):
         """Lexicographically first nonzero entry, or None if the operator is zero."""
-        for item in self.nonzero_items():
-            return item
-        return None
+        return next(self.nonzero_items(), None)
 
     def is_zero(self) -> bool:
-        return not any(v for row in self.entries.tolist() for v in row)
+        return not any(self._rows)
 
     def max_abs(self) -> Fraction:
-        return max((abs(v) for row in self.entries.tolist() for v in row), default=_ZERO)
+        return max((abs(v) for row in self._rows for v in row.values()), default=_ZERO)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -201,26 +210,33 @@ class Operator:
                 f"vs n={other.n}, arity={other.arity}"
             )
 
-    def __add__(self, other):
+    def _entrywise(self, other, op, what: str):
+        # op(a, b) for op in (add, sub); entries only in self keep their value
         if not isinstance(other, Operator):
             return NotImplemented
-        self._check_same_space(other, "addition")
-        return Operator._wrap(self.n, self.arity, self.entries + other.entries)
+        self._check_same_space(other, what)
+        out = []
+        for a, b in zip(self._rows, other._rows):
+            row = {**a, **{c: op(a.get(c, _ZERO), v) for c, v in b.items()}}
+            out.append({c: v for c, v in row.items() if v})
+        return Operator._wrap(self.n, self.arity, tuple(out))
+
+    def __add__(self, other):
+        return self._entrywise(other, add, "addition")
 
     def __sub__(self, other):
-        if not isinstance(other, Operator):
-            return NotImplemented
-        self._check_same_space(other, "subtraction")
-        return Operator._wrap(self.n, self.arity, self.entries - other.entries)
+        return self._entrywise(other, sub, "subtraction")
 
     def __neg__(self):
-        return Operator._wrap(self.n, self.arity, -self.entries)
+        rows = tuple({c: -v for c, v in row.items()} for row in self._rows)
+        return Operator._wrap(self.n, self.arity, rows)
 
     def __mul__(self, scalar):
         if isinstance(scalar, Operator):
             raise TypeError("use @ for operator composition, * is scalar multiplication")
         s = as_rational(scalar)
-        return Operator._wrap(self.n, self.arity, self.entries * s)
+        rows = tuple({c: v * s for c, v in row.items() if s} for row in self._rows)
+        return Operator._wrap(self.n, self.arity, rows)
 
     __rmul__ = __mul__
 
@@ -228,19 +244,15 @@ class Operator:
         if not isinstance(other, Operator):
             return NotImplemented
         self._check_same_space(other, "composition")
-        size = self.size
-        # The families built here are mostly zeros, so skipping zero entries
-        # beats dense object-dtype np.dot by orders of magnitude.
-        brows = [[(j, v) for j, v in enumerate(row) if v] for row in other.entries.tolist()]
+        brows = other._rows
         out = []
-        for arow in self.entries.tolist():
-            orow = [_ZERO] * size
-            for k, av in enumerate(arow):
-                if av:
-                    for j, bv in brows[k]:
-                        orow[j] = orow[j] + av * bv
-            out.append(orow)
-        return Operator._wrap(self.n, self.arity, np.array(out, dtype=object))
+        for arow in self._rows:
+            orow = {}
+            for k, av in arow.items():
+                for j, bv in brows[k].items():
+                    orow[j] = orow.get(j, _ZERO) + av * bv
+            out.append({j: v for j, v in orow.items() if v})
+        return Operator._wrap(self.n, self.arity, tuple(out))
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -258,11 +270,7 @@ class Operator:
     def __eq__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.arity == other.arity
-            and bool(np.array_equal(self.entries, other.entries))
-        )
+        return self.n == other.n and self.arity == other.arity and self._rows == other._rows
 
     __hash__ = None  # mutable-looking payload; exact equality is entrywise
 
@@ -272,14 +280,18 @@ class Operator:
     # -- linear-algebra helpers -------------------------------------------
 
     def trace(self) -> Fraction:
-        return sum((self.entries[i, i] for i in range(self.size)), _ZERO)
+        return sum((row.get(i, _ZERO) for i, row in enumerate(self._rows)), _ZERO)
 
     def transpose(self) -> "Operator":
-        return Operator._wrap(self.n, self.arity, self.entries.T.copy())
+        cols = [{} for _ in range(self.size)]
+        for r, row in enumerate(self._rows):
+            for c, v in row.items():
+                cols[c][r] = v
+        return Operator._wrap(self.n, self.arity, tuple(cols))
 
     def to_float(self) -> np.ndarray:
         """Entrywise exact cast to double precision."""
-        return np.array([[float(v) for v in row] for row in self.entries.tolist()])
+        return np.array([[float(v) for v in row] for row in self.dense_rows()])
 
     def det(self) -> Fraction:
         """Exact determinant.
@@ -292,7 +304,7 @@ class Operator:
         size = self.size
         scale = 1
         m = []
-        for row in self.entries.tolist():
+        for row in self.dense_rows():
             d = 1
             for v in row:
                 d = lcm(d, v.denominator)
@@ -323,7 +335,7 @@ class Operator:
     def inverse(self) -> "Operator":
         """Exact inverse via Gauss-Jordan elimination; raises on singular input."""
         size = self.size
-        a = [row[:] for row in self.entries.tolist()]
+        a = self.dense_rows()
         inv = [[_ONE if i == j else _ZERO for j in range(size)] for i in range(size)]
         for col in range(size):
             pivot_row = next((r for r in range(col, size) if a[r][col]), None)
@@ -339,7 +351,7 @@ class Operator:
                     f = a[r][col]
                     a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                     inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return Operator._wrap(self.n, self.arity, np.array(inv, dtype=object))
+        return Operator._wrap(self.n, self.arity, _sparse(inv))
 
     def charpoly(self) -> tuple[Fraction, ...]:
         """Coefficients (c0=1, c1, ..., cN) of det(x*I - A) = sum c_k x^(N-k).
@@ -388,22 +400,12 @@ def kron(a: Operator, b: Operator) -> Operator:
     if arity > 3:
         raise ValueError(f"arity overflow: {a.arity} + {b.arity} exceeds the supported maximum 3")
     bsize = b.size
-    size = a.size * bsize
-    rows = [[_ZERO] * size for _ in range(size)]
-    bitems = [
-        (r, c, v)
-        for r, row in enumerate(b.entries.tolist())
-        for c, v in enumerate(row)
-        if v
-    ]
-    for ra, rowa in enumerate(a.entries.tolist()):
-        for ca, va in enumerate(rowa):
-            if va:
-                base_r = ra * bsize
-                base_c = ca * bsize
-                for rb, cb, vb in bitems:
-                    rows[base_r + rb][base_c + cb] = va * vb
-    return Operator._wrap(a.n, arity, np.array(rows, dtype=object))
+    rows = tuple(
+        {ca * bsize + cb: va * vb for ca, va in arow.items() for cb, vb in brow.items()}
+        for arow in a._rows
+        for brow in b._rows
+    )
+    return Operator._wrap(a.n, arity, rows)
 
 
 def embed(r: Operator, legs) -> Operator:
@@ -424,10 +426,8 @@ def embed(r: Operator, legs) -> Operator:
     if leg == 23:
         return kron(Operator.identity(n, 1), r)
     if leg == 13:
-        items = []
-        for (i, j), (k, l), v in r.nonzero_items():
-            for a in range(1, n + 1):
-                items.append(((i, a, j), (k, a, l), v))
+        items = [((i, a, j), (k, a, l), v)
+                 for (i, j), (k, l), v in r.nonzero_items() for a in range(1, n + 1)]
         return Operator.from_items(n, 3, items)
     raise ValueError(f"invalid leg tag {legs!r}; expected one of {LEGS}")
 
@@ -438,10 +438,10 @@ def flip21(r: Operator) -> Operator:
         raise ValueError("flip21 expects an arity-2 operator")
     n = r.n
     # (r21)^{(i,j)}_{(k,l)} = r^{(j,i)}_{(l,k)}: swap the two factors on both
-    # sides by reindexing, no arithmetic needed.
-    four = r.entries.reshape(n, n, n, n).transpose(1, 0, 3, 2)
-    arr = np.ascontiguousarray(four).reshape(n * n, n * n)
-    return Operator._wrap(n, 2, arr)
+    # sides by reindexing, no arithmetic needed.  swap is an involution.
+    swap = [j * n + i for i in range(n) for j in range(n)]
+    rows = tuple({swap[c]: v for c, v in r._rows[swap[x]].items()} for x in range(n * n))
+    return Operator._wrap(n, 2, rows)
 
 
 def wedge(x: Operator, y: Operator) -> Operator:

@@ -8,7 +8,7 @@ import pytest
 from rimealg.cli import MatrixDocument, _n_cap, format_report, main
 from rimealg.core import permutation
 from rimealg.families import FamilySpec, build
-from rimealg.verify import VerificationReport
+from rimealg.verify import VerificationReport, check_ybe
 
 RIME_ENTRIES = [
     ["1", "0", "0", "0"],
@@ -296,6 +296,41 @@ def test_verify_malformed_json_exit_2(tmp_path, capsys):
     path.write_text("{not json", encoding="utf-8")
     assert main(["verify", "--input", str(path), "--checks", "ybe"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"n": 1, "arity": 2, "entries": ["5"]},
+        {"n": 1, "arity": 2, "entries": {"7": 0}},
+        {"n": True, "arity": 2, "entries": [["5"]]},
+    ],
+    ids=["row-as-string", "entries-object", "n-bool"],
+)
+def test_verify_malformed_document_shape_exit_2(payload, tmp_path, capsys):
+    text = json.dumps(payload)
+    with pytest.raises(ValueError):
+        MatrixDocument.from_json(text)
+    path = tmp_path / "shape.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["verify", "--input", str(path), "--checks", "ybe,hecke", "--beta", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: document ")
+
+
+def test_verify_huge_witness_prints_exactly_in_hex(tmp_path, capsys):
+    # 4000-digit entries parse, but the YBE residual passes the int-to-str digit limit
+    big = "1" * 4000
+    grid = [[big if (i + j) % 3 == 0 else "1" for j in range(4)] for i in range(4)]
+    text = json.dumps({"n": 2, "arity": 2, "entries": grid})
+    path = tmp_path / "huge.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["verify", "--input", str(path), "--checks", "ybe"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("ybe FAIL witness=(") and out.count("\n") == 1
+    num, _, den = out.strip().split(" value=")[1].partition("/")
+    assert num.lstrip("-").startswith("0x")
+    expected = check_ybe(MatrixDocument.from_json(text).to_operator()).witness[2]
+    assert Fraction(int(num, 16), int(den, 16) if den else 1) == expected
 
 
 # -- report ------------------------------------------------------------------------------
