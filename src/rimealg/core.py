@@ -59,12 +59,12 @@ LEGS = (12, 13, 23)
 def as_rational(value) -> Fraction:
     """Coerce ints, strings like ``'-3/4'`` and Fractions to a Fraction.
 
-    Floats are rejected on purpose: converting a binary float would smuggle
-    rounding error into checks that are meant to be exact.
+    Floats and bools are rejected on purpose: a binary float would smuggle
+    rounding error into exact checks, and a JSON ``true`` is not the number 1.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return Fraction(int(value))
     if isinstance(value, str):
         return Fraction(value)
@@ -412,7 +412,8 @@ def embed(r: Operator, legs) -> Operator:
     """Place an arity-2 operator on two factors of V^(tensor 3).
 
     ``legs`` is 12, 13 or 23 (int or string); the remaining factor carries
-    the identity.  For legs 13 the identity sits in the middle slot.
+    the identity.  For legs 13 the identity sits in the middle slot.  Like
+    :func:`flip21`, every leg only reindexes r's rows; no entry is computed.
     """
     if r.arity != 2:
         raise ValueError("embed expects an arity-2 operator")
@@ -421,15 +422,16 @@ def embed(r: Operator, legs) -> Operator:
     except (TypeError, ValueError):
         raise ValueError(f"invalid leg tag {legs!r}; expected one of {LEGS}") from None
     n = r.n
-    if leg == 12:
-        return kron(r, Operator.identity(n, 1))
-    if leg == 23:
-        return kron(Operator.identity(n, 1), r)
-    if leg == 13:
-        items = [((i, a, j), (k, a, l), v)
-                 for (i, j), (k, l), v in r.nonzero_items() for a in range(1, n + 1)]
-        return Operator.from_items(n, 3, items)
-    raise ValueError(f"invalid leg tag {legs!r}; expected one of {LEGS}")
+    p = {12: 1, 13: n, 23: n * n}.get(leg)  # place value of the free slot
+    if p is None:
+        raise ValueError(f"invalid leg tag {legs!r}; expected one of {LEGS}")
+    # place[a][x]: the arity-3 offset of pair offset x = (i, j) with a in the free slot
+    place = [[(x // p * n + a) * p + x % p for x in range(n * n)] for a in range(n)]
+    rows = [None] * n**3
+    for x, row in enumerate(r._rows):
+        for to in place:
+            rows[to[x]] = {to[c]: v for c, v in row.items()}
+    return Operator._wrap(n, 3, tuple(rows))
 
 
 def flip21(r: Operator) -> Operator:

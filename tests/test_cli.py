@@ -286,6 +286,35 @@ def test_verify_document_rejects_json_floats(tmp_path, capsys):
     assert MatrixDocument.from_json(json.dumps(payload)).entries[1][1] == "0"
 
 
+def _rime_document(capsys) -> dict:
+    main(["generate", "rime", "--n", "2", "--beta", "3", "--phi", "2,1"])
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("family", ["bogus", 5, ["x"]])
+def test_verify_document_unknown_family_exit_2(family, tmp_path, capsys):
+    payload = _rime_document(capsys)
+    payload["family"] = family
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["verify", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: unknown family {family!r}")
+
+
+def test_verify_document_bool_beta_exit_2(tmp_path, capsys):
+    payload = _rime_document(capsys)
+    assert payload["params"]["beta"] == "3"
+    payload["params"]["beta"] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["verify", "--input", str(path), "--checks", "hecke"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "got bool" in captured.err
+
+
 def test_verify_missing_file_exit_2(capsys):
     assert main(["verify", "--input", "/nonexistent/doc.json"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -58,6 +58,13 @@ def test_as_rational_rejects_floats():
         as_rational([1])
 
 
+def test_as_rational_rejects_bools():
+    for value in (True, False, np.bool_(True)):
+        with pytest.raises(TypeError, match="got bool"):
+            as_rational(value)
+    assert as_rational(np.int64(1)) == F(1)
+
+
 @given(rationals, rationals)
 def test_rational_arithmetic_stays_canonical(a, b):
     # lowest terms with positive denominator, after every field operation

@@ -51,6 +51,7 @@ from rimealg.verify import (
     check_ybe,
     classify_structure,
     hecke_multiplicities,
+    _verdict,
     run_checks,
     run_suite,
 )
@@ -176,9 +177,39 @@ def test_cybe_known_solutions():
 
 @given(operators2(2))
 def test_cybe_splitting_identity_on_arbitrary_operators(r):
-    # the verdict itself asserts residual == A'(r) - A(r); any operator exercises it
+    # the splitting identity: the commutator residual equals A'(r) - A(r) for any operator
     rep = check_cybe(r)
     assert rep.max_residual == (assoc_Aprime(r) - assoc_A(r)).max_abs()
+
+
+@given(st.sampled_from((2, 3)).flatmap(operators2))
+def test_cybe_report_equals_splitting_report(r):
+    # check_cybe computes only the commutator form; its report, witness included,
+    # must be the one the splitting A'(r) - A(r) gives
+    split = _verdict("cybe", [("cybe", assoc_Aprime(r) - assoc_A(r))], {"n": r.n})
+    rep = check_cybe(r)
+    assert rep == split
+
+
+def test_check_cybe_embeds_once_and_makes_six_products(monkeypatch):
+    r = classical_rime_r(PhiVector((3, 2, 1)))
+    embeds = []
+    products = []
+    matmul = Operator.__matmul__
+
+    def counting_embed(op, legs):
+        embeds.append(legs)
+        return embed(op, legs)
+
+    def counting_matmul(a, b):
+        products.append(a.arity)
+        return matmul(a, b)
+
+    monkeypatch.setattr("rimealg.verify.embed", counting_embed)
+    monkeypatch.setattr(Operator, "__matmul__", counting_matmul)
+    assert check_cybe(r).passed
+    assert sorted(embeds) == [12, 13, 23]
+    assert products == [3] * 6
 
 
 def test_nonhomogeneous_acybe(rng):
@@ -492,3 +523,13 @@ def test_run_checks_validates_names_before_running(monkeypatch):
         run_checks(RIME_2, ["cybe", "bogus"])
     with pytest.raises(ValueError, match="need beta"):
         run_checks(RIME_2, ["hecke"])
+
+
+def test_run_checks_rejects_unknown_family_before_running(monkeypatch):
+    def boom(_op):
+        raise AssertionError("check ran")
+
+    monkeypatch.setattr("rimealg.verify.check_cybe", boom)
+    for family in ("bogus", 5, ["x"], "rime"):
+        with pytest.raises(ValueError, match="unknown family"):
+            run_checks(RIME_2, ["cybe"], family=family)
