@@ -14,6 +14,7 @@ set by the cost of exact arity-3 products.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -308,7 +309,10 @@ def cmd_report(args) -> int:
     return 0 if passed == total else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once, on the first main() call; each subcommand looks its command up
+    # by module global at call time, so a patched cmd_* is still the one that runs
     parser = argparse.ArgumentParser(
         prog="rimealg",
         description="Build and exactly verify rime, Cremmer-Gervais and classical "
@@ -327,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--q2inv", help="rational value of q^-2")
     gen.add_argument("--p", help="rational twist parameter")
     gen.add_argument("--format", choices=("json", "tsv"), default="json")
-    gen.set_defaults(func=cmd_generate)
+    gen.set_defaults(func=lambda args: cmd_generate(args))
 
     ver = sub.add_parser("verify", help="run exact checks on a family or a document")
     ver.add_argument("--input", help="matrix document to check (JSON)")
@@ -339,13 +343,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--q2inv")
     ver.add_argument("--p")
     ver.add_argument("--checks", help="comma-separated check names; default: all applicable")
-    ver.set_defaults(func=cmd_verify)
+    ver.set_defaults(func=lambda args: cmd_verify(args))
 
     rep = sub.add_parser("report", help="randomized sweep over every family")
     rep.add_argument("--n-max", type=int, default=4)
     rep.add_argument("--seeds", type=int, default=3, help="random draws per dimension")
     rep.add_argument("--seed-value", type=int, default=0)
-    rep.set_defaults(func=cmd_report)
+    rep.set_defaults(func=lambda args: cmd_report(args))
 
     return parser
 

@@ -13,16 +13,19 @@ offset of ``(i1, ..., ik)`` is ``sum((ia - 1) * n**(k - a))``.
 Operators store sparse rows with no stored zeros and are never mutated after
 construction, so instances can be shared freely between threads.
 ``Operator.entries`` is a fresh dense view built on each access, not for hot paths.
+numpy is imported only by ``entries`` and ``to_float``, when first called.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from numbers import Integral
 from operator import add, sub
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Rational",
@@ -64,7 +67,7 @@ def as_rational(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    if isinstance(value, Integral) and not isinstance(value, bool):  # numpy ints too
         return Fraction(int(value))
     if isinstance(value, str):
         return Fraction(value)
@@ -92,10 +95,6 @@ def multi_index(lin: int, n: int, arity: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _sparse(dense_rows: Iterable[Iterable[Fraction]]) -> tuple[dict[int, Fraction], ...]:
-    return tuple({c: v for c, v in enumerate(row) if v} for row in dense_rows)
-
-
 class Operator:
     """Square matrix of exact rationals on V^(tensor arity), dim V = n.
 
@@ -112,12 +111,26 @@ class Operator:
         if n < 1:
             raise ValueError(f"dimension must be positive, got {n}")
         size = n**arity
-        data = [[as_rational(v) for v in row] for row in entries]
-        if len(data) != size or any(len(row) != size for row in data):
+        # one pass, row by row: parse and keep the nonzero cells, then check the
+        # shape.  The string "0", most cells of a document, is skipped unparsed.
+        rows = []
+        square = True
+        for row in entries:
+            cells = {}
+            width = 0
+            for width, v in enumerate(row, 1):
+                if v.__class__ is str and v == "0":
+                    continue
+                q = as_rational(v)
+                if q:
+                    cells[width - 1] = q
+            rows.append(cells)
+            square = square and width == size
+        if not square or len(rows) != size:
             raise ValueError(f"expected a {size}x{size} array for n={n}, arity={arity}")
         self.n = n
         self.arity = arity
-        self._rows = _sparse(data)
+        self._rows = tuple(rows)
         self.family = family
 
     @classmethod
@@ -164,6 +177,8 @@ class Operator:
     @property
     def entries(self) -> np.ndarray:
         """Dense read-only numpy object array of Fractions, built on each access."""
+        import numpy as np
+
         arr = np.array(self.dense_rows(), dtype=object)
         arr.flags.writeable = False
         return arr
@@ -291,6 +306,8 @@ class Operator:
 
     def to_float(self) -> np.ndarray:
         """Entrywise exact cast to double precision."""
+        import numpy as np
+
         return np.array([[float(v) for v in row] for row in self.dense_rows()])
 
     def det(self) -> Fraction:
@@ -351,7 +368,8 @@ class Operator:
                     f = a[r][col]
                     a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                     inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return Operator._wrap(self.n, self.arity, _sparse(inv))
+        rows = tuple({c: v for c, v in enumerate(row) if v} for row in inv)
+        return Operator._wrap(self.n, self.arity, rows)
 
     def charpoly(self) -> tuple[Fraction, ...]:
         """Coefficients (c0=1, c1, ..., cN) of det(x*I - A) = sum c_k x^(N-k).

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, log
+from statistics import linear_regression
 from typing import Sequence
-
-import numpy as np
 
 from .core import Operator
 from .families import MuVector
@@ -45,10 +44,10 @@ class LimitCurve:
 
 def _fit_slope(betas: Sequence[float], deviations: Sequence[float]) -> float:
     points = [(log(b), log(d)) for b, d in zip(betas, deviations) if d > 0]
-    if len(points) < 2:
+    if len({x for x, _ in points}) < 2:  # repeated betas are rejected by LimitCurve
         return float("nan")
     xs, ys = zip(*points)
-    return float(np.polyfit(xs, ys, 1)[0])
+    return linear_regression(xs, ys).slope
 
 
 def unitary_limit_curve(mu: MuVector, betas: Sequence[float]) -> LimitCurve:
@@ -100,6 +99,8 @@ def exp_formula_check(r: Operator, h: float, terms: int) -> float:
         coeff = h
     else:
         raise ValueError("operator is neither idempotent (r^2 = -r) nor nilpotent (r^2 = 0)")
+    import numpy as np  # here, not at module level, so that importing rimealg skips numpy
+
     rf = r.to_float()
     size = rf.shape[0]
     eye = np.eye(size)

@@ -175,10 +175,13 @@ def _legs(r: Operator) -> tuple[Operator, Operator, Operator]:
     return embed(r, 12), embed(r, 13), embed(r, 23)
 
 
+def _assoc_A(r12: Operator, r13: Operator, r23: Operator) -> Operator:
+    return r13 @ r12 - r12 @ r23 + r23 @ r13
+
+
 def assoc_A(r: Operator) -> Operator:
     """Associative combination A(r) = r13 r12 - r12 r23 + r23 r13."""
-    r12, r13, r23 = _legs(r)
-    return r13 @ r12 - r12 @ r23 + r23 @ r13
+    return _assoc_A(*_legs(r))
 
 
 def assoc_Aprime(r: Operator) -> Operator:
@@ -201,8 +204,9 @@ def check_cybe(r: Operator) -> VerificationReport:
 def check_nonhomogeneous_acybe(r: Operator) -> VerificationReport:
     """Non-homogeneous associative equation A(r) = -r13 with companion r + r21 = P - I."""
     n = r.n
+    r12, r13, r23 = _legs(r)
     parts = [
-        ("A(r) = -r13", assoc_A(r) + embed(r, 13)),
+        ("A(r) = -r13", _assoc_A(r12, r13, r23) + r13),
         ("r + r21 = P - I", r + flip21(r) - (permutation(n) - identity(n, 2))),
     ]
     return _verdict("acybe", parts, {"variant": "non-homogeneous"})

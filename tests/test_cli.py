@@ -1,7 +1,11 @@
 """Command-line contract: documents, subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -405,3 +409,41 @@ def test_entrypoint_exits_with_main_code(monkeypatch, capsys):
         cli.entrypoint()
     assert info.value.code == 0
     capsys.readouterr()
+
+
+def test_main_builds_the_parser_once(capsys):
+    import rimealg.cli as cli
+
+    cli._build_parser.cache_clear()
+    assert main(["generate", "boundary", "--n", "2"]) == 0
+    assert main(["verify", "--family", "boundary", "--n", "2", "--checks", "nilpotent"]) == 0
+    capsys.readouterr()
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_import_builds_no_parser_and_loads_no_numpy():
+    import rimealg
+
+    code = ("import sys, rimealg.cli as c; "
+            "print(c._build_parser.cache_info().currsize, 'numpy' in sys.modules)")
+    src = str(Path(rimealg.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "0 False\n"
+
+
+def test_patched_command_is_honoured_after_first_call(monkeypatch, capsys):
+    import rimealg.cli as cli
+
+    assert main(["generate", "boundary", "--n", "2"]) == 0
+    capsys.readouterr()
+    seen = []
+
+    def fake(args):
+        seen.append(args.input)
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_verify", fake)
+    assert main(["verify", "--input", "doc.json"]) == 7
+    assert seen == ["doc.json"]

@@ -212,6 +212,21 @@ def test_check_cybe_embeds_once_and_makes_six_products(monkeypatch):
     assert products == [3] * 6
 
 
+@pytest.mark.parametrize("check", [check_cybe, check_nonhomogeneous_acybe, check_homogeneous_acybe,
+                                   check_tilde_relations, check_braid_identities])
+def test_arity3_checks_embed_each_leg_once(check, monkeypatch):
+    r = classical_rime_r(PhiVector((3, 2, 1)))
+    embeds = []
+
+    def counting_embed(op, legs):
+        embeds.append(legs)
+        return embed(op, legs)
+
+    monkeypatch.setattr("rimealg.verify.embed", counting_embed)
+    check(r)
+    assert embeds == [12, 13, 23]
+
+
 def test_nonhomogeneous_acybe(rng):
     for n in (2, 3, 4):
         assert check_nonhomogeneous_acybe(classical_rime_r(random_phi(rng, n))).passed
