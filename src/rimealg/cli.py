@@ -21,6 +21,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .core import Operator, as_rational
@@ -73,22 +74,35 @@ class MatrixDocument:
         else:
             family = None
             params = {}
-        entries = tuple(tuple(str(v) for v in row) for row in op.dense_rows())
-        return cls(op.n, op.arity, ORDER, family, params, entries)
+        size = op.size
+        entries = []
+        for row in op.rows:  # only the stored, nonzero entries are formatted
+            cells = ["0"] * size
+            for c, v in row.items():
+                cells[c] = str(v)
+            entries.append(tuple(cells))
+        return cls(op.n, op.arity, ORDER, family, params, tuple(entries))
 
     def to_operator(self) -> Operator:
         return Operator(self.n, self.arity, self.entries)
 
     def to_json(self) -> str:
-        payload = {
+        """``json.dumps(payload, indent=2) + "\\n"``, with the entry grid laid out directly."""
+        header = {
             "n": self.n,
             "arity": self.arity,
             "order": self.order,
             "family": self.family,
             "params": self.params,
-            "entries": [list(row) for row in self.entries],
         }
-        return json.dumps(payload, indent=2) + "\n"
+        rows = [
+            "[\n      " + ",\n      ".join(map(encode_basestring_ascii, row)) + "\n    ]"
+            if row else "[]"
+            for row in self.entries
+        ]
+        grid = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+        # json.dumps ends the header with "\n}": the entries go in before that brace
+        return json.dumps(header, indent=2)[:-2] + ',\n  "entries": ' + grid + "\n}\n"
 
     @classmethod
     def from_json(cls, text: str) -> "MatrixDocument":
@@ -107,11 +121,16 @@ class MatrixDocument:
         rows = raw["entries"]
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError("document entries must be a JSON array of arrays")
-        if not all(isinstance(v, str) or type(v) is int for row in rows for v in row):
-            raise ValueError('document entries must be strings like "-3/4" or integers')
-        entries = tuple(tuple(str(v) for v in row) for row in rows)
-        return cls(raw["n"], raw["arity"], order,
-                   raw.get("family"), dict(raw.get("params") or {}), entries)
+        entries = []
+        for row in rows:
+            kinds = set(map(type, row))  # exact types: a JSON true is a bool, not an int
+            if not kinds <= {str, int}:
+                raise ValueError('document entries must be strings like "-3/4" or integers')
+            entries.append(tuple(map(str, row)) if int in kinds else tuple(row))
+        params = raw.get("params")
+        if params is not None and not isinstance(params, dict):
+            raise ValueError(f"document field 'params' must be a JSON object or null, got {params!r}")
+        return cls(raw["n"], raw["arity"], order, raw.get("family"), params or {}, tuple(entries))
 
     def to_tsv(self) -> str:
         return "\n".join("\t".join(row) for row in self.entries) + "\n"

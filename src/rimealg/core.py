@@ -22,7 +22,8 @@ from fractions import Fraction
 from math import lcm
 from numbers import Integral
 from operator import add, sub
-from typing import TYPE_CHECKING, Iterator, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -112,17 +113,24 @@ class Operator:
             raise ValueError(f"dimension must be positive, got {n}")
         size = n**arity
         # one pass, row by row: parse and keep the nonzero cells, then check the
-        # shape.  The string "0", most cells of a document, is skipped unparsed.
+        # shape.  Each distinct string is parsed once, at its first cell, so the
+        # first bad cell raises first; None marks a zero, "0" is never parsed.
+        # Only str cells are memoized: with int keys, True would hit 1's entry.
+        parsed = {"0": None}
         rows = []
         square = True
         for row in entries:
             cells = {}
             width = 0
             for width, v in enumerate(row, 1):
-                if v.__class__ is str and v == "0":
-                    continue
-                q = as_rational(v)
-                if q:
+                if v.__class__ is str:
+                    if v in parsed:
+                        q = parsed[v]
+                    else:
+                        q = parsed[v] = as_rational(v) or None
+                else:
+                    q = as_rational(v) or None
+                if q is not None:
                     cells[width - 1] = q
             rows.append(cells)
             square = square and width == size
@@ -182,6 +190,11 @@ class Operator:
         arr = np.array(self.dense_rows(), dtype=object)
         arr.flags.writeable = False
         return arr
+
+    @property
+    def rows(self) -> tuple[Mapping[int, Fraction], ...]:
+        """Read-only view of each row, ``{column offset: nonzero entry}``, by row offset."""
+        return tuple(map(MappingProxyType, self._rows))
 
     def dense_rows(self) -> list[list[Fraction]]:
         """Fresh dense list-of-lists copy of the entries."""

@@ -319,6 +319,39 @@ def test_verify_document_bool_beta_exit_2(tmp_path, capsys):
     assert "got bool" in captured.err
 
 
+def test_verify_document_multiplicities_at_beta_2_exit_2(tmp_path, capsys):
+    # undefined at beta = 2 for every operator: a usage error, as with --family
+    main(["generate", "rime", "--n", "2", "--beta", "2", "--phi", "2,1"])
+    path = tmp_path / "b2.json"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main(["verify", "--input", str(path), "--checks", "hecke,multiplicities"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: multiplicities are undefined at beta = 2 (coincident eigenvalues)\n"
+    # a non-Hecke operator, whose projector trace is not an integer, still fails
+    payload = _rime_document(capsys)
+    payload["entries"][0][0] = "3/2"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["verify", "--input", str(path), "--checks", "multiplicities"]) == 1
+    assert "is not an integer" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("params", [[["beta", "3"]], "", [], 0, False])
+def test_verify_document_params_not_an_object_exit_2(params, tmp_path, capsys):
+    payload = _rime_document(capsys)
+    payload["params"] = params
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["verify", "--input", str(path), "--checks", "hecke"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: document field 'params' must be a JSON object or null")
+    payload["params"] = None  # null, or no field at all, reads as no parameters
+    assert MatrixDocument.from_json(json.dumps(payload)).params == {}
+    del payload["params"]
+    assert MatrixDocument.from_json(json.dumps(payload)).params == {}
+
+
 def test_verify_missing_file_exit_2(capsys):
     assert main(["verify", "--input", "/nonexistent/doc.json"]) == 2
     assert "error:" in capsys.readouterr().err

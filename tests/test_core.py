@@ -357,6 +357,14 @@ def test_entries_are_immutable():
         p.entries[0, 0] = F(2)
 
 
+def test_rows_are_read_only_views():
+    m = Operator(2, 1, [["1/2", 0], [0, 0]])
+    assert m.rows == ({0: F(1, 2)}, {})
+    with pytest.raises(TypeError):
+        m.rows[0][1] = F(1)
+    assert m.dense_rows() == [[F(1, 2), 0], [0, 0]]
+
+
 def test_from_items_accumulates():
     op = Operator.from_items(2, 1, [((1,), (2,), 1), ((1,), (2,), "1/2")])
     assert op.entry(1, 2) == F(3, 2)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_distinct, random_rational
@@ -51,6 +51,7 @@ from rimealg.verify import (
     check_ybe,
     classify_structure,
     hecke_multiplicities,
+    StructureClass,
     _verdict,
     run_checks,
     run_suite,
@@ -278,6 +279,38 @@ def test_nilpotent_exponential(rng):
     assert not rep.passed
 
 
+# arbitrary operators next to known idempotents (r^2 = -r) and nilpotents (r^2 = 0)
+EXPONENTIAL_CASES = st.one_of(
+    st.integers(1, 3).flatmap(operators2),
+    st.sampled_from([zero(2, 2), classical_rime_r(PhiVector((3, 2, 1))), classical_cg_r(3),
+                     classical_unitary_r0(MuVector((0, 1, 3))), boundary_b(3)]),
+)
+
+
+@given(EXPONENTIAL_CASES, small_rationals, small_rationals)
+def test_exponential_law_identities_on_arbitrary_operators(r, t, s):
+    # the identities that make each law a consequence of its first relation
+    eye = identity(r.n, 2)
+    semigroup = (eye + t * r) @ (eye + s * r) - (eye + (t + s - t * s) * r)
+    assert semigroup == t * s * (r @ r + r)
+    assert (eye + r) @ (eye - r) - eye == -(r @ r)
+
+
+@given(EXPONENTIAL_CASES)
+def test_exponential_reports_equal_the_two_part_reports(r):
+    # the reports, witness included, are those of computing each law as a second part
+    eye = identity(r.n, 2)
+    parts = [("r^2 = -r", r @ r + r)]
+    if parts[0][1].is_zero():
+        law = (eye + F(1, 2) * r) @ (eye + F(1, 3) * r) - (eye + F(2, 3) * r)
+        parts.append(("semigroup law", law))
+    assert check_idempotent_exponential(r) == _verdict("idempotent", parts, {"n": r.n})
+    parts = [("r^2 = 0", r @ r)]
+    if parts[0][1].is_zero():
+        parts.append(("(I + r)(I - r) = I", (eye + r) @ (eye - r) - eye))
+    assert check_nilpotent_exponential(r) == _verdict("nilpotent", parts, {"n": r.n})
+
+
 # -- bridges --------------------------------------------------------------------
 
 
@@ -354,6 +387,69 @@ def test_classify_relaxed_phi_is_rime_not_strict():
 def test_classify_arity_guard():
     with pytest.raises(ValueError):
         classify_structure(identity(2))
+
+
+def classify_oracle(m):
+    """The set-based classification: every nonzero entry's {k, l} against {i, j}."""
+    n = m.n
+    ice = True
+    for (i, j), (k, l), _v in m.nonzero_items():
+        if not {k, l} <= {i, j}:
+            return StructureClass("none", None)
+        if {k, l} != {i, j}:
+            ice = False
+
+    def grid(col, diagonal):
+        return tuple(
+            tuple(m.entry((i, j), col(i, j)) if diagonal or i != j else F(0)
+                  for j in range(1, n + 1))
+            for i in range(1, n + 1)
+        )
+
+    alpha = grid(lambda i, j: (j, i), True)
+    gamma = grid(lambda i, j: (i, i), False)
+    data = GeneralRimeData(n, alpha, grid(lambda i, j: (i, j), False), gamma,
+                           grid(lambda i, j: (j, j), False))
+    if ice:
+        return StructureClass("ice", data)
+    strict = all(alpha[i][j] and gamma[i][j] for i in range(n) for j in range(n) if i != j)
+    return StructureClass("strict-rime" if strict else "rime", data)
+
+
+@st.composite
+def classify_cases(draw):
+    """Rime-pattern operators (ice, rime, strict), family matrices, then maybe one
+    extra cell: in the pattern, or off it."""
+    n = draw(st.integers(1, 4))
+    values = st.one_of(st.just(F(0)), small_rationals)
+    if draw(st.booleans()):
+        phi = PhiVector(tuple(range(n, 0, -1)))
+        op = draw(st.sampled_from([
+            rime_from_beta(beta_from_phi(draw(small_rationals), phi)),
+            rime_from_beta(beta_from_phi(3, PhiVector((0,) + tuple(range(1, n))))),
+            classical_rime_r(phi),
+            build(FamilySpec("cg", n, q2inv=draw(small_rationals.filter(bool)), p=1)),
+            permutation(n),
+        ]))
+        items = list(op.nonzero_items())
+    else:
+        ice = draw(st.booleans())
+        items = []
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                cols = {(i, j), (j, i)} if ice else {(k, l) for k in (i, j) for l in (i, j)}
+                items += [((i, j), col, draw(values)) for col in sorted(cols)]
+    if draw(st.booleans()):
+        row = (draw(st.integers(1, n)), draw(st.integers(1, n)))
+        col = (draw(st.integers(1, n)), draw(st.integers(1, n)))
+        items.append((row, col, draw(small_rationals)))
+    return Operator.from_items(n, 2, items)
+
+
+@settings(max_examples=300)
+@given(classify_cases())
+def test_classify_matches_set_based_oracle(m):
+    assert classify_structure(m) == classify_oracle(m)
 
 
 # -- parameter re-checks --------------------------------------------------------------
