@@ -21,7 +21,7 @@ from rimealg import (
 
 def show(op, title):
     print(title)
-    for row in op.entries.tolist():
+    for row in op.dense_rows():
         print("  [" + ", ".join(f"{str(v):>5}" for v in row) + "]")
     print()
 

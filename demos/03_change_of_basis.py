@@ -24,7 +24,7 @@ phi = PhiVector((2, 1))
 # the weights, one omitted per row; its determinant is the product of
 # pairwise differences, so distinct weights keep it invertible
 x = x_matrix(phi)
-print("X =", x.entries.tolist(), " det =", x.det())
+print("X =", x.dense_rows(), " det =", x.det())
 
 cg = build(FamilySpec("cg", 2, q2inv=1 - beta, p=1))
 rime = rime_from_beta(beta_from_phi(beta, phi))

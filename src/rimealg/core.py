@@ -12,8 +12,7 @@ offset of ``(i1, ..., ik)`` is ``sum((ia - 1) * n**(k - a))``.
 
 Operators store sparse rows with no stored zeros and are never mutated after
 construction, so instances can be shared freely between threads.
-``Operator.entries`` is a fresh dense view built on each access, not for hot paths.
-numpy is imported only by ``entries`` and ``to_float``, when first called.
+``Operator.dense_rows()`` is a fresh dense copy built on each call, not for hot paths.
 """
 
 from __future__ import annotations
@@ -23,10 +22,7 @@ from math import lcm
 from numbers import Integral
 from operator import add, sub
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Iterator, Mapping, Sequence
 
 __all__ = [
     "Rational",
@@ -120,6 +116,8 @@ class Operator:
         rows = []
         square = True
         for row in entries:
+            if isinstance(row, str):  # else "12" would be read as the cells 1, 2
+                raise ValueError(f"a row must be a sequence of cells, got the string {row!r}")
             cells = {}
             width = 0
             for width, v in enumerate(row, 1):
@@ -181,15 +179,6 @@ class Operator:
     @property
     def size(self) -> int:
         return self.n**self.arity
-
-    @property
-    def entries(self) -> np.ndarray:
-        """Dense read-only numpy object array of Fractions, built on each access."""
-        import numpy as np
-
-        arr = np.array(self.dense_rows(), dtype=object)
-        arr.flags.writeable = False
-        return arr
 
     @property
     def rows(self) -> tuple[Mapping[int, Fraction], ...]:
@@ -316,12 +305,6 @@ class Operator:
             for c, v in row.items():
                 cols[c][r] = v
         return Operator._wrap(self.n, self.arity, tuple(cols))
-
-    def to_float(self) -> np.ndarray:
-        """Entrywise exact cast to double precision."""
-        import numpy as np
-
-        return np.array([[float(v) for v in row] for row in self.dense_rows()])
 
     def det(self) -> Fraction:
         """Exact determinant.

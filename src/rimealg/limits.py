@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, log
+from math import exp, isnan, log, nan
 from statistics import linear_regression
 from typing import Sequence
 
@@ -99,15 +99,27 @@ def exp_formula_check(r: Operator, h: float, terms: int) -> float:
         coeff = h
     else:
         raise ValueError("operator is neither idempotent (r^2 = -r) nor nilpotent (r^2 = 0)")
-    import numpy as np  # here, not at module level, so that importing rimealg skips numpy
-
-    rf = r.to_float()
-    size = rf.shape[0]
-    eye = np.eye(size)
-    term = eye
-    acc = eye.copy()
+    # term rows keep ascending columns: every product entry sums its terms in the
+    # order of a dense row-by-column product, however r's rows were built
+    rf = [{c: float(v) for c, v in row.items()} for row in r.rows]
+    term = [{i: 1.0} for i in range(len(rf))]
+    acc = [{i: 1.0} for i in range(len(rf))]
     for k in range(1, terms + 1):
-        term = term @ rf * (h / k)
-        acc = acc + term
-    target = eye + coeff * rf
-    return float(np.max(np.abs(acc - target)))
+        scale = h / k
+        nxt = []
+        for trow, arow in zip(term, acc):
+            prod = {}
+            for m, tv in trow.items():
+                for j, rv in rf[m].items():
+                    prod[j] = prod.get(j, 0.0) + tv * rv
+            nxt.append({j: prod[j] * scale for j in sorted(prod)})
+            for j, v in nxt[-1].items():
+                arow[j] = arow.get(j, 0.0) + v
+        term = nxt
+    # the closed form is I + coeff*r; a cell stored in neither acc nor r deviates by 0
+    deviations = [
+        abs(arow.get(j, 0.0) - ((1.0 if i == j else 0.0) + coeff * rrow.get(j, 0.0)))
+        for i, (arow, rrow) in enumerate(zip(acc, rf))
+        for j in arow.keys() | rrow.keys()
+    ]
+    return nan if any(map(isnan, deviations)) else max(deviations)

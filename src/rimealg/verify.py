@@ -467,6 +467,7 @@ def _operator_checks(op, beta, family) -> dict[str, Callable[[], VerificationRep
 def run_checks(op: Operator, names, beta=_no_beta, family=None) -> list[VerificationReport]:
     """Run operator-only checks on ``op`` by name, in the requested order.
 
+    ``op`` must have arity 2, else ValueError before any check runs.
     ``beta`` is a zero-argument callable, called only if hecke or
     multiplicities runs; multiplicities at beta = 2, where no multiplicity
     is defined, raises ValueError.  ``family`` is the tag ``op`` was built
@@ -479,6 +480,8 @@ def run_checks(op: Operator, names, beta=_no_beta, family=None) -> list[Verifica
     for name in names:
         if name not in table:
             raise ValueError(f"unknown check {name!r}; document input supports {', '.join(table)}")
+    if op.arity != 2:
+        raise ValueError(f"every check needs an arity-2 operator, got arity {op.arity}")
     return [table[name]() for name in names]
 
 

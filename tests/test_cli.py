@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -352,6 +353,23 @@ def test_verify_document_params_not_an_object_exit_2(params, tmp_path, capsys):
     assert MatrixDocument.from_json(json.dumps(payload)).params == {}
 
 
+def test_verify_document_of_arity_other_than_2_exit_2(tmp_path, capsys):
+    # every check is defined on arity-2 operators; none may run on another arity
+    names = ("ybe", "hecke", "multiplicities", "classify", "cybe", "acybe", "tilde",
+             "idempotent", "nilpotent", "braid")
+    for n, arity in ((1, 3), (2, 1), (2, 3)):
+        size = n**arity
+        entries = [["1" if r == c else "0" for c in range(size)] for r in range(size)]
+        path = tmp_path / f"doc{n}{arity}.json"
+        path.write_text(json.dumps({"n": n, "arity": arity, "family": "classical-rime",
+                                    "params": {"beta": "3"}, "entries": entries}))
+        for name in names:
+            assert main(["verify", "--input", str(path), "--checks", name]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: every check needs an arity-2 operator, got arity {arity}\n"
+
+
 def test_verify_missing_file_exit_2(capsys):
     assert main(["verify", "--input", "/nonexistent/doc.json"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -464,6 +482,39 @@ def test_import_builds_no_parser_and_loads_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     assert out == "0 False\n"
+
+
+def test_package_runs_without_numpy(tmp_path):
+    # with every "import numpy" failing, the CLI, the float series and all five demos run
+    import rimealg
+
+    code = textwrap.dedent("""
+        import contextlib, io, runpy, sys
+        sys.modules["numpy"] = None
+        from rimealg.cli import main
+        from rimealg.families import MuVector, PhiVector, classical_rime_r, classical_unitary_r0
+        from rimealg.limits import exp_formula_check
+
+        doc, demos = sys.argv[1], sys.argv[2:]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            codes = [main(["generate", "classical-rime", "--n", "3", "--phi", "3,2,1"])]
+        with open(doc, "w") as handle:
+            handle.write(out.getvalue())
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(main(["verify", "--input", doc]))
+            codes.append(main(["report", "--n-max", "3", "--seeds", "1"]))
+            for demo in demos:
+                runpy.run_path(demo, run_name="__main__")
+        devs = [exp_formula_check(classical_rime_r(PhiVector((2, 1))), 0.5, 30),
+                exp_formula_check(classical_unitary_r0(MuVector((0, 1))), 0.5, 30)]
+        print(codes, len(demos), max(devs) <= 1e-12)
+    """)
+    src = str(Path(rimealg.__file__).resolve().parents[1])
+    demos = sorted(str(p) for p in (Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "doc.json"), *demos],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[0, 0, 0] 5 True\n"
 
 
 def test_patched_command_is_honoured_after_first_call(monkeypatch, capsys):

@@ -122,9 +122,6 @@ def test_construction_and_reductions_match_oracle(space, data):
     n, arity = space
     op, dense = data.draw(with_oracle(n, arity))
     check(op, dense, n, arity)
-    view = op.entries
-    assert view.tolist() == dense and not view.flags.writeable
-    assert op.entries is not view
     items = d_items(dense, n, arity)
     # inserted in descending order, so every row dict iterates its columns backwards
     backwards = Operator.from_items(n, arity, reversed(items))

@@ -10,8 +10,14 @@ cells are parsed row by row before the shape is checked.
 
 Writing has two oracles: ``from_operator`` must give the dense ``str(v)``
 grid, and ``to_json`` must give ``json.dumps(payload, indent=2) + "\\n"``.
+
+The exit-code contract of ``verify --input`` is fuzzed last: any document,
+with any field replaced by arbitrary JSON, exits 0, 1 or 2 and raises
+nothing, and a document whose arity is not 2 always exits 2.
 """
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 
@@ -19,8 +25,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rimealg.cli import ORDER, MatrixDocument
+from rimealg.cli import ORDER, MatrixDocument, main
 from rimealg.core import Operator
+from rimealg.families import FAMILY_TAGS
 
 ZEROS = ("0", "-0", "0/7", "00", " 0", 0)
 NONZEROS = ("-3/4", "5", "1/2", "-7", "12/8")
@@ -156,3 +163,51 @@ def test_to_json_matches_json_dumps(n, arity, order, family, params, entries):
     payload = {"n": n, "arity": arity, "order": order, "family": family, "params": params,
                "entries": [list(row) for row in entries]}
     assert doc.to_json() == json.dumps(payload, indent=2) + "\n"
+
+
+# -- the verify --input exit-code contract -------------------------------------------
+
+CHECK_NAMES = ("ybe", "hecke", "multiplicities", "classify", "cybe", "acybe", "tilde",
+               "idempotent", "nilpotent", "braid")
+FIELDS = ("n", "arity", "family", "params", "params.beta", "entries")
+
+
+@st.composite
+def contract_cases(draw):
+    n = draw(st.integers(1, 2))
+    arity = draw(st.sampled_from((1, 2, 2, 3)))  # checks run on arity 2 only
+    size = n**arity
+    payload = {
+        "n": n,
+        "arity": arity,
+        "family": draw(st.sampled_from((None, *FAMILY_TAGS))),
+        "params": {"beta": draw(st.sampled_from(("3", "2", "0", "-1/2")))},
+        "entries": draw(st.lists(st.lists(cells, min_size=size, max_size=size),
+                                 min_size=size, max_size=size)),
+    }
+    field = draw(st.none() | st.sampled_from(FIELDS))  # sometimes one field is arbitrary JSON
+    if field == "params.beta":
+        payload["params"]["beta"] = draw(json_values)
+    elif field is not None:
+        payload[field] = draw(json_values)
+    argv = []
+    checks = draw(st.lists(st.sampled_from(CHECK_NAMES + ("bogus",)), max_size=3))
+    if checks:
+        argv += ["--checks", ",".join(checks)]
+    beta = draw(st.sampled_from((None, "3", "2", "0", "-1/2", "1/0", "abc")))
+    if beta is not None:
+        argv.append(f"--beta={beta}")  # "--beta -1/2" would read -1/2 as an option
+    return payload, argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(contract_cases())
+def test_verify_document_exit_code_contract(tmp_path_factory, case):
+    payload, argv = case
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(payload))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", "--input", str(path), *argv])
+    assert code in (0, 1, 2)
+    if payload["arity"] != 2:
+        assert code == 2

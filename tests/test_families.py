@@ -144,7 +144,7 @@ def test_rime_general_frozen_expansion():
         gamma_prime=((0, -3), (6, 0)),
         invertible=True,
     )
-    assert rime_general(d).entries.tolist() == RIME_2
+    assert rime_general(d).dense_rows() == RIME_2
 
 
 # -- beta grids -----------------------------------------------------------------
@@ -210,7 +210,7 @@ def test_rime_from_beta_zero_grid_is_permutation():
 
 def test_rime_from_beta_frozen_matrix():
     rhat = rime_from_beta(beta_from_phi(3, PhiVector((2, 1))))
-    assert rhat.entries.tolist() == RIME_2
+    assert rhat.dense_rows() == RIME_2
 
 
 @given(st.data(), small_rationals, st.integers(2, 4))
@@ -228,7 +228,7 @@ def test_cremmer_gervais_degenerate_is_permutation():
 
 def test_cremmer_gervais_frozen_matrix():
     rhat = cremmer_gervais(2, -2, 1)
-    assert rhat.entries.tolist() == [
+    assert rhat.dense_rows() == [
         [1, 0, 0, 0],
         [0, 3, 1, 0],
         [0, -2, 0, 0],
@@ -254,9 +254,9 @@ def test_cremmer_gervais_off_pattern_entry():
 
 def test_x_matrix_frozen():
     x = x_matrix(PhiVector((2, 1)))
-    assert x.entries.tolist() == [[1, 1], [1, 2]]
+    assert x.dense_rows() == [[1, 1], [1, 2]]
     assert x.det() == 1
-    assert x_matrix(PhiVector((5,))).entries.tolist() == [[1]]
+    assert x_matrix(PhiVector((5,))).dense_rows() == [[1]]
 
 
 def test_x_matrix_determinant_product_formula(rng):
@@ -285,7 +285,7 @@ def test_x_matrix_column_grading(data, n):
 
 def test_classical_rime_r_frozen_matrix():
     r = classical_rime_r(PhiVector((2, 1)))
-    assert r.entries.tolist() == CLASSICAL_R_2
+    assert r.dense_rows() == CLASSICAL_R_2
 
 
 def test_classical_rime_r_requires_strict_phi():
@@ -318,7 +318,7 @@ def test_classical_cg_r_small_cases():
 
 
 def test_z_generator_matrix_and_guard():
-    assert z_generator(1, 2, 2).entries.tolist() == [[0, 1], [0, -1]]
+    assert z_generator(1, 2, 2).dense_rows() == [[0, 1], [0, -1]]
     with pytest.raises(ValueError):
         z_generator(2, 2, 3)
 
@@ -329,8 +329,8 @@ def test_z_generator_column_sums_vanish():
             for j in range(1, n + 1):
                 if i == j:
                     continue
-                cols = z_generator(i, j, n).entries.sum(axis=0)
-                assert all(v == 0 for v in cols.tolist())
+                rows = z_generator(i, j, n).dense_rows()
+                assert all(sum(col) == 0 for col in zip(*rows))
 
 
 def _exact_rank(rows):
@@ -360,18 +360,18 @@ def test_z_generators_close_under_multiplication():
         for j in range(1, n + 1)
         if i != j
     ]
-    basis = [[v for row in g.entries.tolist() for v in row] for g in gens]
+    basis = [[v for row in g.dense_rows() for v in row] for g in gens]
     base_rank = _exact_rank(basis)
     for a in gens:
         for b in gens:
             prod = a @ b
-            flat = [v for row in prod.entries.tolist() for v in row]
+            flat = [v for row in prod.dense_rows() for v in row]
             assert _exact_rank(basis + [flat]) == base_rank
 
 
 def test_classical_unitary_r0_frozen_matrix():
     r0 = classical_unitary_r0(MuVector((0, 1)))
-    assert r0.entries.tolist() == [
+    assert r0.dense_rows() == [
         [0, 0, 0, 0],
         [-1, 1, 1, -1],
         [1, -1, -1, 1],
@@ -414,7 +414,7 @@ def test_boundary_b_is_skew():
 def test_build_dispatch():
     spec = FamilySpec("rime-quantum", 2, beta=3, phi=(2, 1))
     op = build(spec)
-    assert op.entries.tolist() == RIME_2
+    assert op.dense_rows() == RIME_2
     assert op.family == spec
     assert build(FamilySpec("cg", 2, q2inv=1, p=1)) == permutation(2)
     assert build(FamilySpec("boundary", 2)) == boundary_b(2)

@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,7 +71,7 @@ def operators2(n):
 
 
 def _tampered(op, row, col, value):
-    data = [r[:] for r in op.entries.tolist()]
+    data = op.dense_rows()
     data[row][col] = F(value)
     return Operator(op.n, op.arity, data)
 
