@@ -5,135 +5,16 @@ The package builds every matrix family over exact rationals, checks each
 identity they satisfy with literally zero residuals, and demonstrates the
 two analytic statements (the unitary limit and the exponential formulas)
 in floating point.
+
+The package namespace re-exports exactly each module's ``__all__``.
 """
 
-from .core import (
-    LEGS,
-    Operator,
-    Rational,
-    as_rational,
-    commutator,
-    conjugate_pair,
-    embed,
-    flip21,
-    identity,
-    inverse,
-    kron,
-    linear_index,
-    matrix_unit,
-    multi_index,
-    permutation,
-    wedge,
-    zero,
-)
-from .families import (
-    FAMILY_TAGS,
-    FamilySpec,
-    GeneralRimeData,
-    MuVector,
-    PhiVector,
-    RimeParams,
-    beta_from_phi,
-    boundary_b,
-    build,
-    classical_cg_r,
-    classical_rime_r,
-    classical_unitary_r0,
-    cremmer_gervais,
-    describe,
-    rime_from_beta,
-    rime_general,
-    unitary_beta,
-    x_matrix,
-    z_generator,
-)
-from .limits import LimitCurve, exp_formula_check, unitary_limit_curve
-from .verify import (
-    StructureClass,
-    VerificationReport,
-    assoc_A,
-    assoc_Aprime,
-    check_beta_constancy,
-    check_braid_identities,
-    check_cybe,
-    check_equivalence_classical,
-    check_equivalence_quantum,
-    check_hecke,
-    check_homogeneous_acybe,
-    check_idempotent_exponential,
-    check_nilpotent_exponential,
-    check_nonhomogeneous_acybe,
-    check_quantization,
-    check_tilde_relations,
-    check_ybe,
-    classify_structure,
-    hecke_multiplicities,
-    run_checks,
-    run_suite,
-)
+from . import core, families, limits, verify
+from .core import *
+from .families import *
+from .limits import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "LEGS",
-    "Operator",
-    "Rational",
-    "as_rational",
-    "commutator",
-    "conjugate_pair",
-    "embed",
-    "flip21",
-    "identity",
-    "inverse",
-    "kron",
-    "linear_index",
-    "matrix_unit",
-    "multi_index",
-    "permutation",
-    "wedge",
-    "zero",
-    "FAMILY_TAGS",
-    "FamilySpec",
-    "GeneralRimeData",
-    "MuVector",
-    "PhiVector",
-    "RimeParams",
-    "beta_from_phi",
-    "boundary_b",
-    "build",
-    "classical_cg_r",
-    "classical_rime_r",
-    "classical_unitary_r0",
-    "cremmer_gervais",
-    "describe",
-    "rime_from_beta",
-    "rime_general",
-    "unitary_beta",
-    "x_matrix",
-    "z_generator",
-    "LimitCurve",
-    "exp_formula_check",
-    "unitary_limit_curve",
-    "StructureClass",
-    "VerificationReport",
-    "assoc_A",
-    "assoc_Aprime",
-    "check_beta_constancy",
-    "check_braid_identities",
-    "check_cybe",
-    "check_equivalence_classical",
-    "check_equivalence_quantum",
-    "check_hecke",
-    "check_homogeneous_acybe",
-    "check_idempotent_exponential",
-    "check_nilpotent_exponential",
-    "check_nonhomogeneous_acybe",
-    "check_quantization",
-    "check_tilde_relations",
-    "check_ybe",
-    "classify_structure",
-    "hecke_multiplicities",
-    "run_checks",
-    "run_suite",
-    "__version__",
-]
+__all__ = [*core.__all__, *families.__all__, *limits.__all__, *verify.__all__, "__version__"]

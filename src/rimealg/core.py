@@ -116,7 +116,8 @@ class Operator:
         rows = []
         square = True
         for row in entries:
-            if isinstance(row, str):  # else "12" would be read as the cells 1, 2
+            # else "12" would be read as the cells 1, 2 and b"12" as 49, 50
+            if isinstance(row, (str, bytes, bytearray)):
                 raise ValueError(f"a row must be a sequence of cells, got the string {row!r}")
             cells = {}
             width = 0
@@ -162,15 +163,15 @@ class Operator:
         """Accumulate ``(row_multi, col_multi, value)`` triples into an operator.
 
         Repeated positions add up, matching how the matrix families are
-        written as sums of elementary terms.
+        written as sums of elementary terms.  Every multi-index must have
+        ``arity`` components, else IndexError.
         """
-        size = n**arity
-        rows = [{} for _ in range(size)]
+        rows = [{} for _ in range(n**arity)]
         for row_multi, col_multi, value in items:
+            if len(row_multi) != arity or len(col_multi) != arity:
+                raise IndexError(f"multi-index must have {arity} components")
             row = rows[linear_index(row_multi, n)]
             c = linear_index(col_multi, n)
-            if c >= size:
-                raise IndexError(f"column offset {c} out of range for size {size}")
             row[c] = row.get(c, _ZERO) + as_rational(value)
         return cls._wrap(n, arity, tuple({c: v for c, v in row.items() if v} for row in rows))
 

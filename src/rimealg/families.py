@@ -122,7 +122,7 @@ class GeneralRimeData:
 
 @dataclass(frozen=True)
 class PhiVector:
-    """Weight vector phi: pairwise distinct, at most one zero entry.
+    """Weight vector phi: pairwise distinct, hence at most one zero entry.
 
     The vector is *strict* when no entry is zero; the single-zero case is
     accepted but flagged, since the matrices it produces lose strictness.
@@ -137,8 +137,6 @@ class PhiVector:
             raise ValueError("phi must be non-empty")
         if len(set(values)) != len(values):
             raise ValueError(f"phi values must be pairwise distinct, got {values}")
-        if sum(1 for v in values if v == 0) > 1:
-            raise ValueError("at most one phi value may be zero")
 
     @property
     def n(self) -> int:
@@ -279,24 +277,16 @@ def unitary_beta(mu: MuVector) -> RimeParams:
 def rime_from_beta(p: RimeParams) -> Operator:
     """Canonical rime solution built from a beta grid.
 
-    Entry pattern per off-diagonal row (i, j): coefficient 1 - beta_ji on the
-    transposition column (j, i), beta_ij on (i, j), -beta_ij on (i, i) and
-    beta_ji on (j, j); diagonal rows carry 1.
+    It is the general rime form with alpha_i = 1, alpha_ij = 1 - beta_ji,
+    beta_ij as given, gamma_ij = -beta_ij and gamma'_ij = beta_ji: row
+    (i, j) holds 1 - beta_ji on the transposition column (j, i), beta_ij on
+    (i, j), -beta_ij on (i, i) and beta_ji on (j, j).
     """
     n = p.n
-    items = []
-    for i in range(1, n + 1):
-        items.append(((i, i), (i, i), _ONE))
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            bij = p.entry(i, j)
-            bji = p.entry(j, i)
-            items.append(((i, j), (j, i), _ONE - bji))
-            items.append(((i, j), (i, j), bij))
-            items.append(((i, j), (i, i), -bij))
-            items.append(((i, j), (j, j), bji))
-    return Operator.from_items(n, 2, items)
+    b = p.beta_offdiag
+    alpha = [[_ONE if i == j else _ONE - b[j][i] for j in range(n)] for i in range(n)]
+    gamma = [[-v for v in row] for row in b]
+    return rime_general(GeneralRimeData(n, alpha, b, gamma, list(zip(*b))))
 
 
 def cremmer_gervais(n: int, q2inv, p) -> Operator:

@@ -12,22 +12,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, isnan, log, nan
+from math import exp, isfinite, isnan, log, nan
 from statistics import linear_regression
 from typing import Sequence
 
 from .core import Operator
-from .families import MuVector
+from .families import MuVector, PhiVector, beta_from_phi, unitary_beta
 
 __all__ = ["LimitCurve", "unitary_limit_curve", "exp_formula_check"]
+
+
+def _check_betas(betas: Sequence[float]) -> None:
+    if not all(map(isfinite, betas)):
+        raise ValueError("beta samples must be finite")
+    if any(b <= 0 for b in betas):
+        raise ValueError("beta samples must be positive")
+    if any(a <= b for a, b in zip(betas, betas[1:])):
+        raise ValueError("beta samples must be strictly decreasing")
 
 
 @dataclass(frozen=True)
 class LimitCurve:
     """Max deviation of beta_ij from its limit grid, per sampled beta.
 
-    ``betas`` must be strictly decreasing and positive; ``slope`` is the
-    log-log least-squares slope of deviation against beta (the analytic
+    ``betas`` must be finite, positive and strictly decreasing; ``slope`` is
+    the log-log least-squares slope of deviation against beta (the analytic
     statement predicts 1: the error is first order in beta).
     """
 
@@ -36,10 +45,7 @@ class LimitCurve:
     slope: float
 
     def __post_init__(self):
-        if any(b <= 0 for b in self.betas):
-            raise ValueError("beta samples must be positive")
-        if any(a <= b for a, b in zip(self.betas, self.betas[1:])):
-            raise ValueError("beta samples must be strictly decreasing")
+        _check_betas(self.betas)
 
 
 def _fit_slope(betas: Sequence[float], deviations: Sequence[float]) -> float:
@@ -53,34 +59,26 @@ def _fit_slope(betas: Sequence[float], deviations: Sequence[float]) -> float:
 def unitary_limit_curve(mu: MuVector, betas: Sequence[float]) -> LimitCurve:
     """Deviation of beta_ij(beta) from the skew grid along phi_i = 1 + beta*mu_i.
 
-    For each sampled beta the grid beta_ij = beta*phi_i/(phi_i - phi_j) is
-    evaluated exactly (the float beta is promoted to the rational it
-    represents) and compared entrywise with the limit grid 1/(mu_i - mu_j);
-    the curve records the max over i != j.  Deviations are first order in
-    beta, so the fitted log-log slope is 1.
+    The betas are validated first (finite, positive, strictly decreasing).
+    For each sampled beta, the float is promoted to the rational it
+    represents and the grid ``beta_from_phi(beta, phi)`` is compared
+    entrywise, exactly, with the limit grid ``unitary_beta(mu)``; the curve
+    records the max over i != j.  Deviations are first order in beta, so the
+    fitted log-log slope is 1.
     """
-    values = mu.mu
-    n = mu.n
+    _check_betas(betas)
+    limit = unitary_beta(mu).beta_offdiag
     deviations = []
     for b in betas:
         bq = Fraction(b)
-        phi = [1 + bq * m for m in values]
-        if len(set(phi)) != n or any(v == 0 for v in phi):
+        phi = [1 + bq * m for m in mu.mu]
+        if len(set(phi)) != mu.n or any(v == 0 for v in phi):
             raise ValueError(f"phi collision at beta = {b}: {phi}")
-        worst = Fraction(0)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                bij = bq * phi[i] / (phi[i] - phi[j])
-                limit = Fraction(1) / (values[i] - values[j])
-                dev = abs(bij - limit)
-                if dev > worst:
-                    worst = dev
-        deviations.append(float(worst))
-    curve = LimitCurve(tuple(float(b) for b in betas), tuple(deviations),
-                       _fit_slope(betas, deviations))
-    return curve
+        grid = beta_from_phi(bq, PhiVector(phi)).beta_offdiag
+        deviations.append(float(max(abs(x - y) for row, lrow in zip(grid, limit)
+                                    for x, y in zip(row, lrow))))
+    return LimitCurve(tuple(float(b) for b in betas), tuple(deviations),
+                      _fit_slope(betas, deviations))
 
 
 def exp_formula_check(r: Operator, h: float, terms: int) -> float:
@@ -88,13 +86,20 @@ def exp_formula_check(r: Operator, h: float, terms: int) -> float:
 
     The input must satisfy r^2 = -r (closed form I + (1 - e^(-h)) r) or
     r^2 = 0 (closed form I + h*r; at h = 1 this is the familiar I + r).
-    Both relations are verified exactly before any float enters.
+    Both relations are verified exactly before any float enters.  A
+    non-finite h, or one at which e^(-h) overflows, raises ValueError; a
+    series that overflows at finite h reads nan.
     """
     if r.arity != 2:
         raise ValueError("exp_formula_check expects an arity-2 operator")
+    if not isfinite(h):
+        raise ValueError(f"h must be finite, got {h}")
     square = r @ r
     if (square + r).is_zero():
-        coeff = 1.0 - exp(-h)
+        try:
+            coeff = 1.0 - exp(-h)
+        except OverflowError:
+            raise ValueError(f"e^(-h) overflows a float at h = {h}") from None
     elif square.is_zero():
         coeff = h
     else:

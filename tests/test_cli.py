@@ -213,6 +213,18 @@ def test_verify_document_default_checks(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "cybe PASS"
 
 
+@pytest.mark.parametrize("argv", [
+    ["cg", "--n", "3", "--q2inv=-1/2", "--p", "2"],  # beta = 1 - q2inv
+    ["unitary", "--n", "3", "--mu", "0,1,3"],  # beta = 0 for rime-unitary
+])
+def test_verify_document_reads_beta_from_family(argv, tmp_path, capsys):
+    main(["generate", *argv])
+    path = tmp_path / "doc.json"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main(["verify", "--input", str(path), "--checks", "hecke,multiplicities"]) == 0
+    assert capsys.readouterr().out == "hecke PASS\nmultiplicities PASS\n"
+
+
 def test_verify_tampered_document_exit_1(tmp_path, capsys):
     main(["generate", "rime", "--n", "2", "--beta", "3", "--phi", "2,1"])
     payload = json.loads(capsys.readouterr().out)
@@ -430,6 +442,29 @@ def test_report_small_sweep_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_report_prints_a_reproduce_block_per_failing_family(monkeypatch, capsys):
+    failing = VerificationReport("ybe", False, Fraction(3, 2), ((1, 2), (2, 1), Fraction(-3, 2)),
+                                 {"failed_part": "ybe"})
+    passing = VerificationReport("ybe", True, Fraction(0), None, {})
+    monkeypatch.setattr("rimealg.cli.run_suite",
+                        lambda spec: [failing if spec.family == "cg" else passing])
+    assert main(["report", "--n-max", "2", "--seeds", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "n=2 seed=0 rime-quantum 1/1 PASS",
+        "n=2 seed=0 rime-unitary 1/1 PASS",
+        "n=2 seed=0 cg 0/1 FAIL",
+        "  reproduce: seed-value=0 params={'family': 'cg', 'n': '2', 'q2inv': '-13/2', 'p': '4'}",
+        "  ybe FAIL witness=(1,2)(2,1) value=-3/2 part[ybe]",
+        "n=2 seed=0 classical-rime 1/1 PASS",
+        "n=2 seed=0 classical-cg 1/1 PASS",
+        "n=2 seed=0 classical-unitary 1/1 PASS",
+        "n=2 seed=0 boundary 1/1 PASS",
+        "limit mu=0,1 slope=1.0000 dev@1e-04=1.000e-04 PASS",
+        "limit mu=0,1,3 slope=1.0000 dev@1e-04=1.500e-04 PASS",
+        "total 8/9 checks passed",
+    ]
+
+
 def test_report_is_deterministic(capsys):
     main(["report", "--n-max", "2", "--seeds", "2", "--seed-value", "7"])
     first = capsys.readouterr().out
@@ -482,6 +517,22 @@ def test_import_builds_no_parser_and_loads_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     assert out == "0 False\n"
+
+
+def test_package_reexports_exactly_each_module_all():
+    import rimealg
+    from rimealg import core, families, limits, verify
+
+    modules = (core, families, limits, verify)
+    names = [*(name for m in modules for name in m.__all__), "__version__"]
+    assert sorted(rimealg.__all__) == sorted(names)
+    assert len(set(names)) == len(names) == 61
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(rimealg, name) is getattr(m, name)
+    namespace = {}
+    exec("from rimealg import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(rimealg.__all__)
 
 
 def test_package_runs_without_numpy(tmp_path):

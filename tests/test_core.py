@@ -362,6 +362,21 @@ def test_string_rows_are_rejected():
     assert Operator(2, 1, [("1", "2"), ["3", 4]]).dense_rows() == [[1, 2], [3, 4]]
 
 
+def test_bytes_rows_are_rejected():
+    # bytes are sequences of ints: b"12" must not be read as the cells 49, 50
+    for rows in ([b"12", b"34"], [bytearray(b"12"), bytearray(b"34")]):
+        with pytest.raises(ValueError, match="a row must be a sequence of cells"):
+            Operator(2, 1, rows)
+
+
+@pytest.mark.parametrize("row, col", [((1, 2), (2,)), ((1,), (1, 2)), ((1, 2, 1), (1, 1)),
+                                      ((2, 2), (1, 1, 2)), ((), (1, 1))])
+def test_from_items_checks_multi_index_length(row, col):
+    # a short or long multi-index must not land in some other row or column
+    with pytest.raises(IndexError, match="multi-index must have 2 components"):
+        Operator.from_items(2, 2, [(row, col, 5)])
+
+
 def test_rows_are_read_only_views():
     m = Operator(2, 1, [["1/2", 0], [0, 0]])
     assert m.rows == ({0: F(1, 2)}, {})

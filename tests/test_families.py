@@ -99,6 +99,14 @@ def test_phi_vector_modes():
         PhiVector(())
 
 
+def test_phi_vector_with_two_zeros_is_a_repeat():
+    # distinctness already allows at most one zero
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        PhiVector((0, 0))
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        PhiVector((0, 2, 0))
+
+
 def test_mu_vector_allows_zero_requires_distinct():
     assert MuVector((0, 1, 3)).n == 3
     with pytest.raises(ValueError):
@@ -120,6 +128,13 @@ def test_family_spec_parameter_discipline():
     with pytest.raises(ValueError):
         FamilySpec("classical-rime", 3, phi=(2, 1))  # length mismatch
     assert len(FAMILY_TAGS) == 7
+
+
+def test_family_spec_rejects_dimension_zero():
+    with pytest.raises(ValueError, match="dimension must be positive, got 0"):
+        FamilySpec("boundary", 0)
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        FamilySpec("classical-cg", -1)
 
 
 # -- general rime form ---------------------------------------------------------

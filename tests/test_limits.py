@@ -32,6 +32,49 @@ def test_unitary_limit_three_weights_decreases_monotonically():
     assert abs(curve.slope - 1.0) <= 0.1
 
 
+@pytest.mark.parametrize("betas, message", [
+    ([math.inf], "finite"),
+    ([1e-2, math.nan], "finite"),
+    ([-1.0], "positive"),
+    ([1e-2, 0.0], "positive"),
+    ([1e-3, 1e-2], "strictly decreasing"),
+    ([1e-2, 1e-2], "strictly decreasing"),
+])
+def test_unitary_limit_validates_betas_first(betas, message):
+    # mu = (0, 1) collides at beta = -1 (phi_2 = 0); the samples are refused before any grid
+    with pytest.raises(ValueError, match=f"beta samples must be {message}"):
+        unitary_limit_curve(MuVector((0, 1)), betas)
+    with pytest.raises(ValueError, match=f"beta samples must be {message}"):
+        LimitCurve(tuple(betas), tuple(1.0 for _ in betas), 1.0)
+
+
+def _inline_deviations(mu, betas):
+    # the grid formula written out: beta_ij = beta*phi_i/(phi_i - phi_j) against 1/(mu_i - mu_j)
+    out = []
+    for b in betas:
+        bq = Fraction(b)
+        phi = [1 + bq * m for m in mu]
+        out.append(float(max(
+            (abs(bq * phi[i] / (phi[i] - phi[j]) - Fraction(1) / (mu[i] - mu[j]))
+             for i in range(len(mu)) for j in range(len(mu)) if i != j),
+            default=Fraction(0))))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("mu, betas", [
+    ((5,), (0.5, 0.1)),
+    ((0, 1), (1e-2, 1e-3, 1e-4)),
+    ((0, 1, 3), (1e-1, 1e-2, 1e-3, 1e-4)),
+    ((Fraction(-7, 2), 9, Fraction(1, 3)), (0.25, 3e-3, 1e-6)),
+    ((-2, 5, 1, 7), (0.3, 0.05, 1e-3, 2e-6)),
+])
+def test_unitary_limit_deviations_match_inline_formula(mu, betas):
+    mu = tuple(Fraction(m) for m in mu)
+    curve = unitary_limit_curve(MuVector(mu), betas)
+    assert curve.betas == betas
+    assert curve.deviations == _inline_deviations(mu, betas)
+
+
 def test_unitary_limit_detects_weight_collision():
     # 1 + beta*mu vanishes exactly at mu = -1/beta; beta = 1/64 is an exact float
     with pytest.raises(ValueError):
@@ -123,6 +166,20 @@ def test_series_ignores_the_order_rows_were_built_in(rng):
         backwards = Operator.from_items(r.n, 2, reversed(list(r.nonzero_items())))
         assert backwards == r
         assert exp_formula_check(backwards, 0.7, 20) == exp_formula_check(r, 0.7, 20)
+
+
+@pytest.mark.parametrize("h", [math.inf, -math.inf, math.nan])
+def test_exp_formula_rejects_non_finite_h(h):
+    for r in (classical_rime_r(PhiVector((2, 1))), classical_unitary_r0(MuVector((0, 1)))):
+        with pytest.raises(ValueError, match="h must be finite"):
+            exp_formula_check(r, h, 5)
+
+
+def test_exp_formula_rejects_overflowing_closed_form():
+    # e^800 is past the largest double; the nilpotent closed form has no exponential
+    with pytest.raises(ValueError, match="overflows"):
+        exp_formula_check(classical_rime_r(PhiVector((2, 1))), -800.0, 5)
+    assert exp_formula_check(classical_unitary_r0(MuVector((0, 1))), -800.0, 5) <= 1e-9
 
 
 def test_series_overflow_reads_nan():

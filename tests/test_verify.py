@@ -10,6 +10,7 @@ from conftest import random_distinct, random_rational
 from rimealg.core import (
     Operator,
     embed,
+    flip21,
     identity,
     kron,
     matrix_unit,
@@ -254,6 +255,25 @@ def test_tilde_relations():
     assert rep.metadata["failed_part"] == "rt + rt21 = P"
 
 
+def sparse_operators2(n):
+    # about half the cells zero, so the arity-3 products stay cheap at n = 3
+    size = n * n
+    row = st.lists(st.one_of(st.just(F(0)), small_rationals), min_size=size, max_size=size)
+    return st.lists(row, min_size=size, max_size=size).map(lambda data: Operator(n, 2, data))
+
+
+@given(st.sampled_from((1, 2, 3)).flatmap(sparse_operators2))
+def test_tilde_report_equals_shifted_form_oracle(r):
+    # the relations as stated, on rt = r + I/2; check_tilde_relations never builds rt
+    n = r.n
+    rt = r + F(1, 2) * identity(n, 2)
+    parts = [
+        ("A(rt) = I/4", assoc_A(rt) - F(1, 4) * identity(n, 3)),
+        ("rt + rt21 = P", rt + flip21(rt) - permutation(n)),
+    ]
+    assert check_tilde_relations(r) == _verdict("tilde", parts, {"n": n})
+
+
 def test_braid_identities(rng):
     for n in (2, 3):
         assert check_braid_identities(classical_rime_r(random_phi(rng, n))).passed
@@ -451,6 +471,18 @@ def test_classify_matches_set_based_oracle(m):
     assert classify_structure(m) == classify_oracle(m)
 
 
+@given(st.data(), st.integers(1, 4))
+def test_classify_inverts_rime_general(data, n):
+    values = st.one_of(st.just(F(0)), small_rationals)
+
+    def grid(diagonal):
+        return [[data.draw(values) if diagonal or i != j else F(0) for j in range(n)]
+                for i in range(n)]
+
+    d = GeneralRimeData(n, grid(True), grid(False), grid(False), grid(False))
+    assert classify_structure(rime_general(d)).data == d
+
+
 # -- parameter re-checks --------------------------------------------------------------
 
 
@@ -535,6 +567,16 @@ def test_run_suite_skips_checks_at_degenerate_beta():
     assert "equivalence-quantum" not in names_b1
     names_b2 = [rep.name for rep in run_suite(FamilySpec("rime-quantum", 2, beta=2, phi=(2, 1)))]
     assert "multiplicities" not in names_b2
+
+
+def test_run_suite_rime_quantum_at_beta_zero_is_ice():
+    # beta = 0 gives the zero grid: Rhat is the flip P, and quantization is skipped
+    reports = run_suite(FamilySpec("rime-quantum", 3, beta=0, phi=(3, 2, 1)))
+    assert len(reports) == 12
+    assert "quantization" not in [rep.name for rep in reports]
+    assert all(rep.passed for rep in reports)
+    by_name = {rep.name: rep for rep in reports}
+    assert by_name["classify"].metadata["expected"] == "ice"
 
 
 def test_run_suite_relaxed_phi_skips_classical_battery():
