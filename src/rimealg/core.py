@@ -17,12 +17,13 @@ construction, so instances can be shared freely between threads.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from fractions import Fraction
 from math import lcm
 from numbers import Integral
 from operator import add, sub
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "Rational",
@@ -67,10 +68,25 @@ def as_rational(value) -> Fraction:
     if isinstance(value, Integral) and not isinstance(value, bool):  # numpy ints too
         return Fraction(int(value))
     if isinstance(value, str):
-        return Fraction(value)
+        return _parse_rational(value)
     raise TypeError(
         f"expected an exact rational (int, str or Fraction), got {type(value).__name__}"
     )
+
+
+def _parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``, with the canonical ASCII forms ``-a`` and ``-a/b`` read by int().
+
+    Only strings made of an optional ``-``, ASCII digits and at most one
+    ``/`` followed by ASCII digits take the int() route; every other string
+    (spaces, ``+``, ``_``, decimals, non-ASCII digits) goes to Fraction, so
+    the value or the exception is the same either way.
+    """
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num.startswith("-") else num
+    if text.isascii() and digits.isdigit() and (not slash or den.isdigit()):
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    return Fraction(text)
 
 
 def linear_index(multi: Sequence[int], n: int) -> int:
@@ -116,9 +132,12 @@ class Operator:
         rows = []
         square = True
         for row in entries:
-            # else "12" would be read as the cells 1, 2 and b"12" as 49, 50
+            # else "12" would be read as the cells 1, 2 and b"12" as 49, 50, a
+            # mapping as its keys and a set in no fixed order
             if isinstance(row, (str, bytes, bytearray)):
                 raise ValueError(f"a row must be a sequence of cells, got the string {row!r}")
+            if row.__class__ not in (tuple, list) and isinstance(row, (Mapping, Set)):
+                raise ValueError(f"a row must be a sequence of cells, got a {type(row).__name__}")
             cells = {}
             width = 0
             for width, v in enumerate(row, 1):
@@ -126,7 +145,7 @@ class Operator:
                     if v in parsed:
                         q = parsed[v]
                     else:
-                        q = parsed[v] = as_rational(v) or None
+                        q = parsed[v] = _parse_rational(v) or None
                 else:
                     q = as_rational(v) or None
                 if q is not None:

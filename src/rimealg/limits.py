@@ -35,9 +35,10 @@ def _check_betas(betas: Sequence[float]) -> None:
 class LimitCurve:
     """Max deviation of beta_ij from its limit grid, per sampled beta.
 
-    ``betas`` must be finite, positive and strictly decreasing; ``slope`` is
-    the log-log least-squares slope of deviation against beta (the analytic
-    statement predicts 1: the error is first order in beta).
+    ``betas`` must be finite, positive and strictly decreasing, with one
+    deviation per beta; ``slope`` is the log-log least-squares slope of
+    deviation against beta (the analytic statement predicts 1: the error is
+    first order in beta).
     """
 
     betas: tuple[float, ...]
@@ -46,6 +47,10 @@ class LimitCurve:
 
     def __post_init__(self):
         _check_betas(self.betas)
+        if len(self.deviations) != len(self.betas):
+            raise ValueError(
+                f"expected one deviation per beta, got {len(self.deviations)} for {len(self.betas)}"
+            )
 
 
 def _fit_slope(betas: Sequence[float], deviations: Sequence[float]) -> float:

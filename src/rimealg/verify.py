@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
+from math import lcm
 from typing import Callable, Optional, Union
 
 from .core import (
@@ -128,6 +129,38 @@ def _verdict(name: str, parts, metadata=None) -> VerificationReport:
     return VerificationReport(name, max_residual == 0, max_residual, witness, meta)
 
 
+def _quadratic_residual(a: Operator, c1, c0) -> Operator:
+    """The exact operator a a + c1 a + c0 I, in one integer pass per row.
+
+    With D the lcm of a's denominators and E that of c1's and c0's, the
+    scaled identity
+
+        D^2 E (a a + c1 a + c0 I) = E (D a)(D a) + (E c1) D (D a) + (E c0) D^2 I
+
+    has integer terms only, so each row of the right-hand side is summed in
+    ints and a Fraction is built only for its nonzero entries: none when the
+    relation holds.
+    """
+    c1, c0 = as_rational(c1), as_rational(c0)
+    entries = a.rows
+    d = lcm(*{v.denominator for row in entries for v in row.values()})
+    e = lcm(c1.denominator, c0.denominator)
+    rows = [{c: v.numerator * (d // v.denominator) for c, v in row.items()} for row in entries]
+    k1 = c1.numerator * (e // c1.denominator) * d
+    k0 = c0.numerator * (e // c0.denominator) * d * d
+    scale = d * d * e
+    out = []
+    for i, row in enumerate(rows):
+        acc = {j: k1 * v for j, v in row.items()}
+        acc[i] = acc.get(i, 0) + k0
+        for k, v in row.items():
+            ev = e * v
+            for j, w in rows[k].items():
+                acc[j] = acc.get(j, 0) + ev * w
+        out.append({j: Fraction(v, scale) for j, v in acc.items() if v})
+    return Operator._wrap(a.n, a.arity, tuple(out))
+
+
 # -- quantum checks -------------------------------------------------------
 
 
@@ -142,8 +175,7 @@ def check_ybe(rhat: Operator) -> VerificationReport:
 def check_hecke(rhat: Operator, beta) -> VerificationReport:
     """Quadratic relation Rhat^2 = beta*Rhat + (1 - beta)*I."""
     beta = as_rational(beta)
-    eye = identity(rhat.n, 2)
-    residual = rhat @ rhat - beta * rhat - (_ONE - beta) * eye
+    residual = _quadratic_residual(rhat, -beta, beta - 1)
     return _verdict("hecke", [("hecke", residual)], {"beta": str(beta)})
 
 
@@ -259,7 +291,7 @@ def check_idempotent_exponential(r: Operator) -> VerificationReport:
     I + (t + s - t s) r, the exact form of e^(h r) = I + (1 - e^(-h)) r.
     The tests hold that identity; the law is not computed again here.
     """
-    return _verdict("idempotent", [("r^2 = -r", r @ r + r)], {"n": r.n})
+    return _verdict("idempotent", [("r^2 = -r", _quadratic_residual(r, 1, 0))], {"n": r.n})
 
 
 def check_nilpotent_exponential(r0: Operator) -> VerificationReport:
@@ -269,7 +301,7 @@ def check_nilpotent_exponential(r0: Operator) -> VerificationReport:
     consequence of r0^2 = 0.  The tests hold that identity; the product
     is not computed again here.
     """
-    return _verdict("nilpotent", [("r^2 = 0", r0 @ r0)], {"n": r0.n})
+    return _verdict("nilpotent", [("r^2 = 0", _quadratic_residual(r0, 0, 0))], {"n": r0.n})
 
 
 # -- bridges between the two sides ----------------------------------------

@@ -1,5 +1,6 @@
 """Exact operator algebra: indexing, arithmetic, tensor plumbing, linear algebra."""
 
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -367,6 +368,63 @@ def test_bytes_rows_are_rejected():
     for rows in ([b"12", b"34"], [bytearray(b"12"), bytearray(b"34")]):
         with pytest.raises(ValueError, match="a row must be a sequence of cells"):
             Operator(2, 1, rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [{1: "a", 2: "b"}, {3: 0, 4: 0}],  # the keys would be read as the cells
+    [{0: 1, 1: 2}, (3, 4)],
+    [{1, 2}, (3, 4)],  # a set has no fixed order
+    [(1, 2), frozenset({3, 4})],
+    [{1: 0, 2: 0}.keys(), (3, 4)],
+])
+def test_mapping_and_set_rows_are_rejected(rows):
+    with pytest.raises(ValueError, match="a row must be a sequence of cells, got a "):
+        Operator(2, 1, rows)
+
+
+def _parse_outcome(parse, text):
+    """The value parsed from ``text``, or the type of the exception raised."""
+    try:
+        return parse(text)
+    except Exception as exc:  # the exception type is what is compared
+        return type(exc)
+
+
+def _cell_value(text):
+    return Operator(1, 1, [[text]]).entry(1, 1)
+
+
+CELL_EDGE_CASES = [
+    " 1/2", "1/2 ", "1_0", "+3", "1.5", "1e3", "01/02", "-0", "-0/7", "٣", "1/٣", "1/0",
+    "-3/0", "1/-2", "-1/2", "--1", "-", "/", "1/", "/2", "1/2/3", "2/4", "", " ", "\n1",
+    "1" * (sys.get_int_max_str_digits() + 1), "1/" + "2" * (sys.get_int_max_str_digits() + 1),
+]
+CELL_TEXTS = st.one_of(
+    st.from_regex(r"-?[0-9]{1,8}(/[0-9]{1,8})?", fullmatch=True),
+    st.text(st.sampled_from("0123456789-+/_.e \\n٣²"), max_size=8),
+    st.text(max_size=6),
+)
+
+
+def _assert_parse_matches_fraction(text):
+    # canonical cells are read with int(); every string must give Fraction(text)'s
+    # value, or raise the same exception type
+    expected = _parse_outcome(Fraction, text)
+    assert _parse_outcome(as_rational, text) == expected
+    assert _parse_outcome(_cell_value, text) == expected
+
+
+def test_cell_parse_edge_cases_match_fraction():
+    for text in CELL_EDGE_CASES:
+        _assert_parse_matches_fraction(text)
+    assert _parse_outcome(as_rational, "1/0") is ZeroDivisionError
+    assert _parse_outcome(as_rational, "1/-2") is ValueError
+    assert as_rational("01/02") == F(1, 2) and type(as_rational("-7")) is F
+
+
+@given(CELL_TEXTS)
+def test_cell_parse_matches_fraction_of_the_string(text):
+    _assert_parse_matches_fraction(text)
 
 
 @pytest.mark.parametrize("row, col", [((1, 2), (2,)), ((1,), (1, 2)), ((1, 2, 1), (1, 1)),

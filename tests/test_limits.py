@@ -18,6 +18,12 @@ def test_limit_curve_validates_samples():
         LimitCurve((1e-2, -1e-3), (0.1, 0.2), 1.0)
 
 
+@pytest.mark.parametrize("deviations", [(1.0,), (0.1, 0.01, 0.001), ()])
+def test_limit_curve_needs_one_deviation_per_beta(deviations):
+    with pytest.raises(ValueError, match="one deviation per beta"):
+        LimitCurve((0.1, 0.01), deviations, 1.0)
+
+
 def test_unitary_limit_two_weights_is_exactly_linear():
     betas = (1e-2, 1e-3, 1e-4)
     curve = unitary_limit_curve(MuVector((0, 1)), betas)

@@ -3,12 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_distinct, random_rational
 from rimealg.core import (
     Operator,
+    conjugate_pair,
     embed,
     flip21,
     identity,
@@ -328,6 +329,71 @@ def test_exponential_reports_equal_the_two_part_reports(r):
     if parts[0][1].is_zero():
         parts.append(("(I + r)(I - r) = I", (eye + r) @ (eye - r) - eye))
     assert check_nilpotent_exponential(r) == _verdict("nilpotent", parts, {"n": r.n})
+
+
+# -- the quadratic checks against their operator expressions ---------------------
+
+QUADRATIC_BETAS = st.sampled_from([F(0), F(1), F(2), F(1, 3), F(-7, 2)])
+
+
+def _assert_quadratic_reports_match(op, beta):
+    # each report, witness and max_residual included, equals _verdict over the
+    # residual built from operators with @, * and -
+    eye = identity(op.n, 2)
+    expected = [
+        _verdict("hecke", [("hecke", op @ op - beta * op - (1 - beta) * eye)], {"beta": str(beta)}),
+        _verdict("idempotent", [("r^2 = -r", op @ op + op)], {"n": op.n}),
+        _verdict("nilpotent", [("r^2 = 0", op @ op)], {"n": op.n}),
+    ]
+    reports = [check_hecke(op, beta), check_idempotent_exponential(op),
+               check_nilpotent_exponential(op)]
+    assert reports == expected
+    for rep in reports:
+        assert type(rep.max_residual) is F
+        assert rep.witness is None or type(rep.witness[2]) is F
+
+
+@given(st.integers(1, 3).flatmap(operators2), QUADRATIC_BETAS)
+def test_quadratic_checks_match_operator_expressions(op, beta):
+    _assert_quadratic_reports_match(op, beta)
+
+
+@given(st.data(), st.integers(2, 3), QUADRATIC_BETAS, st.booleans())
+def test_quadratic_checks_match_on_tampered_rime_operators(data, n, beta, inside):
+    values = tuple(data.draw(
+        st.lists(small_rationals.filter(bool), min_size=n, max_size=n, unique=True)))
+    op = data.draw(st.sampled_from([
+        rime_from_beta(beta_from_phi(beta, PhiVector(values))),
+        classical_rime_r(PhiVector(values)),
+        classical_unitary_r0(MuVector(values)),
+    ]))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    pattern = {i * n + j, j * n + i, i * (n + 1), j * (n + 1)}  # row (i, j) of a rime operator
+    cols = [c for c in range(n * n) if (c in pattern) == inside]
+    assume(cols)
+    col = data.draw(st.sampled_from(cols))
+    value = op.dense_rows()[i * n + j][col] + data.draw(small_rationals.filter(bool))
+    _assert_quadratic_reports_match(op, beta)
+    _assert_quadratic_reports_match(_tampered(op, i * n + j, col, value), beta)
+
+
+def test_quadratic_checks_scale_by_the_lcm_of_distinct_prime_denominators():
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+    mixed = Operator(2, 2, [[F(k + 1, p) for k, p in enumerate(primes[4 * r:4 * r + 4])]
+                            for r in range(4)])
+    # similar to a Hecke operator, an idempotent and a nilpotent, with mixed denominators
+    x = Operator(3, 1, [[1, F(1, 2), 0], [0, 1, F(1, 3)], [F(1, 5), 0, 1]])
+    rhat = conjugate_pair(rime_from_beta(beta_from_phi(F(1, 3), PhiVector((3, 2, 1)))), x)
+    r = conjugate_pair(classical_rime_r(PhiVector((3, 2, 1))), x)
+    r0 = conjugate_pair(classical_unitary_r0(MuVector((0, 1, 3))), x)
+    for op in (rhat, r, r0):
+        assert len({v.denominator for row in op.rows for v in row.values()}) > 2
+    assert check_hecke(rhat, F(1, 3)).passed
+    assert check_idempotent_exponential(r).passed
+    assert check_nilpotent_exponential(r0).passed
+    for op in (mixed, rhat, r, r0):
+        for beta in (F(0), F(1, 3), F(-7, 2), F(5, 11)):
+            _assert_quadratic_reports_match(op, beta)
 
 
 # -- bridges --------------------------------------------------------------------
