@@ -108,6 +108,15 @@ def multi_index(lin: int, n: int, arity: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
+def _require_space(n: int, arity: int, other: "Operator", what: str) -> None:
+    """Raise ValueError unless ``other`` acts on the space of an (n, arity) left operand."""
+    if n != other.n or arity != other.arity:
+        raise ValueError(
+            f"{what} requires matching operators, got n={n}, arity={arity} "
+            f"vs n={other.n}, arity={other.arity}"
+        )
+
+
 class Operator:
     """Square matrix of exact rationals on V^(tensor arity), dim V = n.
 
@@ -240,18 +249,11 @@ class Operator:
 
     # -- arithmetic ------------------------------------------------------
 
-    def _check_same_space(self, other: "Operator", what: str) -> None:
-        if self.n != other.n or self.arity != other.arity:
-            raise ValueError(
-                f"{what} requires matching operators, got n={self.n}, arity={self.arity} "
-                f"vs n={other.n}, arity={other.arity}"
-            )
-
     def _entrywise(self, other, op, what: str):
         # op(a, b) for op in (add, sub); entries only in self keep their value
         if not isinstance(other, Operator):
             return NotImplemented
-        self._check_same_space(other, what)
+        _require_space(self.n, self.arity, other, what)
         out = []
         for a, b in zip(self._rows, other._rows):
             row = {**a, **{c: op(a.get(c, _ZERO), v) for c, v in b.items()}}
@@ -280,7 +282,7 @@ class Operator:
     def __matmul__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
-        self._check_same_space(other, "composition")
+        _require_space(self.n, self.arity, other, "composition")
         brows = other._rows
         out = []
         for arow in self._rows:
@@ -468,14 +470,19 @@ def embed(r: Operator, legs) -> Operator:
     return Operator._wrap(n, 3, tuple(rows))
 
 
+def _swap_offsets(n: int) -> list[int]:
+    """The pair offset of (j, i) at the pair offset of (i, j): the flip P as an involution."""
+    return [j * n + i for i in range(n) for j in range(n)]
+
+
 def flip21(r: Operator) -> Operator:
     """Conjugate an arity-2 operator by the flip: r21 = P r P."""
     if r.arity != 2:
         raise ValueError("flip21 expects an arity-2 operator")
     n = r.n
     # (r21)^{(i,j)}_{(k,l)} = r^{(j,i)}_{(l,k)}: swap the two factors on both
-    # sides by reindexing, no arithmetic needed.  swap is an involution.
-    swap = [j * n + i for i in range(n) for j in range(n)]
+    # sides by reindexing, no arithmetic needed.
+    swap = _swap_offsets(n)
     rows = tuple({swap[c]: v for c, v in r._rows[swap[x]].items()} for x in range(n * n))
     return Operator._wrap(n, 2, rows)
 

@@ -1,5 +1,7 @@
 """Command-line contract: documents, subcommands, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,10 +11,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rimealg.cli import MatrixDocument, _n_cap, format_report, main
 from rimealg.core import permutation
-from rimealg.families import FamilySpec, build
+from rimealg.families import FAMILY_TAGS, FamilySpec, build
 from rimealg.verify import VerificationReport, check_ybe
 
 RIME_ENTRIES = [
@@ -582,3 +586,69 @@ def test_patched_command_is_honoured_after_first_call(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_verify", fake)
     assert main(["verify", "--input", "doc.json"]) == 7
     assert seen == ["doc.json"]
+
+
+# -- flag parser fuzz ------------------------------------------------------------------
+
+_FAMILY_WORDS = (*FAMILY_TAGS, "rime", "unitary", "rime-classical", "")
+_CHECK_WORDS = ("ybe", "hecke", "multiplicities", "classify", "cybe", "acybe", "tilde",
+                "idempotent", "nilpotent", "braid", "quantization", "beta-constancy",
+                "equivalence-quantum", "equivalence-classical", "ybe,braid", "hecke,ybe,ybe",
+                "bogus", "", ",")
+_RATIONAL_WORDS = ("0", "1", "2", "3", "-1/2", "1/0", "", "x", "1.5")
+_VECTOR_WORDS = ("1,2,3", "3,2", "1,1", "0,1", "1/0,2", "", ",", "x,1")
+# --n and --n-max stay at most 3, so every run that gets past the parser is quick
+_SMALL_INT_WORDS = ("-1", "0", "1", "2", "3", "x", "")
+_FLAG_WORDS = {
+    "--n": _SMALL_INT_WORDS,
+    "--family": _FAMILY_WORDS,
+    "--checks": _CHECK_WORDS,
+    "--beta": _RATIONAL_WORDS,
+    "--q2inv": _RATIONAL_WORDS,
+    "--p": _RATIONAL_WORDS,
+    "--phi": _VECTOR_WORDS,
+    "--mu": _VECTOR_WORDS,
+    "--format": ("json", "tsv", "xml"),
+    "--input": ("/nonexistent/doc.json", "."),
+    "--n-max": _SMALL_INT_WORDS,
+    "--seeds": ("0", "1", "x", ""),
+    "--seed-value": ("0", "7", "x"),
+    "--bogus": ("1",),
+}
+
+
+_SUBCOMMAND_FLAGS = {
+    "generate": ("--n", "--beta", "--phi", "--mu", "--q2inv", "--p", "--format"),
+    "verify": ("--input", "--family", "--n", "--beta", "--phi", "--mu", "--q2inv", "--p",
+               "--checks"),
+    "report": ("--n-max", "--seeds", "--seed-value"),
+    "bogus": (),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_SUBCOMMAND_FLAGS)))
+    argv = [command]
+    if draw(st.integers(0, 3)) == 0 or (command == "generate" and draw(st.integers(0, 9))):
+        argv.append(draw(st.sampled_from(_FAMILY_WORDS)))  # generate's family, or a stray word
+    # mostly the subcommand's own flags, now and then any flag
+    own = st.sampled_from(_SUBCOMMAND_FLAGS[command] or sorted(_FLAG_WORDS))
+    flags = st.one_of(own, own, own, st.sampled_from(sorted(_FLAG_WORDS)))
+    for flag in draw(st.lists(flags, max_size=5)):
+        argv.append(flag)
+        if draw(st.integers(0, 9)):  # now and then a flag without its value
+            argv.append(draw(st.sampled_from(_FLAG_WORDS[flag])))
+    return argv
+
+
+@given(cli_argv())
+def test_main_keeps_the_exit_code_contract_on_fuzzed_flags(argv):
+    # 0 pass, 1 a check failed, 2 a usage or input error; argparse exits 2 itself
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+        else:
+            assert code in (0, 1, 2), argv

@@ -396,6 +396,99 @@ def test_quadratic_checks_scale_by_the_lcm_of_distinct_prime_denominators():
             _assert_quadratic_reports_match(op, beta)
 
 
+# -- the cubic checks against their operator expressions -------------------------
+
+
+def _assert_cubic_reports_match(op):
+    # each report, witness, max_residual and failed_part included, equals
+    # _verdict over the residuals built from the embedded legs with @ and -
+    r12, r13, r23 = embed(op, 12), embed(op, 13), embed(op, 23)
+    braid = r12 @ r23 @ r12 - r23 @ r12 @ r23
+    expected = [
+        _verdict("ybe", [("ybe", braid)], {"n": op.n}),
+        _verdict("braid", [("r12 r23 r12 = r23 r12 r23", braid),
+                           ("r12 r13 r23 = r23 r13 r12", r12 @ r13 @ r23 - r23 @ r13 @ r12)],
+                 {"n": op.n}),
+    ]
+    reports = [check_ybe(op), check_braid_identities(op)]
+    assert reports == expected
+    for rep in reports:
+        assert type(rep.max_residual) is F
+        assert rep.witness is None or type(rep.witness[2]) is F
+
+
+integer_operators2 = st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n * n, max_size=n * n), min_size=n * n, max_size=n * n,
+).map(lambda data: Operator(n, 2, data)))
+
+
+@given(st.one_of(
+    st.integers(1, 3).flatmap(sparse_operators2),
+    integer_operators2,
+    st.sampled_from([zero(n, 2) for n in (1, 2, 3)]),
+))
+def test_cubic_checks_match_operator_expressions(op):
+    _assert_cubic_reports_match(op)
+
+
+@given(st.data(), st.integers(2, 4), st.booleans())
+def test_cubic_checks_match_on_tampered_family_operators(data, n, inside):
+    values = tuple(data.draw(
+        st.lists(small_rationals.filter(bool), min_size=n, max_size=n, unique=True)))
+    beta = data.draw(QUADRATIC_BETAS)
+    op = data.draw(st.sampled_from([
+        rime_from_beta(beta_from_phi(beta, PhiVector(values))),
+        classical_rime_r(PhiVector(values)),
+        classical_cg_r(n),
+    ]))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    pattern = {i * n + j, j * n + i, i * (n + 1), j * (n + 1)}  # row (i, j) of a rime operator
+    cols = [c for c in range(n * n) if (c in pattern) == inside]
+    assume(cols)
+    col = data.draw(st.sampled_from(cols))
+    value = op.dense_rows()[i * n + j][col] + data.draw(small_rationals.filter(bool))
+    _assert_cubic_reports_match(op)
+    _assert_cubic_reports_match(_tampered(op, i * n + j, col, value))
+
+
+def test_cubic_checks_scale_by_the_lcm_of_distinct_prime_denominators():
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+    mixed = Operator(2, 2, [[F(k + 1, p) for k, p in enumerate(primes[4 * r:4 * r + 4])]
+                            for r in range(4)])
+    # similar to a braided operator and to an idempotent one, with mixed denominators
+    x = Operator(3, 1, [[1, F(1, 2), 0], [0, 1, F(1, 3)], [F(1, 5), 0, 1]])
+    rhat = conjugate_pair(rime_from_beta(beta_from_phi(F(1, 3), PhiVector((3, 2, 1)))), x)
+    r = conjugate_pair(classical_rime_r(PhiVector((3, 2, 1))), x)
+    for op in (rhat, r):
+        assert len({v.denominator for row in op.rows for v in row.values()}) > 2
+    assert check_ybe(rhat).passed
+    assert check_braid_identities(r).passed
+    for op in (mixed, rhat, r, _tampered(r, 1, 5, F(1, 7))):
+        _assert_cubic_reports_match(op)
+
+
+def test_cubic_checks_make_no_operator_product(monkeypatch):
+    products = []
+    matmul = Operator.__matmul__
+
+    def counting_matmul(a, b):
+        products.append(a.arity)
+        return matmul(a, b)
+
+    monkeypatch.setattr(Operator, "__matmul__", counting_matmul)
+    assert check_ybe(rime_from_beta(beta_from_phi(F(1, 3), PhiVector((3, 2, 1))))).passed
+    assert check_braid_identities(classical_rime_r(PhiVector((3, 2, 1)))).passed
+    assert not check_braid_identities(_tampered(classical_cg_r(3), 1, 5, 1)).passed
+    assert products == []
+
+
+@pytest.mark.parametrize("check", [check_ybe, check_braid_identities])
+@pytest.mark.parametrize("arity", [1, 3])
+def test_cubic_checks_reject_other_arities(check, arity):
+    with pytest.raises(ValueError, match="^embed expects an arity-2 operator$"):
+        check(identity(2, arity))
+
+
 # -- bridges --------------------------------------------------------------------
 
 
@@ -413,6 +506,49 @@ def test_quantization_skew_family_uses_unit_coefficient():
 def test_quantization_failure():
     rep = check_quantization(permutation(2), 1, permutation(2) - identity(2, 2))
     assert not rep.passed
+
+
+def _quantization_oracle(rhat, beta, r):
+    # the relation as stated: P @ Rhat - I - coeff r, with the unit coefficient at beta = 0
+    beta = F(beta)
+    coeff = beta if beta else F(1)
+    residual = permutation(rhat.n) @ rhat - identity(rhat.n, 2) - coeff * r
+    return _verdict("quantization", [("P Rhat = I + beta r", residual)], {"beta": str(beta)})
+
+
+@given(st.data(), st.integers(2, 4), QUADRATIC_BETAS)
+def test_quantization_matches_operator_expression(data, n, beta):
+    values = tuple(data.draw(
+        st.lists(small_rationals.filter(bool), min_size=n, max_size=n, unique=True)))
+    mu = MuVector(values)
+    cases = [
+        (rime_from_beta(beta_from_phi(beta, PhiVector(values))), beta,
+         classical_rime_r(PhiVector(values))),
+        (rime_from_beta(unitary_beta(mu)), F(0), classical_unitary_r0(mu)),  # unit coefficient
+        (data.draw(sparse_operators2(n - 1)), beta, data.draw(sparse_operators2(n - 1))),
+    ]
+    for rhat, b, r in cases:
+        size = r.n * r.n
+        row, col = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+        tampered = _tampered(r, row, col, r.dense_rows()[row][col] + data.draw(small_rationals))
+        for case in ((rhat, b, r), (rhat, b, tampered)):
+            assert check_quantization(*case) == _quantization_oracle(*case)
+
+
+@pytest.mark.parametrize("rhat, r", [
+    (identity(2, 1), identity(2, 2)),
+    (identity(2, 3), identity(2, 2)),
+    (identity(2, 2), identity(2, 1)),
+    (identity(2, 2), identity(2, 3)),
+    (identity(2, 2), identity(3, 2)),
+    (identity(3, 2), identity(2, 1)),
+])
+def test_quantization_rejects_mismatched_operands_like_the_operator_expression(rhat, r):
+    with pytest.raises(ValueError) as expected:
+        _quantization_oracle(rhat, F(1, 2), r)
+    with pytest.raises(ValueError) as raised:
+        check_quantization(rhat, F(1, 2), r)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_equivalence_quantum_frozen_and_random(rng):
