@@ -18,6 +18,7 @@ import functools
 import json
 import os
 import random
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,14 +67,12 @@ class MatrixDocument:
     entries: tuple[tuple[str, ...], ...]
 
     @classmethod
-    def from_operator(cls, op: Operator) -> "MatrixDocument":
-        spec = op.family if isinstance(op.family, FamilySpec) else None
+    def from_operator(cls, op: Operator, spec: Optional[FamilySpec] = None) -> "MatrixDocument":
+        """The document of ``op``; ``spec``, the recipe ``op`` was built from, fills family and params."""
+        family, params = None, {}
         if spec is not None:
             family = spec.family
             params = {k: v for k, v in describe(spec).items() if k not in ("family", "n")}
-        else:
-            family = None
-            params = {}
         size = op.size
         entries = []
         for row in op.rows:  # only the stored, nonzero entries are formatted
@@ -155,6 +154,10 @@ def _check_cap(n: int) -> None:
         raise ValueError(f"n above supported cap: {n} > {cap} (raise RIME_MAX_N, hard limit {_HARD_CAP})")
 
 
+# the flags whose value is a rational (phi, mu: a comma-separated list of them)
+_RATIONAL_FLAGS = ("--beta", "--q2inv", "--p", "--phi", "--mu")
+
+
 def _parse_vector(text: str) -> tuple[Fraction, ...]:
     return tuple(as_rational(part.strip()) for part in text.split(","))
 
@@ -164,16 +167,11 @@ def _spec_from_flags(args) -> FamilySpec:
     if args.n is None:
         raise ValueError("--n is required")
     kwargs = {}
-    if args.beta is not None:
-        kwargs["beta"] = as_rational(args.beta)
-    if args.q2inv is not None:
-        kwargs["q2inv"] = as_rational(args.q2inv)
-    if args.p is not None:
-        kwargs["p"] = as_rational(args.p)
-    if args.phi is not None:
-        kwargs["phi"] = _parse_vector(args.phi)
-    if args.mu is not None:
-        kwargs["mu"] = _parse_vector(args.mu)
+    for flag in _RATIONAL_FLAGS:
+        name = flag[2:]
+        value = getattr(args, name)
+        if value is not None:
+            kwargs[name] = _parse_vector(value) if name in ("phi", "mu") else as_rational(value)
     return FamilySpec(tag, args.n, **kwargs)
 
 
@@ -225,7 +223,7 @@ def _doc_beta(doc: MatrixDocument, override) -> Fraction:
 def cmd_generate(args) -> int:
     spec = _spec_from_flags(args)
     _check_cap(spec.n)
-    doc = MatrixDocument.from_operator(build(spec))
+    doc = MatrixDocument.from_operator(build(spec), spec)
     sys.stdout.write(doc.to_json() if args.format == "json" else doc.to_tsv())
     return 0
 
@@ -374,6 +372,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a separate value such as -7/3 or -1,0,2 as an option, since
+    # only -<digits> and decimals pass for negative numbers: attach it with "="
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] in _RATIONAL_FLAGS and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -121,13 +121,12 @@ class Operator:
     """Square matrix of exact rationals on V^(tensor arity), dim V = n.
 
     ``_rows`` holds one ``{column offset: Fraction}`` dict per row.  No zero is
-    ever stored, since equality is row-dict equality.  ``family`` optionally
-    records the construction recipe for reporting and is ignored by equality.
+    ever stored, since equality is row-dict equality.
     """
 
-    __slots__ = ("n", "arity", "_rows", "family")
+    __slots__ = ("n", "arity", "_rows")
 
-    def __init__(self, n: int, arity: int, entries, family=None):
+    def __init__(self, n: int, arity: int, entries):
         if arity not in (1, 2, 3):
             raise ValueError(f"arity must be 1, 2 or 3, got {arity}")
         if n < 1:
@@ -166,16 +165,14 @@ class Operator:
         self.n = n
         self.arity = arity
         self._rows = tuple(rows)
-        self.family = family
 
     @classmethod
-    def _wrap(cls, n: int, arity: int, rows, family=None) -> "Operator":
+    def _wrap(cls, n: int, arity: int, rows) -> "Operator":
         # trusted constructor: rows are dicts of nonzero exact rationals
         op = object.__new__(cls)
         op.n = n
         op.arity = arity
         op._rows = rows
-        op.family = family
         return op
 
     @classmethod
@@ -225,9 +222,6 @@ class Operator:
         if len(r) != self.arity or len(c) != self.arity:
             raise IndexError(f"multi-index must have {self.arity} components")
         return self._rows[linear_index(r, self.n)].get(linear_index(c, self.n), _ZERO)
-
-    def with_family(self, family) -> "Operator":
-        return Operator._wrap(self.n, self.arity, self._rows, family)
 
     def nonzero_items(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
         """Yield (row_multi, col_multi, value) for every nonzero entry, row-major
@@ -331,20 +325,14 @@ class Operator:
     def det(self) -> Fraction:
         """Exact determinant.
 
-        Denominators are cleared row by row and the integer matrix is reduced
-        by fraction-free (Bareiss) elimination, which keeps intermediate
-        values polynomially sized instead of letting rational numerators and
-        denominators blow up mid-elimination.
+        With D the lcm of the denominators, det(A) = det(D A) / D^size, and the
+        integer matrix D A is reduced by fraction-free (Bareiss) elimination,
+        which keeps intermediate values polynomially sized instead of letting
+        rational numerators and denominators blow up mid-elimination.
         """
         size = self.size
-        scale = 1
-        m = []
-        for row in self.dense_rows():
-            d = 1
-            for v in row:
-                d = lcm(d, v.denominator)
-            scale *= d
-            m.append([int(v * d) for v in row])
+        d, (rows,) = _scaled_rows(self)
+        m = [[row.get(c, 0) for c in range(size)] for row in rows]
         sign = 1
         prev = 1
         for k in range(size - 1):
@@ -365,7 +353,7 @@ class Operator:
                     ri[j] = (ri[j] * pivot - mik * rk[j]) // prev
                 ri[k] = 0
             prev = pivot
-        return Fraction(sign * m[-1][-1], scale)
+        return Fraction(sign * m[-1][-1], d**size)
 
     def inverse(self) -> "Operator":
         """Exact inverse via Gauss-Jordan elimination; raises on singular input."""
@@ -496,16 +484,71 @@ def wedge(x: Operator, y: Operator) -> Operator:
     return kron(x, y) - kron(y, x)
 
 
+def _scaled_rows(*ops: Operator) -> tuple[int, list[list[dict[int, int]]]]:
+    """D, the lcm of the denominators of every entry of ``ops``, and each op's rows times D, in ints."""
+    rows = [op._rows for op in ops]
+    d = lcm(*{v.denominator for op_rows in rows for row in op_rows for v in row.values()})
+    return d, [[{c: v.numerator * (d // v.denominator) for c, v in row.items()} for row in op_rows]
+               for op_rows in rows]
+
+
+def _chain_sum(n: int, arity: int, scale: int, terms) -> Operator:
+    """The exact operator (sum of c F1 F2 ... Fk over ``terms``) / scale, one integer pass per row.
+
+    Each term is (c, factors): an int c and a sequence of factors, each
+    given as its int rows (see _scaled_rows).  Row i of a product is folded
+    left to right, and c scales the last fold, which adds straight into the
+    sum.  A term of fewer than two factors is padded with the identity on
+    the left, so one with no factors reads as c I.  A Fraction is built only
+    for the nonzero entries of the sum: none when it vanishes.
+    """
+    size = n**arity
+    eye = [{i: 1} for i in range(size)] if any(len(fs) < 2 for _, fs in terms) else None
+    padded = [(c, (eye,) * (2 - len(factors)) + tuple(factors)) for c, factors in terms]
+    plan = [(c, fs[0], fs[1:-1], fs[-1]) for c, fs in padded]
+    out = []
+    for i in range(size):
+        acc = {}
+        for c, first, middle, last in plan:
+            row = first[i]
+            for f in middle:
+                nxt = {}
+                for k, v in row.items():
+                    if v:
+                        for j, w in f[k].items():
+                            nxt[j] = nxt.get(j, 0) + v * w
+                row = nxt
+            for k, v in row.items():
+                if v:
+                    v *= c
+                    for j, w in last[k].items():
+                        acc[j] = acc.get(j, 0) + v * w
+        out.append({j: Fraction(v, scale) for j, v in acc.items() if v})
+    return Operator._wrap(n, arity, tuple(out))
+
+
 def conjugate_pair(a: Operator, x: Operator) -> Operator:
-    """Change of basis on both tensor factors: (X tensor X) a (X^-1 tensor X^-1)."""
+    """Change of basis on both tensor factors: (X tensor X) a (X^-1 tensor X^-1).
+
+    X tensor X = (X tensor I)(I tensor X), so the conjugate is one chain of
+    five factors that each act on a single tensor slot: row (i, j) of
+    X tensor I is X's row i placed in slot 1, and of I tensor X X's row j
+    placed in slot 2.  No n^2-by-n^2 Kronecker product is formed.
+    """
     if a.arity != 2:
         raise ValueError("conjugate_pair expects an arity-2 operator")
     if x.arity != 1:
         raise ValueError("conjugate_pair expects an arity-1 basis-change matrix")
     if a.n != x.n:
         raise ValueError(f"dimension mismatch in conjugation: {a.n} vs {x.n}")
-    xinv = x.inverse()
-    return kron(x, x) @ a @ kron(xinv, xinv)
+    n = a.n
+    d, (xs, rows, inv) = _scaled_rows(x, a, x.inverse())
+
+    def slots(m):  # m tensor I, then I tensor m, as int rows on pair offsets
+        return ([{k * n + j: v for k, v in m[i].items()} for i in range(n) for j in range(n)],
+                [{i * n + k: v for k, v in m[j].items()} for i in range(n) for j in range(n)])
+
+    return _chain_sum(n, 2, d**5, [(1, (*slots(xs), rows, *slots(inv)))])
 
 
 def commutator(a: Operator, b: Operator) -> Operator:

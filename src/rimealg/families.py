@@ -445,7 +445,7 @@ def describe(spec: FamilySpec) -> dict[str, str]:
 
 
 def build(spec: FamilySpec) -> Operator:
-    """Dispatch a FamilySpec to its constructor; the result carries the spec."""
+    """Dispatch a FamilySpec to its constructor."""
     tag = spec.family
     if tag == "rime-quantum":
         op = rime_from_beta(beta_from_phi(spec.beta, PhiVector(spec.phi)))
@@ -461,4 +461,4 @@ def build(spec: FamilySpec) -> Operator:
         op = classical_unitary_r0(MuVector(spec.mu))
     else:
         op = boundary_b(spec.n)
-    return op.with_family(spec)
+    return op

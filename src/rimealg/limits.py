@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .core import Operator
 from .families import MuVector, PhiVector, beta_from_phi, unitary_beta
+from .verify import check_idempotent_exponential, check_nilpotent_exponential
 
 __all__ = ["LimitCurve", "unitary_limit_curve", "exp_formula_check"]
 
@@ -99,13 +100,12 @@ def exp_formula_check(r: Operator, h: float, terms: int) -> float:
         raise ValueError("exp_formula_check expects an arity-2 operator")
     if not isfinite(h):
         raise ValueError(f"h must be finite, got {h}")
-    square = r @ r
-    if (square + r).is_zero():
+    if check_idempotent_exponential(r).passed:
         try:
             coeff = 1.0 - exp(-h)
         except OverflowError:
             raise ValueError(f"e^(-h) overflows a float at h = {h}") from None
-    elif square.is_zero():
+    elif check_nilpotent_exponential(r).passed:
         coeff = h
     else:
         raise ValueError("operator is neither idempotent (r^2 = -r) nor nilpotent (r^2 = 0)")

@@ -24,7 +24,9 @@ from typing import Callable, Optional, Union
 
 from .core import (
     Operator,
+    _chain_sum,
     _require_space,
+    _scaled_rows,
     _swap_offsets,
     as_rational,
     commutator,
@@ -131,67 +133,21 @@ def _verdict(name: str, parts, metadata=None) -> VerificationReport:
     return VerificationReport(name, max_residual == 0, max_residual, witness, meta)
 
 
-def _scaled_rows(*ops: Operator) -> tuple[int, list[list[dict[int, int]]]]:
-    """D, the lcm of the denominators of every entry of ``ops``, and each op's rows times D, in ints."""
-    rows = [op.rows for op in ops]
-    d = lcm(*{v.denominator for op_rows in rows for row in op_rows for v in row.values()})
-    return d, [[{c: v.numerator * (d // v.denominator) for c, v in row.items()} for row in op_rows]
-               for op_rows in rows]
-
-
 def _quadratic_residual(a: Operator, c1, c0) -> Operator:
-    """The exact operator a a + c1 a + c0 I, in one integer pass per row.
+    """The exact operator a a + c1 a + c0 I, as one chain sum in ints.
 
     With D the lcm of a's denominators and E that of c1's and c0's, the
     scaled identity
 
         D^2 E (a a + c1 a + c0 I) = E (D a)(D a) + (E c1) D (D a) + (E c0) D^2 I
 
-    has integer terms only, so each row of the right-hand side is summed in
-    ints and a Fraction is built only for its nonzero entries: none when the
-    relation holds.
+    has integer terms only (see core._chain_sum).
     """
     c1, c0 = as_rational(c1), as_rational(c0)
     d, (rows,) = _scaled_rows(a)
     e = lcm(c1.denominator, c0.denominator)
-    k1 = c1.numerator * (e // c1.denominator) * d
-    k0 = c0.numerator * (e // c0.denominator) * d * d
-    scale = d * d * e
-    out = []
-    for i, row in enumerate(rows):
-        acc = {j: k1 * v for j, v in row.items()}
-        acc[i] = acc.get(i, 0) + k0
-        for k, v in row.items():
-            ev = e * v
-            for j, w in rows[k].items():
-                acc[j] = acc.get(j, 0) + ev * w
-        out.append({j: Fraction(v, scale) for j, v in acc.items() if v})
-    return Operator._wrap(a.n, a.arity, tuple(out))
-
-
-def _cubic_residual(n: int, scale: int, plus, minus) -> Operator:
-    """The exact arity-3 operator (X Y Z - X' Y' Z') / scale, in one integer pass per row.
-
-    ``plus`` is (X, Y, Z) and ``minus`` is (X', Y', Z'), each factor given
-    as its int rows (see _scaled_rows).  Row i of X Y Z is summed as
-    (row i of X Y) Z, and a Fraction is built only for the nonzero entries
-    of the difference: none when the identity holds.
-    """
-    out = []
-    for i in range(n**3):
-        acc = {}
-        for (x, y, z), sign in ((plus, 1), (minus, -1)):
-            xy = {}
-            for k, v in x[i].items():
-                for m, w in y[k].items():
-                    xy[m] = xy.get(m, 0) + v * w
-            for m, v in xy.items():
-                if v:
-                    v *= sign
-                    for j, w in z[m].items():
-                        acc[j] = acc.get(j, 0) + v * w
-        out.append({j: Fraction(v, scale) for j, v in acc.items() if v})
-    return Operator._wrap(n, 3, tuple(out))
+    terms = [(e, (rows, rows)), (int(e * c1) * d, (rows,)), (int(e * c0) * d * d, ())]
+    return _chain_sum(a.n, a.arity, d * d * e, terms)
 
 
 # -- quantum checks -------------------------------------------------------
@@ -204,11 +160,11 @@ def check_ybe(rhat: Operator) -> VerificationReport:
 
         D^3 (R12 R23 R12 - R23 R12 R23) = (D R12)(D R23)(D R12) - (D R23)(D R12)(D R23)
 
-    has integer terms only, so the residual is summed in ints, one row at a
-    time (see _cubic_residual), and no arity-3 product of Fractions is made.
+    has integer terms only, so the residual is one chain sum in ints (see
+    core._chain_sum), and no arity-3 product of Fractions is made.
     """
     d, (r12, r23) = _scaled_rows(embed(rhat, 12), embed(rhat, 23))
-    residual = _cubic_residual(rhat.n, d**3, (r12, r23, r12), (r23, r12, r23))
+    residual = _chain_sum(rhat.n, 3, d**3, [(1, (r12, r23, r12)), (-1, (r23, r12, r23))])
     return _verdict("ybe", [("ybe", residual)], {"n": rhat.n})
 
 
@@ -319,16 +275,16 @@ def check_braid_identities(r: Operator) -> VerificationReport:
         D^3 (r12 r23 r12 - r23 r12 r23) = (D r12)(D r23)(D r12) - (D r23)(D r12)(D r23)
         D^3 (r12 r13 r23 - r23 r13 r12) = (D r12)(D r13)(D r23) - (D r23)(D r13)(D r12)
 
-    whose terms are integers only, summed one row at a time (see
-    _cubic_residual); no arity-3 product of Fractions is made.
+    whose terms are integers only, so each is one chain sum in ints (see
+    core._chain_sum); no arity-3 product of Fractions is made.
     """
     d, (r12, r13, r23) = _scaled_rows(*_legs(r))
     scale = d**3
     parts = [
         ("r12 r23 r12 = r23 r12 r23",
-         _cubic_residual(r.n, scale, (r12, r23, r12), (r23, r12, r23))),
+         _chain_sum(r.n, 3, scale, [(1, (r12, r23, r12)), (-1, (r23, r12, r23))])),
         ("r12 r13 r23 = r23 r13 r12",
-         _cubic_residual(r.n, scale, (r12, r13, r23), (r23, r13, r12))),
+         _chain_sum(r.n, 3, scale, [(1, (r12, r13, r23)), (-1, (r23, r13, r12))])),
     ]
     return _verdict("braid", parts, {"n": r.n})
 
@@ -362,14 +318,14 @@ def check_quantization(rhat: Operator, beta, r: Operator) -> VerificationReport:
 
     At beta = 0 the expansion parameter is absorbed into r itself (the
     skew-symmetric family), so the relation checked becomes P Rhat = I + r.
-    Row x of P Rhat is row swap[x] of Rhat, as in flip21.  With D the lcm
-    of the denominators of Rhat and r, and p/q the coefficient of r, the
-    scaled identity
+    With D the lcm of the denominators of Rhat and r, and p/q the
+    coefficient of r, the scaled identity
 
         D q (P Rhat - I - (p/q) r) = q P (D Rhat) - D q I - p (D r)
 
-    has integer terms only, so the residual is summed in ints in one
-    reindexing pass per row.
+    has integer terms only, so the residual is one chain sum in ints (see
+    core._chain_sum), with P's row x the single entry 1 at the offset of
+    the swapped pair, as in flip21.
     """
     beta = as_rational(beta)
     coeff = beta if beta else _ONE
@@ -379,15 +335,9 @@ def check_quantization(rhat: Operator, beta, r: Operator) -> VerificationReport:
     _require_space(n, 2, r, "subtraction")
     d, (rhat_rows, r_rows) = _scaled_rows(rhat, r)
     p, q = coeff.numerator, coeff.denominator
-    scale = d * q
-    out = []
-    for x, (sx, row) in enumerate(zip(_swap_offsets(n), r_rows)):
-        acc = {c: q * v for c, v in rhat_rows[sx].items()}
-        acc[x] = acc.get(x, 0) - scale
-        for c, v in row.items():
-            acc[c] = acc.get(c, 0) - p * v
-        out.append({c: Fraction(v, scale) for c, v in acc.items() if v})
-    residual = Operator._wrap(n, 2, tuple(out))
+    flip = [{s: 1} for s in _swap_offsets(n)]
+    terms = [(q, (flip, rhat_rows)), (-d * q, ()), (-p, (r_rows,))]
+    residual = _chain_sum(n, 2, d * q, terms)
     return _verdict("quantization", [("P Rhat = I + beta r", residual)], {"beta": str(beta)})
 
 

@@ -277,7 +277,7 @@ def test_criterion_10_cli_contract(capsys, tmp_path):
         failures.append(f"document pool has {len(specs)} specs, wanted 20")
     for spec in specs:
         op = build(spec)
-        doc = MatrixDocument.from_operator(op)
+        doc = MatrixDocument.from_operator(op, spec)
         again = MatrixDocument.from_json(doc.to_json())
         if again != doc or again.to_operator() != op:
             failures.append(f"round trip {spec.family} n={spec.n}")

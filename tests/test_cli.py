@@ -64,7 +64,7 @@ def test_document_round_trip_over_families():
     ]
     for spec in specs:
         op = build(spec)
-        doc = MatrixDocument.from_operator(op)
+        doc = MatrixDocument.from_operator(op, spec)
         again = MatrixDocument.from_json(doc.to_json())
         assert again == doc
         assert again.to_operator() == op
@@ -78,7 +78,8 @@ def test_document_of_untagged_operator():
 
 
 def test_document_json_field_layout():
-    doc = MatrixDocument.from_operator(build(FamilySpec("rime-quantum", 2, beta=3, phi=(2, 1))))
+    spec = FamilySpec("rime-quantum", 2, beta=3, phi=(2, 1))
+    doc = MatrixDocument.from_operator(build(spec), spec)
     payload = json.loads(doc.to_json())
     assert list(payload) == ["n", "arity", "order", "family", "params", "entries"]
     assert payload["order"] == "lexicographic (i,j) rows/cols"
@@ -158,6 +159,35 @@ def test_generate_invalid_parameters_exit_2(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "distinct" in err
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--beta", ["verify", "--family", "rime", "--n", "3", "--beta", "-7/3", "--phi", "3,1,4"]),
+        ("--phi", ["generate", "rime", "--n", "3", "--beta", "1/2", "--phi", "-1/2,3,4"]),
+        ("--mu", ["verify", "--family", "unitary", "--n", "3", "--mu", "-1/2,0,2"]),
+        ("--q2inv", ["generate", "cg", "--n", "3", "--q2inv", "-1/2", "--p", "2"]),
+        ("--p", ["generate", "cg", "--n", "3", "--q2inv", "1/2", "--p", "-3/2"]),
+    ],
+)
+def test_negative_rational_as_a_separate_flag_value(capsys, flag, argv):
+    i = argv.index(flag)
+    assert main([*argv[:i], f"{flag}={argv[i + 1]}", *argv[i + 2:]]) == 0
+    expected = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "rime", "--n", "3", "--bogus", "-7/3"],
+    ["generate", "rime", "--n", "3", "--beta", "--phi", "-1/2,3,4"],
+])
+def test_unknown_or_valueless_flag_still_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    capsys.readouterr()
 
 
 def test_generate_above_cap_exit_2(capsys):

@@ -463,10 +463,3 @@ def test_entry_accepts_plain_ints_at_arity_one():
     assert m.entry(1, 2) == 1
     with pytest.raises(IndexError):
         m.entry((1, 1), (2, 2))
-
-
-def test_family_tag_is_carried_not_compared():
-    p = permutation(2)
-    tagged = p.with_family("swap")
-    assert tagged.family == "swap"
-    assert tagged == p

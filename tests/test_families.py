@@ -430,7 +430,6 @@ def test_build_dispatch():
     spec = FamilySpec("rime-quantum", 2, beta=3, phi=(2, 1))
     op = build(spec)
     assert op.dense_rows() == RIME_2
-    assert op.family == spec
     assert build(FamilySpec("cg", 2, q2inv=1, p=1)) == permutation(2)
     assert build(FamilySpec("boundary", 2)) == boundary_b(2)
     assert build(FamilySpec("classical-unitary", 2, mu=(0, 1))) == classical_unitary_r0(

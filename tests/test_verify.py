@@ -33,6 +33,7 @@ from rimealg.families import (
     rime_from_beta,
     rime_general,
     unitary_beta,
+    x_matrix,
 )
 from rimealg.verify import (
     assoc_A,
@@ -577,6 +578,76 @@ def test_equivalence_classical(rng):
         check_equivalence_classical(PhiVector((2, 1)), "boundary")
     with pytest.raises(ValueError):
         check_equivalence_classical(PhiVector((2, 1)), "twist")
+
+
+# -- conjugation against the Kronecker-product oracle ------------------------------
+
+
+def _conjugate_oracle(a, x):
+    # the change of basis as stated, with both n^2-by-n^2 Kronecker products built
+    xi = x.inverse()
+    return kron(x, x) @ a @ kron(xi, xi)
+
+
+def bases(n):
+    # entries over mixed prime denominators; singular draws are discarded
+    entry = st.builds(F, st.integers(-6, 6), st.sampled_from((1, 2, 3, 5, 7)))
+    row = st.lists(entry, min_size=n, max_size=n)
+    return (st.lists(row, min_size=n, max_size=n).map(lambda data: Operator(n, 1, data))
+            .filter(lambda x: x.det() != 0))
+
+
+def _assert_conjugation_matches(a, x):
+    moved = conjugate_pair(a, x)
+    assert moved == _conjugate_oracle(a, x)
+    assert all(type(v) is F for row in moved.rows for v in row.values())
+
+
+@given(st.data(), st.integers(1, 4))
+def test_conjugate_pair_matches_kronecker_oracle(data, n):
+    x = data.draw(bases(n))
+    a = data.draw(st.one_of(st.just(zero(n, 2)), sparse_operators2(n), operators2(n)))
+    _assert_conjugation_matches(a, x)
+
+
+@given(st.data(), st.integers(2, 4), st.booleans())
+def test_conjugate_pair_matches_on_tampered_family_operators(data, n, inside):
+    values = tuple(data.draw(
+        st.lists(small_rationals.filter(bool), min_size=n, max_size=n, unique=True)))
+    beta = data.draw(QUADRATIC_BETAS)
+    op = data.draw(st.sampled_from([
+        build(FamilySpec("cg", n, q2inv=values[0], p=1)),
+        rime_from_beta(beta_from_phi(beta, PhiVector(values))),
+        classical_cg_r(n),
+        boundary_b(n),
+        classical_unitary_r0(MuVector(values)),
+    ]))
+    x = data.draw(st.one_of(st.just(x_matrix(PhiVector(values))), bases(n)))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    pattern = {i * n + j, j * n + i, i * (n + 1), j * (n + 1)}  # row (i, j) of a rime operator
+    cols = [c for c in range(n * n) if (c in pattern) == inside]
+    assume(cols)
+    col = data.draw(st.sampled_from(cols))
+    value = op.dense_rows()[i * n + j][col] + data.draw(small_rationals.filter(bool))
+    _assert_conjugation_matches(op, x)
+    _assert_conjugation_matches(_tampered(op, i * n + j, col, value), x)
+
+
+def test_conjugation_makes_no_operator_product(monkeypatch):
+    products = []
+    matmul = Operator.__matmul__
+
+    def counting_matmul(a, b):
+        products.append(a.arity)
+        return matmul(a, b)
+
+    monkeypatch.setattr(Operator, "__matmul__", counting_matmul)
+    phi = PhiVector((3, 2, 1))
+    assert conjugate_pair(classical_cg_r(3), x_matrix(phi)) == classical_rime_r(phi)
+    assert check_equivalence_quantum(phi, F(1, 3)).passed
+    assert check_equivalence_classical(phi, "rime").passed
+    assert check_equivalence_classical(MuVector((0, 1, 3)), "boundary").passed
+    assert products == []
 
 
 # -- classification ----------------------------------------------------------------
