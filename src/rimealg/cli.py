@@ -371,12 +371,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_rational_flag(token: str) -> bool:
+    """Whether argparse reads ``token`` as one of _RATIONAL_FLAGS, abbreviations included.
+
+    An exact name wins over a longer one (--p is --p, not --phi); no other
+    option of generate or verify begins like a rational flag.
+    """
+    return token in _RATIONAL_FLAGS or sum(flag.startswith(token) for flag in _RATIONAL_FLAGS) == 1
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse reads a separate value such as -7/3 or -1,0,2 as an option, since
     # only -<digits> and decimals pass for negative numbers: attach it with "="
     for i in reversed(range(1, len(argv))):
-        if argv[i - 1] in _RATIONAL_FLAGS and re.match(r"-[\d.]", argv[i]):
+        if _is_rational_flag(argv[i - 1]) and re.match(r"-[\d.]", argv[i]):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _build_parser().parse_args(argv)
     try:

@@ -40,7 +40,6 @@ __all__ = [
     "flip21",
     "wedge",
     "conjugate_pair",
-    "commutator",
     "inverse",
     "LEGS",
 ]
@@ -549,11 +548,6 @@ def conjugate_pair(a: Operator, x: Operator) -> Operator:
                 [{i * n + k: v for k, v in m[j].items()} for i in range(n) for j in range(n)])
 
     return _chain_sum(n, 2, d**5, [(1, (*slots(xs), rows, *slots(inv)))])
-
-
-def commutator(a: Operator, b: Operator) -> Operator:
-    """[a, b] = a b - b a."""
-    return a @ b - b @ a
 
 
 def inverse(x: Operator) -> Operator:

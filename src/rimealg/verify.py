@@ -29,7 +29,6 @@ from .core import (
     _scaled_rows,
     _swap_offsets,
     as_rational,
-    commutator,
     conjugate_pair,
     embed,
     flip21,
@@ -220,12 +219,21 @@ def assoc_Aprime(r: Operator) -> Operator:
 def check_cybe(r: Operator) -> VerificationReport:
     """Classical Yang-Baxter equation [r12,r23] + [r12,r13] + [r13,r23] = 0.
 
-    The residual equals A'(r) - A(r) for every operator; the tests hold
-    this splitting identity down to the witness, so it is not recomputed.
+    With D the lcm of r's denominators, the scaled identity
+
+        D^2 ([r12,r23] + [r12,r13] + [r13,r23])
+            = (D r12)(D r23) - (D r23)(D r12) + (D r12)(D r13) - (D r13)(D r12)
+              + (D r13)(D r23) - (D r23)(D r13)
+
+    has integer terms only, so the residual is one chain sum in ints (see
+    core._chain_sum), and no arity-3 product of Fractions is made.  The
+    residual equals A'(r) - A(r) for every operator; the tests hold this
+    splitting identity down to the witness, so it is not recomputed.
     """
-    r12, r13, r23 = _legs(r)
-    residual = commutator(r12, r23) + commutator(r12, r13) + commutator(r13, r23)
-    return _verdict("cybe", [("cybe", residual)], {"n": r.n})
+    d, (r12, r13, r23) = _scaled_rows(*_legs(r))
+    pairs = ((r12, r23), (r12, r13), (r13, r23))
+    terms = [term for a, b in pairs for term in ((1, (a, b)), (-1, (b, a)))]
+    return _verdict("cybe", [("cybe", _chain_sum(r.n, 3, d * d, terms))], {"n": r.n})
 
 
 def _shifted_acybe(r: Operator) -> tuple[Operator, Operator]:

@@ -169,6 +169,10 @@ def test_generate_invalid_parameters_exit_2(capsys):
         ("--mu", ["verify", "--family", "unitary", "--n", "3", "--mu", "-1/2,0,2"]),
         ("--q2inv", ["generate", "cg", "--n", "3", "--q2inv", "-1/2", "--p", "2"]),
         ("--p", ["generate", "cg", "--n", "3", "--q2inv", "1/2", "--p", "-3/2"]),
+        # abbreviations that argparse resolves to one rational flag
+        ("--bet", ["verify", "--family", "rime", "--n", "3", "--bet", "-7/3", "--phi", "3,1,4",
+                   "--checks", "ybe"]),
+        ("--m", ["verify", "--family", "unitary", "--n", "3", "--m", "-1,0,2", "--checks", "cybe"]),
     ],
 )
 def test_negative_rational_as_a_separate_flag_value(capsys, flag, argv):
@@ -182,6 +186,8 @@ def test_negative_rational_as_a_separate_flag_value(capsys, flag, argv):
 @pytest.mark.parametrize("argv", [
     ["verify", "--family", "rime", "--n", "3", "--bogus", "-7/3"],
     ["generate", "rime", "--n", "3", "--beta", "--phi", "-1/2,3,4"],
+    ["generate", "cg", "--n", "3", "--q2inv", "1/2", "--ps", "-3/2"],
+    ["report", "--seed", "-1/2"],
 ])
 def test_unknown_or_valueless_flag_still_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as info:
@@ -560,7 +566,7 @@ def test_package_reexports_exactly_each_module_all():
     modules = (core, families, limits, verify)
     names = [*(name for m in modules for name in m.__all__), "__version__"]
     assert sorted(rimealg.__all__) == sorted(names)
-    assert len(set(names)) == len(names) == 61
+    assert len(set(names)) == len(names) == 60
     for m in modules:
         for name in m.__all__:
             assert getattr(rimealg, name) is getattr(m, name)

@@ -12,7 +12,6 @@ from rimealg.core import (
     LEGS,
     Operator,
     as_rational,
-    commutator,
     conjugate_pair,
     embed,
     flip21,
@@ -199,10 +198,11 @@ def test_embedded_legs_12_23_commute_only_for_diagonal_factors():
     n = 2
     d1 = op2(n, [[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 5, 0], [0, 0, 0, 7]])
     d2 = op2(n, [[1, 0, 0, 0], [0, 4, 0, 0], [0, 0, 9, 0], [0, 0, 0, 16]])
-    assert commutator(embed(d1, 12), embed(d2, 23)).is_zero()
-    a = permutation(n)
-    b = op2(n, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
-    assert not commutator(embed(a, 12), embed(b, 23)).is_zero()
+    a, b = embed(d1, 12), embed(d2, 23)
+    assert (a @ b - b @ a).is_zero()
+    a = embed(permutation(n), 12)
+    b = embed(op2(n, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]), 23)
+    assert not (a @ b - b @ a).is_zero()
 
 
 @given(operators(2, 2))

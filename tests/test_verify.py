@@ -194,8 +194,7 @@ def test_cybe_report_equals_splitting_report(r):
     assert rep == split
 
 
-def test_check_cybe_embeds_once_and_makes_six_products(monkeypatch):
-    r = classical_rime_r(PhiVector((3, 2, 1)))
+def test_check_cybe_embeds_once_and_makes_no_operator_product(monkeypatch):
     embeds = []
     products = []
     matmul = Operator.__matmul__
@@ -210,9 +209,10 @@ def test_check_cybe_embeds_once_and_makes_six_products(monkeypatch):
 
     monkeypatch.setattr("rimealg.verify.embed", counting_embed)
     monkeypatch.setattr(Operator, "__matmul__", counting_matmul)
-    assert check_cybe(r).passed
+    assert check_cybe(classical_rime_r(PhiVector((3, 2, 1)))).passed
     assert sorted(embeds) == [12, 13, 23]
-    assert products == [3] * 6
+    assert not check_cybe(_tampered(classical_cg_r(3), 1, 5, 1)).passed
+    assert products == []
 
 
 @pytest.mark.parametrize("check", [check_cybe, check_nonhomogeneous_acybe, check_homogeneous_acybe,
@@ -397,7 +397,7 @@ def test_quadratic_checks_scale_by_the_lcm_of_distinct_prime_denominators():
             _assert_quadratic_reports_match(op, beta)
 
 
-# -- the cubic checks against their operator expressions -------------------------
+# -- the arity-3 chain-sum checks (ybe, braid, cybe) against their operator expressions
 
 
 def _assert_cubic_reports_match(op):
@@ -405,13 +405,15 @@ def _assert_cubic_reports_match(op):
     # _verdict over the residuals built from the embedded legs with @ and -
     r12, r13, r23 = embed(op, 12), embed(op, 13), embed(op, 23)
     braid = r12 @ r23 @ r12 - r23 @ r12 @ r23
+    cybe = r12 @ r23 - r23 @ r12 + r12 @ r13 - r13 @ r12 + r13 @ r23 - r23 @ r13
     expected = [
         _verdict("ybe", [("ybe", braid)], {"n": op.n}),
         _verdict("braid", [("r12 r23 r12 = r23 r12 r23", braid),
                            ("r12 r13 r23 = r23 r13 r12", r12 @ r13 @ r23 - r23 @ r13 @ r12)],
                  {"n": op.n}),
+        _verdict("cybe", [("cybe", cybe)], {"n": op.n}),
     ]
-    reports = [check_ybe(op), check_braid_identities(op)]
+    reports = [check_ybe(op), check_braid_identities(op), check_cybe(op)]
     assert reports == expected
     for rep in reports:
         assert type(rep.max_residual) is F
@@ -464,6 +466,7 @@ def test_cubic_checks_scale_by_the_lcm_of_distinct_prime_denominators():
         assert len({v.denominator for row in op.rows for v in row.values()}) > 2
     assert check_ybe(rhat).passed
     assert check_braid_identities(r).passed
+    assert check_cybe(r).passed
     for op in (mixed, rhat, r, _tampered(r, 1, 5, F(1, 7))):
         _assert_cubic_reports_match(op)
 
