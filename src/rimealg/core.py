@@ -437,15 +437,17 @@ def embed(r: Operator, legs) -> Operator:
     ``legs`` is 12, 13 or 23 (int or string); the remaining factor carries
     the identity.  For legs 13 the identity sits in the middle slot.  Like
     :func:`flip21`, every leg only reindexes r's rows; no entry is computed.
+    Any other tag, a float or a bool among them, raises ValueError.
     """
     if r.arity != 2:
         raise ValueError("embed expects an arity-2 operator")
-    try:
-        leg = int(legs)
-    except (TypeError, ValueError):
-        raise ValueError(f"invalid leg tag {legs!r}; expected one of {LEGS}") from None
     n = r.n
-    p = {12: 1, 13: n, 23: n * n}.get(leg)  # place value of the free slot
+    p = None
+    if isinstance(legs, str) or (isinstance(legs, Integral) and not isinstance(legs, bool)):
+        try:
+            p = {12: 1, 13: n, 23: n * n}.get(int(legs))  # place value of the free slot
+        except ValueError:
+            pass
     if p is None:
         raise ValueError(f"invalid leg tag {legs!r}; expected one of {LEGS}")
     # place[a][x]: the arity-3 offset of pair offset x = (i, j) with a in the free slot

@@ -93,13 +93,15 @@ def exp_formula_check(r: Operator, h: float, terms: int) -> float:
     The input must satisfy r^2 = -r (closed form I + (1 - e^(-h)) r) or
     r^2 = 0 (closed form I + h*r; at h = 1 this is the familiar I + r).
     Both relations are verified exactly before any float enters.  A
-    non-finite h, or one at which e^(-h) overflows, raises ValueError; a
-    series that overflows at finite h reads nan.
+    non-finite h, one at which e^(-h) overflows, or a negative number of
+    terms raises ValueError; a series that overflows at finite h reads nan.
     """
     if r.arity != 2:
         raise ValueError("exp_formula_check expects an arity-2 operator")
     if not isfinite(h):
         raise ValueError(f"h must be finite, got {h}")
+    if terms < 0:
+        raise ValueError(f"terms must be non-negative, got {terms}")
     if check_idempotent_exponential(r).passed:
         try:
             coeff = 1.0 - exp(-h)

@@ -23,6 +23,7 @@ from math import lcm
 from typing import Callable, Optional, Union
 
 from .core import (
+    LEGS,
     Operator,
     _chain_sum,
     _require_space,
@@ -149,22 +150,46 @@ def _quadratic_residual(a: Operator, c1, c0) -> Operator:
     return _chain_sum(a.n, a.arity, d * d * e, terms)
 
 
+# -- the arity-3 identities, as chain terms over the legs of one operator ------
+
+# each identity is a table of terms (c, legs); leg 0 is r12, 1 is r13 and 2 is r23
+_YBE = ((1, (0, 2, 0)), (-1, (2, 0, 2)))
+_BRAID = ((1, (0, 1, 2)), (-1, (2, 1, 0)))
+_A = ((1, (1, 0)), (-1, (0, 2)), (1, (2, 1)))
+_A_PRIME = ((1, (0, 1)), (-1, (2, 0)), (1, (1, 2)))
+_CYBE = _A_PRIME + tuple((-c, legs) for c, legs in _A)
+_SHIFTED_A = _A + ((1, (1,)),)
+
+
+def _leg_sums(r: Operator, *identities) -> list[Operator]:
+    """Each identity's sum of c r_l1 ... r_lj over its terms, as an arity-3 operator.
+
+    Every leg that a term uses is embedded once, in the order 12, 13, 23.
+    With D the lcm of r's denominators and k the most factors in a term of
+    the identity, the scaled identity
+
+        D^k (sum of c r_l1 ... r_lj) = sum of (c D^(k-j)) (D r_l1) ... (D r_lj)
+
+    has integer terms only, so each identity is one chain sum in ints (see
+    core._chain_sum), and no arity-3 product of Fractions is made.
+    """
+    used = sorted({leg for terms in identities for _, legs in terms for leg in legs})
+    d, rows = _scaled_rows(*(embed(r, LEGS[leg]) for leg in used))
+    leg_rows = dict(zip(used, rows))
+    sums = []
+    for terms in identities:
+        k = max(len(legs) for _, legs in terms)
+        chain = [(c * d ** (k - len(legs)), [leg_rows[leg] for leg in legs]) for c, legs in terms]
+        sums.append(_chain_sum(r.n, 3, d**k, chain))
+    return sums
+
+
 # -- quantum checks -------------------------------------------------------
 
 
 def check_ybe(rhat: Operator) -> VerificationReport:
-    """Braid-form Yang-Baxter equation: R12 R23 R12 = R23 R12 R23.
-
-    With D the lcm of Rhat's denominators, the scaled identity
-
-        D^3 (R12 R23 R12 - R23 R12 R23) = (D R12)(D R23)(D R12) - (D R23)(D R12)(D R23)
-
-    has integer terms only, so the residual is one chain sum in ints (see
-    core._chain_sum), and no arity-3 product of Fractions is made.
-    """
-    d, (r12, r23) = _scaled_rows(embed(rhat, 12), embed(rhat, 23))
-    residual = _chain_sum(rhat.n, 3, d**3, [(1, (r12, r23, r12)), (-1, (r23, r12, r23))])
-    return _verdict("ybe", [("ybe", residual)], {"n": rhat.n})
+    """Braid-form Yang-Baxter equation: R12 R23 R12 = R23 R12 R23 (see _leg_sums)."""
+    return _verdict("ybe", [("ybe", _leg_sums(rhat, _YBE)[0])], {"n": rhat.n})
 
 
 def check_hecke(rhat: Operator, beta) -> VerificationReport:
@@ -196,51 +221,29 @@ def hecke_multiplicities(rhat: Operator, beta) -> tuple[int, int]:
 # -- classical checks -----------------------------------------------------
 
 
-def _legs(r: Operator) -> tuple[Operator, Operator, Operator]:
-    """The legs (r12, r13, r23) of an arity-2 operator on V^(tensor 3)."""
-    return embed(r, 12), embed(r, 13), embed(r, 23)
-
-
-def _assoc_A(r12: Operator, r13: Operator, r23: Operator) -> Operator:
-    return r13 @ r12 - r12 @ r23 + r23 @ r13
-
-
 def assoc_A(r: Operator) -> Operator:
     """Associative combination A(r) = r13 r12 - r12 r23 + r23 r13."""
-    return _assoc_A(*_legs(r))
+    return _leg_sums(r, _A)[0]
 
 
 def assoc_Aprime(r: Operator) -> Operator:
     """Mirror combination A'(r) = r12 r13 - r23 r12 + r13 r23."""
-    r12, r13, r23 = _legs(r)
-    return r12 @ r13 - r23 @ r12 + r13 @ r23
+    return _leg_sums(r, _A_PRIME)[0]
 
 
 def check_cybe(r: Operator) -> VerificationReport:
     """Classical Yang-Baxter equation [r12,r23] + [r12,r13] + [r13,r23] = 0.
 
-    With D the lcm of r's denominators, the scaled identity
-
-        D^2 ([r12,r23] + [r12,r13] + [r13,r23])
-            = (D r12)(D r23) - (D r23)(D r12) + (D r12)(D r13) - (D r13)(D r12)
-              + (D r13)(D r23) - (D r23)(D r13)
-
-    has integer terms only, so the residual is one chain sum in ints (see
-    core._chain_sum), and no arity-3 product of Fractions is made.  The
-    residual equals A'(r) - A(r) for every operator; the tests hold this
-    splitting identity down to the witness, so it is not recomputed.
+    Its residual is A'(r) - A(r) for every operator, which is how _CYBE
+    states it (see _leg_sums).
     """
-    d, (r12, r13, r23) = _scaled_rows(*_legs(r))
-    pairs = ((r12, r23), (r12, r13), (r13, r23))
-    terms = [term for a, b in pairs for term in ((1, (a, b)), (-1, (b, a)))]
-    return _verdict("cybe", [("cybe", _chain_sum(r.n, 3, d * d, terms))], {"n": r.n})
+    return _verdict("cybe", [("cybe", _leg_sums(r, _CYBE)[0])], {"n": r.n})
 
 
 def _shifted_acybe(r: Operator) -> tuple[Operator, Operator]:
     """The residuals A(r) + r13 and r + r21 - (P - I) of the non-homogeneous acybe."""
     n = r.n
-    r12, r13, r23 = _legs(r)
-    return _assoc_A(r12, r13, r23) + r13, r + flip21(r) - (permutation(n) - identity(n, 2))
+    return _leg_sums(r, _SHIFTED_A)[0], r + flip21(r) - (permutation(n) - identity(n, 2))
 
 
 def check_nonhomogeneous_acybe(r: Operator) -> VerificationReport:
@@ -273,27 +276,14 @@ def check_tilde_relations(r: Operator) -> VerificationReport:
 
 
 def check_braid_identities(r: Operator) -> VerificationReport:
-    """Both braid identities for an arity-2 operator.
+    """Both braid identities for an arity-2 operator (see _leg_sums).
 
     They hold whenever r^2 = -r and A(r) = A'(r) = -r13; those hypotheses
     are themselves verified by the idempotency and acybe checks run next to
-    this one in the suites.  With D the lcm of r's denominators, each
-    residual is computed through its scaled identity
-
-        D^3 (r12 r23 r12 - r23 r12 r23) = (D r12)(D r23)(D r12) - (D r23)(D r12)(D r23)
-        D^3 (r12 r13 r23 - r23 r13 r12) = (D r12)(D r13)(D r23) - (D r23)(D r13)(D r12)
-
-    whose terms are integers only, so each is one chain sum in ints (see
-    core._chain_sum); no arity-3 product of Fractions is made.
+    this one in the suites.
     """
-    d, (r12, r13, r23) = _scaled_rows(*_legs(r))
-    scale = d**3
-    parts = [
-        ("r12 r23 r12 = r23 r12 r23",
-         _chain_sum(r.n, 3, scale, [(1, (r12, r23, r12)), (-1, (r23, r12, r23))])),
-        ("r12 r13 r23 = r23 r13 r12",
-         _chain_sum(r.n, 3, scale, [(1, (r12, r13, r23)), (-1, (r23, r13, r12))])),
-    ]
+    ybe, braid = _leg_sums(r, _YBE, _BRAID)
+    parts = [("r12 r23 r12 = r23 r12 r23", ybe), ("r12 r13 r23 = r23 r13 r12", braid)]
     return _verdict("braid", parts, {"n": r.n})
 
 

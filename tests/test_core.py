@@ -191,6 +191,11 @@ def test_embed_rejects_bad_input():
         embed(identity(2), 12)
     with pytest.raises(ValueError):
         embed(identity(2, 2), 31)
+    # a tag is an int or a string only: int() would truncate 12.9 to leg 12
+    for tag in (12.9, 13.0, 23.0, True, F(12), None, (12,)):
+        with pytest.raises(ValueError, match=r"^invalid leg tag .*; expected one of \(12, 13, 23\)$"):
+            embed(permutation(2), tag)
+    assert embed(permutation(2), "13") == embed(permutation(2), 13)
     assert LEGS == (12, 13, 23)
 
 

@@ -178,18 +178,25 @@ def test_cybe_known_solutions():
     assert check_cybe(boundary_b(3)).passed
 
 
+def _assoc_oracle(r):
+    # A(r) and A'(r) built from the embedded legs with @, + and -
+    r12, r13, r23 = embed(r, 12), embed(r, 13), embed(r, 23)
+    return r13 @ r12 - r12 @ r23 + r23 @ r13, r12 @ r13 - r23 @ r12 + r13 @ r23
+
+
 @given(operators2(2))
 def test_cybe_splitting_identity_on_arbitrary_operators(r):
     # the splitting identity: the commutator residual equals A'(r) - A(r) for any operator
+    a, a_prime = _assoc_oracle(r)
     rep = check_cybe(r)
-    assert rep.max_residual == (assoc_Aprime(r) - assoc_A(r)).max_abs()
+    assert rep.max_residual == (a_prime - a).max_abs()
 
 
 @given(st.sampled_from((2, 3)).flatmap(operators2))
 def test_cybe_report_equals_splitting_report(r):
-    # check_cybe computes only the commutator form; its report, witness included,
-    # must be the one the splitting A'(r) - A(r) gives
-    split = _verdict("cybe", [("cybe", assoc_Aprime(r) - assoc_A(r))], {"n": r.n})
+    # the report, witness included, must be the one the splitting A'(r) - A(r) gives
+    a, a_prime = _assoc_oracle(r)
+    split = _verdict("cybe", [("cybe", a_prime - a)], {"n": r.n})
     rep = check_cybe(r)
     assert rep == split
 
@@ -270,7 +277,7 @@ def test_tilde_report_equals_shifted_form_oracle(r):
     n = r.n
     rt = r + F(1, 2) * identity(n, 2)
     parts = [
-        ("A(rt) = I/4", assoc_A(rt) - F(1, 4) * identity(n, 3)),
+        ("A(rt) = I/4", _assoc_oracle(rt)[0] - F(1, 4) * identity(n, 3)),
         ("rt + rt21 = P", rt + flip21(rt) - permutation(n)),
     ]
     assert check_tilde_relations(r) == _verdict("tilde", parts, {"n": n})
@@ -397,23 +404,40 @@ def test_quadratic_checks_scale_by_the_lcm_of_distinct_prime_denominators():
             _assert_quadratic_reports_match(op, beta)
 
 
-# -- the arity-3 chain-sum checks (ybe, braid, cybe) against their operator expressions
+# -- the arity-3 chain-sum checks against their operator expressions --------------
 
 
-def _assert_cubic_reports_match(op):
-    # each report, witness, max_residual and failed_part included, equals
-    # _verdict over the residuals built from the embedded legs with @ and -
+def _assert_arity3_reports_match(op):
+    # assoc_A and assoc_Aprime equal their @ expressions, and each report,
+    # witness, max_residual and failed_part included, equals _verdict over the
+    # residuals built from the embedded legs with @, + and -; tilde's are
+    # built on rt = r + I/2 itself
+    n = op.n
     r12, r13, r23 = embed(op, 12), embed(op, 13), embed(op, 23)
+    a, a_prime = _assoc_oracle(op)
+    assert assoc_A(op) == a
+    assert assoc_Aprime(op) == a_prime
     braid = r12 @ r23 @ r12 - r23 @ r12 @ r23
     cybe = r12 @ r23 - r23 @ r12 + r12 @ r13 - r13 @ r12 + r13 @ r23 - r23 @ r13
+    pair = op + flip21(op)
+    rt = op + F(1, 2) * identity(n, 2)
     expected = [
-        _verdict("ybe", [("ybe", braid)], {"n": op.n}),
+        _verdict("ybe", [("ybe", braid)], {"n": n}),
         _verdict("braid", [("r12 r23 r12 = r23 r12 r23", braid),
                            ("r12 r13 r23 = r23 r13 r12", r12 @ r13 @ r23 - r23 @ r13 @ r12)],
-                 {"n": op.n}),
-        _verdict("cybe", [("cybe", cybe)], {"n": op.n}),
+                 {"n": n}),
+        _verdict("cybe", [("cybe", cybe)], {"n": n}),
+        _verdict("acybe", [("A(r) = -r13", a + r13),
+                           ("r + r21 = P - I", pair - (permutation(n) - identity(n, 2)))],
+                 {"variant": "non-homogeneous"}),
+        _verdict("acybe", [("A(r) = 0", a), ("r + r21 = 0", pair)], {"variant": "homogeneous"}),
+        _verdict("tilde", [("A(rt) = I/4", _assoc_oracle(rt)[0] - F(1, 4) * identity(n, 3)),
+                           ("rt + rt21 = P", rt + flip21(rt) - permutation(n))],
+                 {"n": n}),
     ]
-    reports = [check_ybe(op), check_braid_identities(op), check_cybe(op)]
+    reports = [check_ybe(op), check_braid_identities(op), check_cybe(op),
+               check_nonhomogeneous_acybe(op), check_homogeneous_acybe(op),
+               check_tilde_relations(op)]
     assert reports == expected
     for rep in reports:
         assert type(rep.max_residual) is F
@@ -431,7 +455,7 @@ integer_operators2 = st.integers(1, 3).flatmap(lambda n: st.lists(
     st.sampled_from([zero(n, 2) for n in (1, 2, 3)]),
 ))
 def test_cubic_checks_match_operator_expressions(op):
-    _assert_cubic_reports_match(op)
+    _assert_arity3_reports_match(op)
 
 
 @given(st.data(), st.integers(2, 4), st.booleans())
@@ -450,8 +474,8 @@ def test_cubic_checks_match_on_tampered_family_operators(data, n, inside):
     assume(cols)
     col = data.draw(st.sampled_from(cols))
     value = op.dense_rows()[i * n + j][col] + data.draw(small_rationals.filter(bool))
-    _assert_cubic_reports_match(op)
-    _assert_cubic_reports_match(_tampered(op, i * n + j, col, value))
+    _assert_arity3_reports_match(op)
+    _assert_arity3_reports_match(_tampered(op, i * n + j, col, value))
 
 
 def test_cubic_checks_scale_by_the_lcm_of_distinct_prime_denominators():
@@ -467,23 +491,41 @@ def test_cubic_checks_scale_by_the_lcm_of_distinct_prime_denominators():
     assert check_ybe(rhat).passed
     assert check_braid_identities(r).passed
     assert check_cybe(r).passed
+    assert check_nonhomogeneous_acybe(r).passed
+    assert check_tilde_relations(r).passed
     for op in (mixed, rhat, r, _tampered(r, 1, 5, F(1, 7))):
-        _assert_cubic_reports_match(op)
+        _assert_arity3_reports_match(op)
 
 
 def test_cubic_checks_make_no_operator_product(monkeypatch):
-    products = []
-    matmul = Operator.__matmul__
+    # no check makes an Operator product, and none adds or subtracts arity-3 Operators
+    calls = []
 
-    def counting_matmul(a, b):
-        products.append(a.arity)
-        return matmul(a, b)
+    def counting(method):
+        original = getattr(Operator, method)
 
-    monkeypatch.setattr(Operator, "__matmul__", counting_matmul)
+        def wrapper(a, b):
+            calls.append((method, a.arity))
+            return original(a, b)
+
+        monkeypatch.setattr(Operator, method, wrapper)
+
+    for method in ("__matmul__", "__add__", "__sub__"):
+        counting(method)
+    r = classical_rime_r(PhiVector((3, 2, 1)))
+    r0 = classical_unitary_r0(MuVector((0, 1, 3)))
+    bad = _tampered(classical_cg_r(3), 1, 5, 1)
     assert check_ybe(rime_from_beta(beta_from_phi(F(1, 3), PhiVector((3, 2, 1))))).passed
-    assert check_braid_identities(classical_rime_r(PhiVector((3, 2, 1)))).passed
-    assert not check_braid_identities(_tampered(classical_cg_r(3), 1, 5, 1)).passed
-    assert products == []
+    assert check_braid_identities(r).passed
+    assert not check_braid_identities(bad).passed
+    for check, good in ((check_nonhomogeneous_acybe, r), (check_tilde_relations, r),
+                        (check_homogeneous_acybe, r0)):
+        assert check(good).passed
+        assert not check(bad).passed
+    for combination in (assoc_A, assoc_Aprime):
+        assert combination(r) == -embed(r, 13)
+        assert combination(bad) != -embed(bad, 13)
+    assert [call for call in calls if call[0] == "__matmul__" or call[1] == 3] == []
 
 
 @pytest.mark.parametrize("check", [check_ybe, check_braid_identities])
