@@ -286,19 +286,6 @@ class Operator:
             out.append({j: v for j, v in orow.items() if v})
         return Operator._wrap(self.n, self.arity, tuple(out))
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("operator powers must be non-negative integers")
-        result = Operator.identity(self.n, self.arity)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            k >>= 1
-            if k:
-                base = base @ base
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
@@ -322,59 +309,27 @@ class Operator:
         return Operator._wrap(self.n, self.arity, tuple(cols))
 
     def det(self) -> Fraction:
-        """Exact determinant.
-
-        With D the lcm of the denominators, det(A) = det(D A) / D^size, and the
-        integer matrix D A is reduced by fraction-free (Bareiss) elimination,
-        which keeps intermediate values polynomially sized instead of letting
-        rational numerators and denominators blow up mid-elimination.
-        """
-        size = self.size
+        """Exact determinant: det(A) = det(D A) / D^size, with D A reduced by _eliminate."""
         d, (rows,) = _scaled_rows(self)
-        m = [[row.get(c, 0) for c in range(size)] for row in rows]
-        sign = 1
-        prev = 1
-        for k in range(size - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, size):
-                    if m[i][k]:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return _ZERO
-            pivot = m[k][k]
-            rk = m[k]
-            for i in range(k + 1, size):
-                ri = m[i]
-                mik = ri[k]
-                for j in range(k + 1, size):
-                    ri[j] = (ri[j] * pivot - mik * rk[j]) // prev
-                ri[k] = 0
-            prev = pivot
-        return Fraction(sign * m[-1][-1], d**size)
+        size = self.size
+        sign, pivot = _eliminate([[row.get(c, 0) for c in range(size)] for row in rows], size)
+        return Fraction(sign * pivot, d**size)
 
     def inverse(self) -> "Operator":
-        """Exact inverse via Gauss-Jordan elimination; raises on singular input."""
+        """Exact inverse; raises ValueError on singular input.
+
+        _eliminate turns [D A | I] into [p I | p (D A)^-1] for its last
+        pivot p, so A^-1 = D (D A)^-1 is the right half times D / p.
+        """
+        d, (rows,) = _scaled_rows(self)
         size = self.size
-        a = self.dense_rows()
-        inv = [[_ONE if i == j else _ZERO for j in range(size)] for i in range(size)]
-        for col in range(size):
-            pivot_row = next((r for r in range(col, size) if a[r][col]), None)
-            if pivot_row is None:
-                raise ValueError("matrix is singular, cannot invert")
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-            pivot = a[col][col]
-            a[col] = [v / pivot for v in a[col]]
-            inv[col] = [v / pivot for v in inv[col]]
-            for r in range(size):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        rows = tuple({c: v for c, v in enumerate(row) if v} for row in inv)
-        return Operator._wrap(self.n, self.arity, rows)
+        m = [[row.get(c, 0) for c in range(size)] + [int(i == j) for j in range(size)]
+             for i, row in enumerate(rows)]
+        _, pivot = _eliminate(m, size)
+        if not pivot:
+            raise ValueError("matrix is singular, cannot invert")
+        inv = tuple({c: Fraction(d * v, pivot) for c, v in enumerate(row[size:]) if v} for row in m)
+        return Operator._wrap(self.n, self.arity, inv)
 
     def charpoly(self) -> tuple[Fraction, ...]:
         """Coefficients (c0=1, c1, ..., cN) of det(x*I - A) = sum c_k x^(N-k).
@@ -391,6 +346,40 @@ class Operator:
             coeffs.append(c)
             m = am + c * eye
         return tuple(coeffs)
+
+
+def _eliminate(m: list[list[int]], size: int) -> tuple[int, int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of the int rows ``m``, in place.
+
+    The first ``size`` columns are the square matrix M; any further columns
+    ride along.  Every step divides exactly by the previous pivot, which
+    keeps the integers the size of minors of M instead of letting them grow
+    with each step.  Returns (sign, p): det M = sign p, and the last pivot p
+    is the common diagonal entry of the reduced left block, so the further
+    columns end as p M^-1 times what they held.  p is 0 when M is singular,
+    and then ``m`` is left part reduced.  Entries left of each pivot column
+    are not updated once it is passed, and rows above a pivot never feed a
+    later one, so they are reduced only when further columns ride along.
+    """
+    sign = prev = 1
+    above = len(m[0]) > size
+    for k in range(size):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
+            if swap is None:
+                return sign, 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        rk = m[k]
+        pivot = rk[k]
+        for i in range(0 if above else k + 1, size):
+            if i != k:
+                ri = m[i]
+                mik = ri[k]
+                for j in range(k + 1, len(rk)):
+                    ri[j] = (ri[j] * pivot - mik * rk[j]) // prev
+        prev = pivot
+    return sign, prev
 
 
 def identity(n: int, arity: int = 1) -> Operator:
@@ -410,9 +399,7 @@ def matrix_unit(i: int, j: int, n: int) -> Operator:
 
 def permutation(n: int) -> Operator:
     """The flip P on V tensor V: P (x tensor y) = y tensor x."""
-    return Operator.from_items(
-        n, 2, (((i, j), (j, i), _ONE) for i in range(1, n + 1) for j in range(1, n + 1))
-    )
+    return Operator._wrap(n, 2, tuple({s: _ONE} for s in _swap_offsets(n)))
 
 
 def kron(a: Operator, b: Operator) -> Operator:
@@ -434,20 +421,19 @@ def kron(a: Operator, b: Operator) -> Operator:
 def embed(r: Operator, legs) -> Operator:
     """Place an arity-2 operator on two factors of V^(tensor 3).
 
-    ``legs`` is 12, 13 or 23 (int or string); the remaining factor carries
-    the identity.  For legs 13 the identity sits in the middle slot.  Like
-    :func:`flip21`, every leg only reindexes r's rows; no entry is computed.
-    Any other tag, a float or a bool among them, raises ValueError.
+    ``legs`` is the int 12, 13 or 23 or the same digits as an exact string;
+    the remaining factor carries the identity.  For legs 13 the identity
+    sits in the middle slot.  Like :func:`flip21`, every leg only reindexes
+    r's rows; no entry is computed.  Any other tag, a float, a bool or a
+    string such as ``" 13 "`` or ``"012"`` among them, raises ValueError.
     """
     if r.arity != 2:
         raise ValueError("embed expects an arity-2 operator")
     n = r.n
+    tag = {str(t): t for t in LEGS}.get(legs) if isinstance(legs, str) else legs
     p = None
-    if isinstance(legs, str) or (isinstance(legs, Integral) and not isinstance(legs, bool)):
-        try:
-            p = {12: 1, 13: n, 23: n * n}.get(int(legs))  # place value of the free slot
-        except ValueError:
-            pass
+    if isinstance(tag, Integral) and not isinstance(tag, bool):
+        p = {12: 1, 13: n, 23: n * n}.get(int(tag))  # place value of the free slot
     if p is None:
         raise ValueError(f"invalid leg tag {legs!r}; expected one of {LEGS}")
     # place[a][x]: the arity-3 offset of pair offset x = (i, j) with a in the free slot
@@ -493,20 +479,32 @@ def _scaled_rows(*ops: Operator) -> tuple[int, list[list[dict[int, int]]]]:
                for op_rows in rows]
 
 
-def _chain_sum(n: int, arity: int, scale: int, terms) -> Operator:
-    """The exact operator (sum of c F1 F2 ... Fk over ``terms``) / scale, one integer pass per row.
+def _chain_sum(n: int, arity: int, d: int, terms) -> Operator:
+    """The exact operator sum of c A1 A2 ... Aj over ``terms``, one integer pass per row.
 
-    Each term is (c, factors): an int c and a sequence of factors, each
-    given as its int rows (see _scaled_rows).  Row i of a product is folded
-    left to right, and c scales the last fold, which adds straight into the
-    sum.  A term of fewer than two factors is padded with the identity on
-    the left, so one with no factors reads as c I.  A Fraction is built only
-    for the nonzero entries of the sum: none when it vanishes.
+    Each term is (c, factors): a rational c and a sequence of j factors, each
+    given as the int rows of D Ai for one common scale D = ``d`` (see
+    _scaled_rows).  With E the lcm of the denominators of the c's and k the
+    most factors in a term, the scaled identity
+
+        E D^k (sum of c A1 ... Aj) = sum of (E c D^(k-j)) (D A1) ... (D Aj)
+
+    has integer terms only, and the sum is its right side over E D^k.  Row i
+    of a product is folded left to right, and the int multiplier E c D^(k-j)
+    scales the last fold, which adds straight into the sum.  A term of fewer
+    than two factors is padded with the identity on the left, so one with
+    no factors reads as c I.  A Fraction is built only for the nonzero
+    entries of the sum: none when it vanishes.
     """
+    e = lcm(*(c.denominator for c, _ in terms))
+    k = max(len(factors) for _, factors in terms)
     size = n**arity
     eye = [{i: 1} for i in range(size)] if any(len(fs) < 2 for _, fs in terms) else None
-    padded = [(c, (eye,) * (2 - len(factors)) + tuple(factors)) for c, factors in terms]
+    # (int multiplier, factors padded to two or more) per term
+    padded = [(c.numerator * (e // c.denominator) * d ** (k - len(factors)),
+               (eye,) * (2 - len(factors)) + tuple(factors)) for c, factors in terms]
     plan = [(c, fs[0], fs[1:-1], fs[-1]) for c, fs in padded]
+    scale = e * d**k
     out = []
     for i in range(size):
         acc = {}
@@ -514,15 +512,15 @@ def _chain_sum(n: int, arity: int, scale: int, terms) -> Operator:
             row = first[i]
             for f in middle:
                 nxt = {}
-                for k, v in row.items():
+                for x, v in row.items():
                     if v:
-                        for j, w in f[k].items():
+                        for j, w in f[x].items():
                             nxt[j] = nxt.get(j, 0) + v * w
                 row = nxt
-            for k, v in row.items():
+            for x, v in row.items():
                 if v:
                     v *= c
-                    for j, w in last[k].items():
+                    for j, w in last[x].items():
                         acc[j] = acc.get(j, 0) + v * w
         out.append({j: Fraction(v, scale) for j, v in acc.items() if v})
     return Operator._wrap(n, arity, tuple(out))
@@ -549,7 +547,7 @@ def conjugate_pair(a: Operator, x: Operator) -> Operator:
         return ([{k * n + j: v for k, v in m[i].items()} for i in range(n) for j in range(n)],
                 [{i * n + k: v for k, v in m[j].items()} for i in range(n) for j in range(n)])
 
-    return _chain_sum(n, 2, d**5, [(1, (*slots(xs), rows, *slots(inv)))])
+    return _chain_sum(n, 2, d, [(1, (*slots(xs), rows, *slots(inv)))])
 
 
 def inverse(x: Operator) -> Operator:

@@ -17,7 +17,7 @@ from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import Operator, Rational, as_rational, matrix_unit
+from .core import Operator, as_rational, matrix_unit
 
 __all__ = [
     "RimeParams",
@@ -98,8 +98,7 @@ class GeneralRimeData:
     """Free coefficients of the general rime form.
 
     ``alpha`` carries the diagonal values alpha_i at (i, i); ``beta``,
-    ``gamma`` and ``gamma_prime`` must have zero diagonal.  When
-    ``invertible`` is set, every alpha_i must be nonzero.
+    ``gamma`` and ``gamma_prime`` must have zero diagonal.
     """
 
     n: int
@@ -107,17 +106,12 @@ class GeneralRimeData:
     beta: tuple[tuple[Fraction, ...], ...]
     gamma: tuple[tuple[Fraction, ...], ...]
     gamma_prime: tuple[tuple[Fraction, ...], ...]
-    invertible: bool = False
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "gamma_prime"):
             object.__setattr__(self, name, _grid(self.n, getattr(self, name)))
         for name in ("beta", "gamma", "gamma_prime"):
             _require_zero_diagonal(getattr(self, name), name)
-        if self.invertible:
-            for i in range(self.n):
-                if not self.alpha[i][i]:
-                    raise ValueError(f"alpha_{i + 1} = 0 contradicts the invertibility flag")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, isfinite, isnan, log, nan
+from numbers import Integral
 from statistics import linear_regression
 from typing import Sequence
 
@@ -93,13 +94,16 @@ def exp_formula_check(r: Operator, h: float, terms: int) -> float:
     The input must satisfy r^2 = -r (closed form I + (1 - e^(-h)) r) or
     r^2 = 0 (closed form I + h*r; at h = 1 this is the familiar I + r).
     Both relations are verified exactly before any float enters.  A
-    non-finite h, one at which e^(-h) overflows, or a negative number of
-    terms raises ValueError; a series that overflows at finite h reads nan.
+    non-finite h, one at which e^(-h) overflows, or a number of terms that
+    is not a non-negative int raises ValueError; a series that overflows at
+    finite h reads nan.
     """
     if r.arity != 2:
         raise ValueError("exp_formula_check expects an arity-2 operator")
     if not isfinite(h):
         raise ValueError(f"h must be finite, got {h}")
+    if not isinstance(terms, Integral) or isinstance(terms, bool):
+        raise ValueError(f"terms must be an int, got {terms!r}")
     if terms < 0:
         raise ValueError(f"terms must be non-negative, got {terms}")
     if check_idempotent_exponential(r).passed:

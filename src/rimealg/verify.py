@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
-from math import lcm
 from typing import Callable, Optional, Union
 
 from .core import (
@@ -28,7 +27,6 @@ from .core import (
     _chain_sum,
     _require_space,
     _scaled_rows,
-    _swap_offsets,
     as_rational,
     conjugate_pair,
     embed,
@@ -134,20 +132,10 @@ def _verdict(name: str, parts, metadata=None) -> VerificationReport:
 
 
 def _quadratic_residual(a: Operator, c1, c0) -> Operator:
-    """The exact operator a a + c1 a + c0 I, as one chain sum in ints.
-
-    With D the lcm of a's denominators and E that of c1's and c0's, the
-    scaled identity
-
-        D^2 E (a a + c1 a + c0 I) = E (D a)(D a) + (E c1) D (D a) + (E c0) D^2 I
-
-    has integer terms only (see core._chain_sum).
-    """
-    c1, c0 = as_rational(c1), as_rational(c0)
+    """The exact operator a a + c1 a + c0 I, as one chain sum in ints (see core._chain_sum)."""
     d, (rows,) = _scaled_rows(a)
-    e = lcm(c1.denominator, c0.denominator)
-    terms = [(e, (rows, rows)), (int(e * c1) * d, (rows,)), (int(e * c0) * d * d, ())]
-    return _chain_sum(a.n, a.arity, d * d * e, terms)
+    terms = [(1, (rows, rows)), (as_rational(c1), (rows,)), (as_rational(c0), ())]
+    return _chain_sum(a.n, a.arity, d, terms)
 
 
 # -- the arity-3 identities, as chain terms over the legs of one operator ------
@@ -164,24 +152,15 @@ _SHIFTED_A = _A + ((1, (1,)),)
 def _leg_sums(r: Operator, *identities) -> list[Operator]:
     """Each identity's sum of c r_l1 ... r_lj over its terms, as an arity-3 operator.
 
-    Every leg that a term uses is embedded once, in the order 12, 13, 23.
-    With D the lcm of r's denominators and k the most factors in a term of
-    the identity, the scaled identity
-
-        D^k (sum of c r_l1 ... r_lj) = sum of (c D^(k-j)) (D r_l1) ... (D r_lj)
-
-    has integer terms only, so each identity is one chain sum in ints (see
-    core._chain_sum), and no arity-3 product of Fractions is made.
+    Every leg that a term uses is embedded once, in the order 12, 13, 23,
+    and each identity is one chain sum in ints over the legs (see
+    core._chain_sum), so no arity-3 product of Fractions is made.
     """
     used = sorted({leg for terms in identities for _, legs in terms for leg in legs})
     d, rows = _scaled_rows(*(embed(r, LEGS[leg]) for leg in used))
     leg_rows = dict(zip(used, rows))
-    sums = []
-    for terms in identities:
-        k = max(len(legs) for _, legs in terms)
-        chain = [(c * d ** (k - len(legs)), [leg_rows[leg] for leg in legs]) for c, legs in terms]
-        sums.append(_chain_sum(r.n, 3, d**k, chain))
-    return sums
+    return [_chain_sum(r.n, 3, d, [(c, [leg_rows[leg] for leg in legs]) for c, legs in terms])
+            for terms in identities]
 
 
 # -- quantum checks -------------------------------------------------------
@@ -316,14 +295,7 @@ def check_quantization(rhat: Operator, beta, r: Operator) -> VerificationReport:
 
     At beta = 0 the expansion parameter is absorbed into r itself (the
     skew-symmetric family), so the relation checked becomes P Rhat = I + r.
-    With D the lcm of the denominators of Rhat and r, and p/q the
-    coefficient of r, the scaled identity
-
-        D q (P Rhat - I - (p/q) r) = q P (D Rhat) - D q I - p (D r)
-
-    has integer terms only, so the residual is one chain sum in ints (see
-    core._chain_sum), with P's row x the single entry 1 at the offset of
-    the swapped pair, as in flip21.
+    The residual is one chain sum in ints (see core._chain_sum).
     """
     beta = as_rational(beta)
     coeff = beta if beta else _ONE
@@ -331,11 +303,8 @@ def check_quantization(rhat: Operator, beta, r: Operator) -> VerificationReport:
     # raise what P @ Rhat and (P Rhat - I) - coeff r raise on a mismatched operand
     _require_space(n, 2, rhat, "composition")
     _require_space(n, 2, r, "subtraction")
-    d, (rhat_rows, r_rows) = _scaled_rows(rhat, r)
-    p, q = coeff.numerator, coeff.denominator
-    flip = [{s: 1} for s in _swap_offsets(n)]
-    terms = [(q, (flip, rhat_rows)), (-d * q, ()), (-p, (r_rows,))]
-    residual = _chain_sum(n, 2, d * q, terms)
+    d, (flip, rhat_rows, r_rows) = _scaled_rows(permutation(n), rhat, r)
+    residual = _chain_sum(n, 2, d, [(1, (flip, rhat_rows)), (-1, ()), (-coeff, (r_rows,))])
     return _verdict("quantization", [("P Rhat = I + beta r", residual)], {"beta": str(beta)})
 
 

@@ -9,6 +9,7 @@ oracle and hold the storage invariant: no zero is ever stored.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from rimealg.core import (
     kron,
     linear_index,
     multi_index,
+    permutation,
     zero,
 )
 
@@ -71,6 +73,35 @@ def d_flip21(r, n):
         return linear_index(tuple(reversed(multi_index(x, n, 2))), n)
 
     return [[r[swap(x)][swap(y)] for y in range(n * n)] for x in range(n * n)]
+
+
+def d_gauss_jordan(a):
+    """(det, inverse) of a dense matrix by Gauss-Jordan elimination over Fractions.
+
+    The inverse is None when the matrix is singular, and then the det is 0.
+    """
+    size = len(a)
+    a = [row[:] for row in a]
+    inv = [[F(int(i == j)) for j in range(size)] for i in range(size)]
+    det = F(1)
+    for col in range(size):
+        pivot_row = next((r for r in range(col, size) if a[r][col]), None)
+        if pivot_row is None:
+            return F(0), None
+        if pivot_row != col:
+            det = -det
+        a[col], a[pivot_row] = a[pivot_row], a[col]
+        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
+        pivot = a[col][col]
+        det *= pivot
+        a[col] = [v / pivot for v in a[col]]
+        inv[col] = [v / pivot for v in inv[col]]
+        for r in range(size):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return det, inv
 
 
 def d_items(a, n, arity):
@@ -166,7 +197,10 @@ def test_composition_matches_oracle(space, data):
     upper = [[v if c > r else F(0) for c, v in enumerate(row)] for r, row in enumerate(da)]
     u = Operator(n, arity, upper)
     check(u @ u, d_matmul(upper, upper), n, arity)
-    check(u ** len(upper), d_zero(len(upper)), n, arity)
+    power, exponent = u, 1
+    while exponent < len(upper):
+        power, exponent = power @ power, 2 * exponent
+    check(power, d_zero(len(upper)), n, arity)
 
 
 @settings(max_examples=60)
@@ -200,3 +234,57 @@ def test_embed_and_flip21_match_oracle(n, data):
     for leg in LEGS:
         check(embed(r, leg), d_embed(dr, n, leg), n, 3)
     check(flip21(r), d_flip21(dr, n), n, 2)
+
+
+# mixed prime denominators, so the common scale D of the integer elimination is a product of primes
+prime_rationals = st.builds(F, st.integers(-5, 5), st.sampled_from((1, 2, 3, 5, 7)))
+
+
+@st.composite
+def square_matrices(draw, size):
+    """A dense size-by-size matrix: general, singular or with a zero leading pivot."""
+    rows = draw(st.lists(st.lists(prime_rationals, min_size=size, max_size=size),
+                         min_size=size, max_size=size))
+    kind = draw(st.sampled_from(("general", "singular", "zero pivot")))
+    if kind == "singular":  # the last row a multiple of the first (the zero row at size 1)
+        s = draw(prime_rationals)
+        rows[-1] = [s * v for v in rows[0]] if size > 1 else [F(0)]
+    elif kind == "zero pivot":  # the first column's nonzero entries all lie below row 1
+        rows[0][0] = F(0)
+        if size > 1:
+            rows[1][0] = draw(prime_rationals.filter(bool))
+    return rows
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 3), st.integers(1, 2), st.data())
+def test_det_and_inverse_match_gauss_jordan_oracle(n, arity, data):
+    dense = data.draw(square_matrices(n**arity))
+    op = Operator(n, arity, dense)
+    det, inv = d_gauss_jordan(dense)
+    assert op.det() == det
+    assert isinstance(op.det(), Fraction)
+    if inv is None:
+        assert det == 0
+        with pytest.raises(ValueError, match="singular"):
+            op.inverse()
+    else:
+        check(op.inverse(), inv, n, arity)
+
+
+def test_det_and_inverse_swap_a_zero_leading_pivot():
+    # J/3 for the anti-diagonal J: every pivot needs a row swap, det = sign / 3^size, inverse 3 J
+    for n, arity, sign in ((2, 1, -1), (3, 1, -1), (2, 2, 1)):
+        size = n**arity
+        dense = [[F(int(i + j == size - 1), 3) for j in range(size)] for i in range(size)]
+        op = Operator(n, arity, dense)
+        assert op.det() == d_gauss_jordan(dense)[0] == F(sign, 3**size)
+        check(op.inverse(), [[9 * v for v in row] for row in dense], n, arity)
+
+
+def test_permutation_equals_the_flip_from_items():
+    for n in range(1, 6):
+        old = Operator.from_items(n, 2, (((i, j), (j, i), 1)
+                                         for i in range(1, n + 1) for j in range(1, n + 1)))
+        check(permutation(n), old.dense_rows(), n, 2)
+        assert permutation(n) == old

@@ -82,8 +82,10 @@ def test_general_rime_data_validation():
     GeneralRimeData(2, ((1, 0), (0, 1)), z, z, z)
     with pytest.raises(ValueError):
         GeneralRimeData(2, z, ((1, 0), (0, 0)), z, z)
-    with pytest.raises(ValueError):
-        GeneralRimeData(2, ((0, 0), (0, 1)), z, z, z, invertible=True)
+    # a zero alpha_i is allowed: the data carry no invertibility flag
+    assert GeneralRimeData(2, ((0, 0), (0, 1)), z, z, z).alpha == ((0, 0), (0, 1))
+    with pytest.raises(TypeError):
+        GeneralRimeData(2, ((1, 0), (0, 1)), z, z, z, invertible=True)
 
 
 def test_phi_vector_modes():
@@ -157,7 +159,6 @@ def test_rime_general_frozen_expansion():
         beta=((0, 6), (-3, 0)),
         gamma=((0, -6), (3, 0)),
         gamma_prime=((0, -3), (6, 0)),
-        invertible=True,
     )
     assert rime_general(d).dense_rows() == RIME_2
 

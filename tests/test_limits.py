@@ -105,10 +105,14 @@ def test_exp_formula_trivial_and_rejections():
         exp_formula_check(identity(2, 2), 1.0, 10)
     with pytest.raises(ValueError):
         exp_formula_check(identity(2), 1.0, 10)
-    # a negative number of terms is refused, not read as the identity alone
+    # a negative number of terms is refused, not read as the identity alone,
+    # and so is a bool or a float, not read as one term or left to range()
     for r in (classical_rime_r(PhiVector((2, 1))), classical_unitary_r0(MuVector((0, 1)))):
         with pytest.raises(ValueError, match="terms must be non-negative, got -3"):
             exp_formula_check(r, 0.5, -3)
+        for terms in (True, 2.5):
+            with pytest.raises(ValueError, match=r"^terms must be an int, got "):
+                exp_formula_check(r, 0.5, terms)
 
 
 def dense_series_deviation(r, h, terms, coeff):
