@@ -13,6 +13,7 @@ from rimealg import (
     classical_cg_r,
     classical_rime_r,
     conjugate_pair,
+    hecke_multiplicities,
     rime_from_beta,
     x_matrix,
 )
@@ -36,9 +37,10 @@ r = classical_rime_r(phi)
 moved_r = conjugate_pair(classical_cg_r(2), x)
 print("conjugated classical normal form equals r:    ", moved_r == r)
 
-# the conjugation is a similarity, so spectra agree before moving anything
-print("charpoly cg  :", [str(c) for c in cg.charpoly()])
-print("charpoly rime:", [str(c) for c in rime.charpoly()])
+# the conjugation is a similarity, so spectra agree before moving anything:
+# both are Hecke with eigenvalues 1 and beta - 1, each with the same multiplicity
+print("multiplicities cg  :", hecke_multiplicities(cg, beta))
+print("multiplicities rime:", hecke_multiplicities(rime, beta))
 
 # a bigger instance, exactly, in a blink
 phi5 = PhiVector((7, 5, 3, 2, 1))

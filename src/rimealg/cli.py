@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .core import Operator, as_rational
-from .families import FAMILY_TAGS, FamilySpec, MuVector, build, describe
+from .families import _REQUIRED, FAMILY_TAGS, FamilySpec, MuVector, build, describe
 from .limits import unitary_limit_curve
 # check_ybe is unused here, but perfbench/selftest.py checks that its tracer
 # patches rimealg.cli.check_ybe
@@ -157,6 +157,9 @@ def _check_cap(n: int) -> None:
 # the flags whose value is a rational (phi, mu: a comma-separated list of them)
 _RATIONAL_FLAGS = ("--beta", "--q2inv", "--p", "--phi", "--mu")
 
+# the flags that name a family for verify; a document names its own
+_FAMILY_FLAGS = ("--family", "--n", "--phi", "--mu", "--q2inv", "--p")
+
 
 def _parse_vector(text: str) -> tuple[Fraction, ...]:
     return tuple(as_rational(part.strip()) for part in text.split(","))
@@ -231,6 +234,9 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     requested = [part.strip() for part in args.checks.split(",")] if args.checks else None
     if args.input:
+        given = [flag for flag in _FAMILY_FLAGS if getattr(args, flag[2:]) is not None]
+        if given:
+            raise ValueError(f"--input excludes the family flags, got {', '.join(given)}")
         with open(args.input, "r", encoding="utf-8") as handle:
             doc = MatrixDocument.from_json(handle.read())
         _check_cap(doc.n)
@@ -283,21 +289,16 @@ def cmd_report(args) -> int:
         for k in range(args.seeds):
             # string seeding is deterministic across runs and platforms
             rng = random.Random(f"{args.seed_value}:{n}:{k}")
-            phi = _random_distinct(rng, n, nonzero=True)
-            mu = _random_distinct(rng, n, nonzero=False)
-            beta = _random_rational(rng)
-            q2inv = _random_rational(rng, nonzero=True)
-            p = _random_rational(rng, nonzero=True)
-            specs = [
-                FamilySpec("rime-quantum", n, beta=beta, phi=phi),
-                FamilySpec("rime-unitary", n, mu=mu),
-                FamilySpec("cg", n, q2inv=q2inv, p=p),
-                FamilySpec("classical-rime", n, phi=phi),
-                FamilySpec("classical-cg", n),
-                FamilySpec("classical-unitary", n, mu=mu),
-                FamilySpec("boundary", n),
-            ]
-            for spec in specs:
+            # drawn in this order; each family takes the parameters it requires
+            drawn = {
+                "phi": _random_distinct(rng, n, nonzero=True),
+                "mu": _random_distinct(rng, n, nonzero=False),
+                "beta": _random_rational(rng),
+                "q2inv": _random_rational(rng, nonzero=True),
+                "p": _random_rational(rng, nonzero=True),
+            }
+            for tag in FAMILY_TAGS:
+                spec = FamilySpec(tag, n, **{k: drawn[k] for k in _REQUIRED[tag]})
                 reports = run_suite(spec)
                 ok = sum(1 for rep in reports if rep.passed)
                 total += len(reports)

@@ -26,28 +26,20 @@ from types import MappingProxyType
 from typing import Iterator, Sequence
 
 __all__ = [
-    "Rational",
     "Operator",
     "as_rational",
     "linear_index",
     "multi_index",
     "identity",
     "zero",
-    "matrix_unit",
     "permutation",
     "kron",
     "embed",
     "flip21",
-    "wedge",
     "conjugate_pair",
     "inverse",
     "LEGS",
 ]
-
-#: Exact rational scalar used for all entries.  `fractions.Fraction` already
-#: guarantees the invariants we need: lowest terms, positive denominator,
-#: exact field arithmetic, and an error on division by zero.
-Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -107,6 +99,13 @@ def multi_index(lin: int, n: int, arity: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a bool or a non-Integral (a float among them) raises TypeError."""
+    if isinstance(value, Integral) and not isinstance(value, bool):  # numpy ints too
+        return int(value)
+    raise TypeError(f"{what} must be an integer, got {type(value).__name__}")
+
+
 def _require_space(n: int, arity: int, other: "Operator", what: str) -> None:
     """Raise ValueError unless ``other`` acts on the space of an (n, arity) left operand."""
     if n != other.n or arity != other.arity:
@@ -126,6 +125,8 @@ class Operator:
     __slots__ = ("n", "arity", "_rows")
 
     def __init__(self, n: int, arity: int, entries):
+        n = _integer(n, "dimension")
+        arity = _integer(arity, "arity")
         if arity not in (1, 2, 3):
             raise ValueError(f"arity must be 1, 2 or 3, got {arity}")
         if n < 1:
@@ -301,13 +302,6 @@ class Operator:
     def trace(self) -> Fraction:
         return sum((row.get(i, _ZERO) for i, row in enumerate(self._rows)), _ZERO)
 
-    def transpose(self) -> "Operator":
-        cols = [{} for _ in range(self.size)]
-        for r, row in enumerate(self._rows):
-            for c, v in row.items():
-                cols[c][r] = v
-        return Operator._wrap(self.n, self.arity, tuple(cols))
-
     def det(self) -> Fraction:
         """Exact determinant: det(A) = det(D A) / D^size, with D A reduced by _eliminate."""
         d, (rows,) = _scaled_rows(self)
@@ -330,22 +324,6 @@ class Operator:
             raise ValueError("matrix is singular, cannot invert")
         inv = tuple({c: Fraction(d * v, pivot) for c, v in enumerate(row[size:]) if v} for row in m)
         return Operator._wrap(self.n, self.arity, inv)
-
-    def charpoly(self) -> tuple[Fraction, ...]:
-        """Coefficients (c0=1, c1, ..., cN) of det(x*I - A) = sum c_k x^(N-k).
-
-        Faddeev-LeVerrier recursion; exact because the only divisions are by
-        the integers 1..N.
-        """
-        eye = Operator.identity(self.n, self.arity)
-        coeffs = [_ONE]
-        m = eye
-        for k in range(1, self.size + 1):
-            am = self @ m
-            c = -am.trace() / k
-            coeffs.append(c)
-            m = am + c * eye
-        return tuple(coeffs)
 
 
 def _eliminate(m: list[list[int]], size: int) -> tuple[int, int]:
@@ -388,13 +366,6 @@ def identity(n: int, arity: int = 1) -> Operator:
 
 def zero(n: int, arity: int = 1) -> Operator:
     return Operator.zero(n, arity)
-
-
-def matrix_unit(i: int, j: int, n: int) -> Operator:
-    """The matrix unit e^i_j sending basis vector j to basis vector i (1-based)."""
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexError(f"matrix unit indices must lie in 1..{n}, got ({i}, {j})")
-    return Operator.from_items(n, 1, [((i,), (j,), _ONE)])
 
 
 def permutation(n: int) -> Operator:
@@ -460,15 +431,6 @@ def flip21(r: Operator) -> Operator:
     swap = _swap_offsets(n)
     rows = tuple({swap[c]: v for c, v in r._rows[swap[x]].items()} for x in range(n * n))
     return Operator._wrap(n, 2, rows)
-
-
-def wedge(x: Operator, y: Operator) -> Operator:
-    """x wedge y = x tensor y - y tensor x for arity-1 operators."""
-    if x.arity != 1 or y.arity != 1:
-        raise ValueError("wedge expects arity-1 operators")
-    if x.n != y.n:
-        raise ValueError(f"dimension mismatch in wedge: {x.n} vs {y.n}")
-    return kron(x, y) - kron(y, x)
 
 
 def _scaled_rows(*ops: Operator) -> tuple[int, list[list[dict[int, int]]]]:

@@ -17,7 +17,7 @@ from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import Operator, as_rational, matrix_unit
+from .core import Operator, _integer, as_rational
 
 __all__ = [
     "RimeParams",
@@ -34,7 +34,6 @@ __all__ = [
     "x_matrix",
     "classical_rime_r",
     "classical_cg_r",
-    "z_generator",
     "classical_unitary_r0",
     "boundary_b",
     "build",
@@ -200,6 +199,7 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILY_TAGS:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILY_TAGS}")
+        object.__setattr__(self, "n", _integer(self.n, "dimension"))
         if self.n < 1:
             raise ValueError(f"dimension must be positive, got {self.n}")
         for name in ("beta", "q2inv", "p"):
@@ -381,21 +381,14 @@ def classical_cg_r(n: int) -> Operator:
     return Operator.from_items(n, 2, items)
 
 
-def z_generator(i: int, j: int, n: int) -> Operator:
-    """Z^i_j = e^i_j - e^j_j for i != j; these close under multiplication."""
-    if i == j:
-        raise ValueError("z_generator needs i != j")
-    return matrix_unit(i, j, n) - matrix_unit(j, j, n)
-
-
 def classical_unitary_r0(mu: MuVector) -> Operator:
     """Skew-symmetric classical r-matrix of a weight vector mu.
 
     r0 = sum_{i<j} (W^i_j wedge W^j_i) / (mu_i - mu_j) built on the
-    column-type generators W^i_j = e^j_i - e^j_j (the transposes of
-    z_generator output).  This orientation is the rime-patterned one and
-    the one satisfying P Rhat0 = I + r0 against the beta = 0 solution
-    rime_from_beta(unitary_beta(mu)).
+    column-type generators W^i_j = e^j_i - e^j_j (the transposes of the
+    row-type Z^i_j = e^i_j - e^j_j).  This orientation is the rime-patterned
+    one and the one satisfying P Rhat0 = I + r0 against the beta = 0
+    solution rime_from_beta(unitary_beta(mu)).
     """
     values = mu.mu
     n = mu.n

@@ -318,24 +318,23 @@ def check_equivalence_quantum(phi: PhiVector, beta) -> VerificationReport:
     return _verdict("equivalence-quantum", [("Ad X(phi)", moved - target)], meta)
 
 
-def check_equivalence_classical(
-    weights: Union[PhiVector, MuVector], which: str = "rime"
-) -> VerificationReport:
-    """Conjugation by X carries the classical normal forms onto the rime r-matrices."""
-    if which == "rime":
-        if not isinstance(weights, PhiVector):
-            raise TypeError("rime equivalence expects a PhiVector")
+def check_equivalence_classical(weights: Union[PhiVector, MuVector]) -> VerificationReport:
+    """Conjugation by X carries the classical normal forms onto the rime r-matrices.
+
+    A PhiVector compares classical_cg_r with classical_rime_r, a MuVector
+    boundary_b with classical_unitary_r0; anything else raises TypeError.
+    """
+    if isinstance(weights, PhiVector):
         x = x_matrix(weights)
         residual = conjugate_pair(classical_cg_r(weights.n), x) - classical_rime_r(weights)
         meta = {"which": "rime", "phi": ",".join(str(v) for v in weights.phi)}
-    elif which == "boundary":
-        if not isinstance(weights, MuVector):
-            raise TypeError("boundary equivalence expects a MuVector")
+    elif isinstance(weights, MuVector):
         x = x_matrix(PhiVector(weights.mu))
         residual = conjugate_pair(boundary_b(weights.n), x) - classical_unitary_r0(weights)
         meta = {"which": "boundary", "mu": ",".join(str(v) for v in weights.mu)}
     else:
-        raise ValueError(f"unknown equivalence kind {which!r}; expected 'rime' or 'boundary'")
+        raise TypeError(f"classical equivalence expects a PhiVector or a MuVector, "
+                        f"got {type(weights).__name__}")
     return _verdict("equivalence-classical", [("Ad X", residual)], meta)
 
 
@@ -540,8 +539,7 @@ def _suite_checks(spec: FamilySpec) -> list[tuple[str, Callable[[], Verification
         "classify": lambda: _classification_report(rhat(), expected),
         "equivalence-quantum": lambda: check_equivalence_quantum(phi, beta),
         "quantization": lambda: check_quantization(rhat(), beta, r()),
-        "equivalence-classical": lambda: (check_equivalence_classical(phi, "rime") if mu is None
-                                          else check_equivalence_classical(mu, "boundary")),
+        "equivalence-classical": lambda: check_equivalence_classical(phi if mu is None else mu),
     })
 
     skip = set()

@@ -178,7 +178,7 @@ def test_criterion_06_unitary_and_boundary(capsys):
             failures.append(f"homogeneous combination {where}")
         if not (r0 @ r0).is_zero() or not (b @ b).is_zero():
             failures.append(f"squares {where}")
-        if not check_equivalence_classical(mu, "boundary").passed:
+        if not check_equivalence_classical(mu).passed:
             failures.append(f"normal-form conjugation {where}")
         rhat0 = rime_from_beta(unitary_beta(mu))
         if not check_ybe(rhat0).passed:

@@ -297,6 +297,27 @@ def test_verify_document_beta_override(tmp_path, capsys):
     assert "needs beta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--family", "cg"],
+    ["--n", "5"],
+    ["--phi", "2,1"],
+    ["--mu", "0,1"],
+    ["--q2inv", "2"],
+    ["--p", "1"],
+    ["--family", "cg", "--n", "5", "--q2inv", "2", "--p", "1"],
+])
+def test_verify_input_refuses_family_flags(flags, tmp_path, capsys):
+    # the document names its operator; a family flag beside it would be ignored
+    path = tmp_path / "p.json"
+    path.write_text(MatrixDocument.from_operator(permutation(2)).to_json(), encoding="utf-8")
+    assert main(["verify", "--input", str(path), *flags, "--checks", "ybe"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --input excludes the family flags")
+    for flag in flags[::2]:
+        assert flag in err
+
+
 def test_verify_skew_document_routes_to_homogeneous_variant(tmp_path, capsys):
     main(["generate", "unitary", "--n", "2", "--mu", "0,1"])
     capsys.readouterr()
@@ -566,7 +587,7 @@ def test_package_reexports_exactly_each_module_all():
     modules = (core, families, limits, verify)
     names = [*(name for m in modules for name in m.__all__), "__version__"]
     assert sorted(rimealg.__all__) == sorted(names)
-    assert len(set(names)) == len(names) == 60
+    assert len(set(names)) == len(names) == 56
     for m in modules:
         for name in m.__all__:
             assert getattr(rimealg, name) is getattr(m, name)

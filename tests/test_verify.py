@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_distinct, random_rational
+from oracle import charpoly, matrix_unit
 from rimealg.core import (
     Operator,
     conjugate_pair,
@@ -14,7 +15,6 @@ from rimealg.core import (
     flip21,
     identity,
     kron,
-    matrix_unit,
     permutation,
     zero,
 )
@@ -612,17 +612,17 @@ def test_cg_is_not_itself_rime():
 
 
 def test_equivalence_classical(rng):
-    assert check_equivalence_classical(PhiVector((2, 1)), "rime").passed
-    assert check_equivalence_classical(MuVector((0, 1)), "boundary").passed
+    assert check_equivalence_classical(PhiVector((2, 1))).metadata["which"] == "rime"
+    assert check_equivalence_classical(MuVector((0, 1))).metadata["which"] == "boundary"
+    assert check_equivalence_classical(PhiVector((2, 1))).passed
+    assert check_equivalence_classical(MuVector((0, 1))).passed
     for n in (3, 4, 5):
-        assert check_equivalence_classical(random_phi(rng, n), "rime").passed
-        assert check_equivalence_classical(random_mu(rng, n), "boundary").passed
+        assert check_equivalence_classical(random_phi(rng, n)).passed
+        assert check_equivalence_classical(random_mu(rng, n)).passed
     with pytest.raises(TypeError):
-        check_equivalence_classical(MuVector((0, 1)), "rime")
+        check_equivalence_classical((2, 1))
     with pytest.raises(TypeError):
-        check_equivalence_classical(PhiVector((2, 1)), "boundary")
-    with pytest.raises(ValueError):
-        check_equivalence_classical(PhiVector((2, 1)), "twist")
+        check_equivalence_classical(FamilySpec("boundary", 2))
 
 
 # -- conjugation against the Kronecker-product oracle ------------------------------
@@ -690,8 +690,8 @@ def test_conjugation_makes_no_operator_product(monkeypatch):
     phi = PhiVector((3, 2, 1))
     assert conjugate_pair(classical_cg_r(3), x_matrix(phi)) == classical_rime_r(phi)
     assert check_equivalence_quantum(phi, F(1, 3)).passed
-    assert check_equivalence_classical(phi, "rime").passed
-    assert check_equivalence_classical(MuVector((0, 1, 3)), "boundary").passed
+    assert check_equivalence_classical(phi).passed
+    assert check_equivalence_classical(MuVector((0, 1, 3))).passed
     assert products == []
 
 
@@ -836,8 +836,8 @@ def test_charpoly_matches_eigenvalue_split(rng):
             expected = _poly_mul(expected, [F(1), F(-1)])
         for _ in range(m_minus):
             expected = _poly_mul(expected, [F(1), -(beta - 1)])
-        assert list(rhat.charpoly()) == expected
-        assert list(cg.charpoly()) == expected
+        assert list(charpoly(rhat)) == expected
+        assert list(charpoly(cg)) == expected
 
 
 # -- suites ------------------------------------------------------------------------------
