@@ -106,6 +106,21 @@ def _integer(value, what: str) -> int:
     raise TypeError(f"{what} must be an integer, got {type(value).__name__}")
 
 
+def _space(n, arity) -> tuple[int, int]:
+    """(n, arity) as ints.
+
+    A bool or a non-Integral raises TypeError, n < 1 or an arity other
+    than 1, 2 or 3 ValueError.
+    """
+    n = _integer(n, "dimension")
+    arity = _integer(arity, "arity")
+    if arity not in (1, 2, 3):
+        raise ValueError(f"arity must be 1, 2 or 3, got {arity}")
+    if n < 1:
+        raise ValueError(f"dimension must be positive, got {n}")
+    return n, arity
+
+
 def _require_space(n: int, arity: int, other: "Operator", what: str) -> None:
     """Raise ValueError unless ``other`` acts on the space of an (n, arity) left operand."""
     if n != other.n or arity != other.arity:
@@ -125,12 +140,7 @@ class Operator:
     __slots__ = ("n", "arity", "_rows")
 
     def __init__(self, n: int, arity: int, entries):
-        n = _integer(n, "dimension")
-        arity = _integer(arity, "arity")
-        if arity not in (1, 2, 3):
-            raise ValueError(f"arity must be 1, 2 or 3, got {arity}")
-        if n < 1:
-            raise ValueError(f"dimension must be positive, got {n}")
+        n, arity = _space(n, arity)
         size = n**arity
         # one pass, row by row: parse and keep the nonzero cells, then check the
         # shape.  Each distinct string is parsed once, at its first cell, so the
@@ -177,10 +187,12 @@ class Operator:
 
     @classmethod
     def zero(cls, n: int, arity: int) -> "Operator":
+        n, arity = _space(n, arity)
         return cls._wrap(n, arity, tuple({} for _ in range(n**arity)))
 
     @classmethod
     def identity(cls, n: int, arity: int) -> "Operator":
+        n, arity = _space(n, arity)
         return cls._wrap(n, arity, tuple({i: _ONE} for i in range(n**arity)))
 
     @classmethod
@@ -188,16 +200,19 @@ class Operator:
         """Accumulate ``(row_multi, col_multi, value)`` triples into an operator.
 
         Repeated positions add up, matching how the matrix families are
-        written as sums of elementary terms.  Every multi-index must have
-        ``arity`` components, else IndexError.
+        written as sums of elementary terms; the first value at a position
+        is stored as it is.  Every multi-index must have ``arity``
+        components, else IndexError.
         """
+        n, arity = _space(n, arity)
         rows = [{} for _ in range(n**arity)]
         for row_multi, col_multi, value in items:
             if len(row_multi) != arity or len(col_multi) != arity:
                 raise IndexError(f"multi-index must have {arity} components")
             row = rows[linear_index(row_multi, n)]
             c = linear_index(col_multi, n)
-            row[c] = row.get(c, _ZERO) + as_rational(value)
+            value = as_rational(value)
+            row[c] = row[c] + value if c in row else value
         return cls._wrap(n, arity, tuple({c: v for c, v in row.items() if v} for row in rows))
 
     # -- basic structure ------------------------------------------------
@@ -370,6 +385,7 @@ def zero(n: int, arity: int = 1) -> Operator:
 
 def permutation(n: int) -> Operator:
     """The flip P on V tensor V: P (x tensor y) = y tensor x."""
+    n, _ = _space(n, 2)
     return Operator._wrap(n, 2, tuple({s: _ONE} for s in _swap_offsets(n)))
 
 

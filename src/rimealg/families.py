@@ -17,7 +17,7 @@ from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import Operator, _integer, as_rational
+from .core import Operator, _space, as_rational
 
 __all__ = [
     "RimeParams",
@@ -199,9 +199,7 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILY_TAGS:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILY_TAGS}")
-        object.__setattr__(self, "n", _integer(self.n, "dimension"))
-        if self.n < 1:
-            raise ValueError(f"dimension must be positive, got {self.n}")
+        object.__setattr__(self, "n", _space(self.n, 2)[0])
         for name in ("beta", "q2inv", "p"):
             v = getattr(self, name)
             if v is not None:
@@ -291,6 +289,7 @@ def cremmer_gervais(n: int, q2inv, p) -> Operator:
     beta = 1 - q2inv.  ``p`` is the second (twist) parameter and appears
     through exact rational powers p^(i-j), hence both must be nonzero.
     """
+    n, _ = _space(n, 2)
     q2inv = as_rational(q2inv)
     p = as_rational(p)
     if q2inv == 0 or p == 0:
@@ -372,6 +371,7 @@ def classical_rime_r(phi: PhiVector) -> Operator:
 
 def classical_cg_r(n: int) -> Operator:
     """Cremmer-Gervais normal form of the classical rime r-matrix."""
+    n, _ = _space(n, 2)
     items = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -408,6 +408,7 @@ def boundary_b(n: int) -> Operator:
     The orientation matches classical_unitary_r0: conjugating b by the
     basis-change matrix of the mu weights reproduces r0 entrywise.
     """
+    n, _ = _space(n, 2)
     items = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):

@@ -147,20 +147,95 @@ _A = ((1, (1, 0)), (-1, (0, 2)), (1, (2, 1)))
 _A_PRIME = ((1, (0, 1)), (-1, (2, 0)), (1, (1, 2)))
 _CYBE = _A_PRIME + tuple((-c, legs) for c, legs in _A)
 _SHIFTED_A = _A + ((1, (1,)),)
+# the arity-2 companions of the associative identities
+_SKEW = "r + r21"
+_SHIFTED = "r + r21 - (P - I)"
+
+# each arity-3 check: its report name, its parts as (part name, residual), and
+# the acybe variant it reports; a check without a variant reports n instead
+_ARITY3 = {
+    "ybe": ("ybe", (("ybe", _YBE),), None),
+    "cybe": ("cybe", (("cybe", _CYBE),), None),
+    "nonhomogeneous-acybe": ("acybe", (("A(r) = -r13", _SHIFTED_A), ("r + r21 = P - I", _SHIFTED)),
+                             "non-homogeneous"),
+    "homogeneous-acybe": ("acybe", (("A(r) = 0", _A), ("r + r21 = 0", _SKEW)), "homogeneous"),
+    "tilde": ("tilde", (("A(rt) = I/4", _SHIFTED_A), ("rt + rt21 = P", _SHIFTED)), None),
+    "braid": ("braid", (("r12 r23 r12 = r23 r12 r23", _YBE), ("r12 r13 r23 = r23 r13 r12", _BRAID)),
+              None),
+}
+# skew families (r + r21 = 0) take the homogeneous acybe; their suites use _NILPOTENT
+_SKEW_FAMILIES = ("rime-unitary", "classical-unitary", "boundary")
 
 
 def _leg_sums(r: Operator, *identities) -> list[Operator]:
     """Each identity's sum of c r_l1 ... r_lj over its terms, as an arity-3 operator.
 
-    Every leg that a term uses is embedded once, in the order 12, 13, 23,
-    and each identity is one chain sum in ints over the legs (see
-    core._chain_sum), so no arity-3 product of Fractions is made.
+    r is scaled once, at arity 2: D, the lcm of its denominators, and the
+    int rows of D r (see core._scaled_rows).  Every leg that a term uses is
+    embedded from those rows once, in the order 12, 13, 23; embedding only
+    reindexes, so no embedded entry is converted again.  Each identity is
+    one chain sum in ints over the legs (see core._chain_sum), so no
+    arity-3 product of Fractions is made.
     """
     used = sorted({leg for terms in identities for _, legs in terms for leg in legs})
-    d, rows = _scaled_rows(*(embed(r, LEGS[leg]) for leg in used))
-    leg_rows = dict(zip(used, rows))
+    d, (rows,) = _scaled_rows(r)
+    scaled = Operator._wrap(r.n, r.arity, tuple(rows))
+    leg_rows = {leg: embed(scaled, LEGS[leg])._rows for leg in used}
     return [_chain_sum(r.n, 3, d, [(c, [leg_rows[leg] for leg in legs]) for c, legs in terms])
             for terms in identities]
+
+
+class _LegPass:
+    """The residuals of the arity-3 checks ``names`` on one operator, each made once.
+
+    ``names`` are check names: keys of _ARITY3, or "acybe", whose variant
+    is the family's, or for an untagged ``r`` (``family`` None) the
+    homogeneous one exactly when r + r21 = 0; other names are ignored.  The
+    first leg sum asked for sums the identities of every named check in one
+    _leg_sums call, so r is scaled and its legs embedded once.  The pair
+    residuals are made at their first use.
+    """
+
+    def __init__(self, r: Operator, names, family=None):
+        self.r = r
+        self._names = names
+        self._family = family
+        self._residuals = {}
+
+    def _key(self, name: str) -> str:
+        if name != "acybe":
+            return name
+        family = self._family
+        if family in _SKEW_FAMILIES or (family is None and self._residual(_SKEW).is_zero()):
+            return "homogeneous-acybe"
+        return "nonhomogeneous-acybe"
+
+    def _residual(self, source) -> Operator:
+        done = self._residuals
+        if source not in done:
+            r = self.r
+            if source == _SKEW:
+                done[source] = r + flip21(r)
+            elif source == _SHIFTED:
+                done[source] = self._residual(_SKEW) - (permutation(r.n) - identity(r.n, 2))
+            else:
+                keys = [self._key(name) for name in self._names
+                        if name in _ARITY3 or name == "acybe"]
+                identities = dict.fromkeys(source for key in keys for _, source in _ARITY3[key][1]
+                                           if not isinstance(source, str))
+                done.update(zip(identities, _leg_sums(r, *identities)))
+        return done[source]
+
+    def report(self, name: str) -> VerificationReport:
+        """The report of the arity-3 check ``name``, which must be one of ``names``."""
+        report_name, parts, variant = _ARITY3[self._key(name)]
+        meta = {"n": self.r.n} if variant is None else {"variant": variant}
+        residuals = [(part, self._residual(source)) for part, source in parts]
+        return _verdict(report_name, residuals, meta)
+
+
+def _check_arity3(r: Operator, name: str) -> VerificationReport:
+    return _LegPass(r, (name,)).report(name)
 
 
 # -- quantum checks -------------------------------------------------------
@@ -168,7 +243,7 @@ def _leg_sums(r: Operator, *identities) -> list[Operator]:
 
 def check_ybe(rhat: Operator) -> VerificationReport:
     """Braid-form Yang-Baxter equation: R12 R23 R12 = R23 R12 R23 (see _leg_sums)."""
-    return _verdict("ybe", [("ybe", _leg_sums(rhat, _YBE)[0])], {"n": rhat.n})
+    return _check_arity3(rhat, "ybe")
 
 
 def check_hecke(rhat: Operator, beta) -> VerificationReport:
@@ -216,29 +291,17 @@ def check_cybe(r: Operator) -> VerificationReport:
     Its residual is A'(r) - A(r) for every operator, which is how _CYBE
     states it (see _leg_sums).
     """
-    return _verdict("cybe", [("cybe", _leg_sums(r, _CYBE)[0])], {"n": r.n})
-
-
-def _shifted_acybe(r: Operator) -> tuple[Operator, Operator]:
-    """The residuals A(r) + r13 and r + r21 - (P - I) of the non-homogeneous acybe."""
-    n = r.n
-    return _leg_sums(r, _SHIFTED_A)[0], r + flip21(r) - (permutation(n) - identity(n, 2))
+    return _check_arity3(r, "cybe")
 
 
 def check_nonhomogeneous_acybe(r: Operator) -> VerificationReport:
     """Non-homogeneous associative equation A(r) = -r13 with companion r + r21 = P - I."""
-    assoc, pair = _shifted_acybe(r)
-    parts = [("A(r) = -r13", assoc), ("r + r21 = P - I", pair)]
-    return _verdict("acybe", parts, {"variant": "non-homogeneous"})
+    return _check_arity3(r, "nonhomogeneous-acybe")
 
 
 def check_homogeneous_acybe(r: Operator) -> VerificationReport:
     """Homogeneous associative equation A(r) = 0 with companion skew symmetry r + r21 = 0."""
-    parts = [
-        ("A(r) = 0", assoc_A(r)),
-        ("r + r21 = 0", r + flip21(r)),
-    ]
-    return _verdict("acybe", parts, {"variant": "homogeneous"})
+    return _check_arity3(r, "homogeneous-acybe")
 
 
 def check_tilde_relations(r: Operator) -> VerificationReport:
@@ -249,9 +312,7 @@ def check_tilde_relations(r: Operator) -> VerificationReport:
     non-homogeneous acybe and rt itself is never built; the tests hold both
     identities, witness included, against rt built directly.
     """
-    assoc, pair = _shifted_acybe(r)
-    parts = [("A(rt) = I/4", assoc), ("rt + rt21 = P", pair)]
-    return _verdict("tilde", parts, {"n": r.n})
+    return _check_arity3(r, "tilde")
 
 
 def check_braid_identities(r: Operator) -> VerificationReport:
@@ -261,9 +322,7 @@ def check_braid_identities(r: Operator) -> VerificationReport:
     are themselves verified by the idempotency and acybe checks run next to
     this one in the suites.
     """
-    ybe, braid = _leg_sums(r, _YBE, _BRAID)
-    parts = [("r12 r23 r12 = r23 r12 r23", ybe), ("r12 r13 r23 = r23 r13 r12", braid)]
-    return _verdict("braid", parts, {"n": r.n})
+    return _check_arity3(r, "braid")
 
 
 def check_idempotent_exponential(r: Operator) -> VerificationReport:
@@ -399,10 +458,10 @@ def check_beta_constancy(p: RimeParams) -> VerificationReport:
 
 # -- check tables and suites -----------------------------------------------
 
-# skew families (r + r21 = 0) take the homogeneous acybe; their suites use _NILPOTENT
-_SKEW_FAMILIES = ("rime-unitary", "classical-unitary", "boundary")
 _IDEMPOTENT = ("cybe", "acybe", "tilde", "idempotent", "braid")
 _NILPOTENT = ("cybe", "acybe", "nilpotent")
+# the suite checks that run on a quantum family's Rhat; the others run on its r
+_ON_RHAT = ("ybe", "hecke", "multiplicities")
 # each family's suite in order, before the applicability rules of _suite_checks
 _SUITES = {
     "rime-quantum": ("beta-constancy", "ybe", "hecke", "multiplicities", "classify",
@@ -458,32 +517,30 @@ def _no_beta() -> Fraction:
     raise ValueError("hecke and multiplicities need beta")
 
 
-def _operator_checks(op, beta, family) -> dict[str, Callable[[], VerificationReport]]:
+def _operator_checks(op, beta, family, names) -> dict[str, Callable[[], VerificationReport]]:
     """Name -> not-yet-run check for the checks that need only an operator.
 
     ``op`` and ``beta`` are zero-argument callables that only a running check
-    calls.  Checks are looked up as module globals at call time, so patches
-    on this module's names (perfbench/tracer.py) see every call.
+    calls.  The arity-3 checks (ybe, cybe, acybe, tilde, braid) share one
+    _LegPass over op() for the checks in ``names``, made when the first of
+    them runs, so the union of their identities is summed in one leg pass.
+    They build their reports through the same _LegPass.report as the public
+    check_* functions, but do not call those functions; the other checks
+    are looked up as module globals at call time.
     """
-
-    def acybe() -> VerificationReport:
-        r = op()
-        if family in _SKEW_FAMILIES or (family is None and (r + flip21(r)).is_zero()):
-            return check_homogeneous_acybe(r)
-        return check_nonhomogeneous_acybe(r)
-
+    legs = cache(lambda: _LegPass(op(), names, family))
     return {
-        "ybe": lambda: check_ybe(op()),
+        "ybe": lambda: legs().report("ybe"),
         "hecke": lambda: check_hecke(op(), beta()),
         "multiplicities": lambda: _multiplicity_report(op(), beta()),
         "classify": lambda: VerificationReport(
             "classify", True, _ZERO, None, {"observed": classify_structure(op()).tag}),
-        "cybe": lambda: check_cybe(op()),
-        "acybe": acybe,
-        "tilde": lambda: check_tilde_relations(op()),
+        "cybe": lambda: legs().report("cybe"),
+        "acybe": lambda: legs().report("acybe"),
+        "tilde": lambda: legs().report("tilde"),
         "idempotent": lambda: check_idempotent_exponential(op()),
         "nilpotent": lambda: check_nilpotent_exponential(op()),
-        "braid": lambda: check_braid_identities(op()),
+        "braid": lambda: legs().report("braid"),
     }
 
 
@@ -499,7 +556,7 @@ def run_checks(op: Operator, names, beta=_no_beta, family=None) -> list[Verifica
     """
     if family is not None and family not in FAMILY_TAGS:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILY_TAGS}")
-    table = _operator_checks(lambda: op, beta, family)
+    table = _operator_checks(lambda: op, beta, family, names)
     for name in names:
         if name not in table:
             raise ValueError(f"unknown check {name!r}; document input supports {', '.join(table)}")
@@ -508,8 +565,11 @@ def run_checks(op: Operator, names, beta=_no_beta, family=None) -> list[Verifica
     return [table[name]() for name in names]
 
 
-def _suite_checks(spec: FamilySpec) -> list[tuple[str, Callable[[], VerificationReport]]]:
-    """The family's applicable checks as ordered (name, not-yet-run check) pairs."""
+def _suite_checks(spec: FamilySpec, names=None) -> list[tuple[str, Callable[[], VerificationReport]]]:
+    """The named checks, by default the family's applicable ones, as (name, not-yet-run check) pairs.
+
+    A name outside the applicable checks raises ValueError, listing them.
+    """
     tag = spec.family
     phi = PhiVector(spec.phi) if spec.phi is not None else None
     mu = MuVector(spec.mu) if spec.mu is not None else None
@@ -521,6 +581,25 @@ def _suite_checks(spec: FamilySpec) -> list[tuple[str, Callable[[], Verification
         params = beta_from_phi(spec.beta, phi) if phi is not None else unitary_beta(mu)
         beta = params.beta
         expected = _expected_rime_class(params)
+    skip = set()
+    if beta == 2:  # coincident eigenvalues: multiplicities undefined
+        skip.add("multiplicities")
+    if beta == 1:  # the Cremmer-Gervais coefficient degenerates
+        skip.add("equivalence-quantum")
+    if tag == "rime-quantum" and not phi.strict:  # no classical companion
+        skip.update(("quantization", *_IDEMPOTENT, "equivalence-classical"))
+    if (tag == "rime-quantum" and beta == 0) or (tag == "cg" and (spec.p != 1 or spec.q2inv == 1)):
+        skip.add("quantization")
+    available = [name for name in _SUITES[tag] if name not in skip]
+    if names is None:
+        names = available
+    missing = [name for name in names if name not in available]
+    if missing:
+        raise ValueError(
+            f"check(s) {','.join(missing)} not applicable to family {tag!r}; "
+            f"available: {','.join(available)}"
+        )
+
     rhat = cache(lambda: build(spec) if params is None else rime_from_beta(params))
 
     @cache
@@ -531,9 +610,9 @@ def _suite_checks(spec: FamilySpec) -> list[tuple[str, Callable[[], Verification
             return classical_unitary_r0(mu)
         return boundary_b(spec.n) if tag == "boundary" else classical_cg_r(spec.n)
 
-    quantum = _operator_checks(rhat, lambda: beta, tag)
-    table = _operator_checks(r, _no_beta, tag)
-    table.update((name, quantum[name]) for name in ("ybe", "hecke", "multiplicities"))
+    quantum = _operator_checks(rhat, lambda: beta, tag, [name for name in names if name in _ON_RHAT])
+    table = _operator_checks(r, _no_beta, tag, [name for name in names if name not in _ON_RHAT])
+    table.update((name, quantum[name]) for name in _ON_RHAT)
     table.update({
         "beta-constancy": lambda: check_beta_constancy(params),
         "classify": lambda: _classification_report(rhat(), expected),
@@ -541,17 +620,7 @@ def _suite_checks(spec: FamilySpec) -> list[tuple[str, Callable[[], Verification
         "quantization": lambda: check_quantization(rhat(), beta, r()),
         "equivalence-classical": lambda: check_equivalence_classical(phi if mu is None else mu),
     })
-
-    skip = set()
-    if beta == 2:  # coincident eigenvalues: multiplicities undefined
-        skip.add("multiplicities")
-    if beta == 1:  # the Cremmer-Gervais coefficient degenerates
-        skip.add("equivalence-quantum")
-    if tag == "rime-quantum" and not phi.strict:  # no classical companion
-        skip.update(("quantization", *_IDEMPOTENT, "equivalence-classical"))
-    if (tag == "rime-quantum" and beta == 0) or (tag == "cg" and (spec.p != 1 or spec.q2inv == 1)):
-        skip.add("quantization")
-    return [(name, table[name]) for name in _SUITES[tag] if name not in skip]
+    return [(name, table[name]) for name in names]
 
 
 def run_suite(spec: FamilySpec, names=None) -> list[VerificationReport]:
@@ -571,16 +640,7 @@ def run_suite(spec: FamilySpec, names=None) -> list[VerificationReport]:
     repeated name runs again); a name outside the family's suite raises
     ValueError, listing the available ones, before any check runs.
     """
-    checks = _suite_checks(spec)
-    if names is not None:
-        table = dict(checks)
-        missing = [name for name in names if name not in table]
-        if missing:
-            raise ValueError(
-                f"check(s) {','.join(missing)} not applicable to family {spec.family!r}; "
-                f"available: {','.join(name for name, _ in checks)}"
-            )
-        checks = [(name, table[name]) for name in names]
+    checks = _suite_checks(spec, names)
     fam = describe(spec)
     reports = [check() for _, check in checks]
     return [replace(rep, metadata={**fam, **rep.metadata}) for rep in reports]

@@ -145,6 +145,58 @@ def test_family_spec_rejects_non_integer_dimension(n):
         FamilySpec("boundary", n)
 
 
+_DIMENSION_TAKERS = {
+    "identity": identity,
+    "zero": lambda n: zero(n, 2),
+    "permutation": permutation,
+    "Operator.zero": lambda n: Operator.zero(n, 2),
+    "Operator.identity": lambda n: Operator.identity(n, 2),
+    "Operator.from_items": lambda n: Operator.from_items(n, 1, []),
+    "classical_cg_r": classical_cg_r,
+    "cremmer_gervais": lambda n: cremmer_gervais(n, 2, 1),
+    "boundary_b": boundary_b,
+}
+_ARITY_TAKERS = {
+    "zero": lambda arity: zero(2, arity),
+    "identity": lambda arity: identity(2, arity),
+    "Operator.zero": lambda arity: Operator.zero(2, arity),
+    "Operator.identity": lambda arity: Operator.identity(2, arity),
+    "Operator.from_items": lambda arity: Operator.from_items(2, arity, []),
+}
+_BAD_SPACE = [(True, TypeError, "must be an integer"), (2.0, TypeError, "must be an integer"),
+              (0, ValueError, None), (-1, ValueError, None)]
+
+
+@pytest.mark.parametrize("taker", sorted(_DIMENSION_TAKERS))
+@pytest.mark.parametrize("n, error, message", _BAD_SPACE)
+def test_constructors_validate_dimension(taker, n, error, message):
+    # each takes the dimension check of Operator(n, arity, entries), message included
+    with pytest.raises(error, match=message or "dimension must be positive"):
+        _DIMENSION_TAKERS[taker](n)
+
+
+@pytest.mark.parametrize("taker", sorted(_ARITY_TAKERS))
+@pytest.mark.parametrize("arity, error, message", _BAD_SPACE[:3] + [(4, ValueError, None)])
+def test_constructors_validate_arity(taker, arity, error, message):
+    with pytest.raises(error, match=message or "arity must be 1, 2 or 3"):
+        _ARITY_TAKERS[taker](arity)
+
+
+def test_constructors_store_the_dimension_as_int():
+    for taker in _DIMENSION_TAKERS.values():
+        op = taker(2)
+        assert type(op.n) is int and op.n == 2
+
+
+def test_from_items_adds_only_repeated_positions():
+    value = F(2, 3)
+    op = Operator.from_items(2, 1, [((1,), (1,), value), ((2,), (2,), 1), ((2,), (2,), F(-1, 2)),
+                                    ((1,), (2,), 1), ((1,), (2,), -1)])
+    assert op.rows[0][0] is value  # a position's first value is stored as it is
+    assert op.dense_rows() == [[value, 0], [0, F(1, 2)]]  # the others add up, zeros dropped
+    assert Operator.from_items(2, 1, [((1,), (2,), "0")]).is_zero()
+
+
 def test_family_spec_stores_integral_dimension_as_int():
     np = pytest.importorskip("numpy")
     spec = FamilySpec("boundary", np.int64(3))

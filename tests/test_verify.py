@@ -1,5 +1,7 @@
 """Exact identity checks: each verdict validated on known passes and known failures."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -30,6 +32,7 @@ from rimealg.families import (
     classical_cg_r,
     classical_rime_r,
     classical_unitary_r0,
+    describe,
     rime_from_beta,
     rime_general,
     unitary_beta,
@@ -1003,3 +1006,124 @@ def test_run_checks_rejects_unknown_family_before_running(monkeypatch):
     for family in ("bogus", 5, ["x"], "rime"):
         with pytest.raises(ValueError, match="unknown family"):
             run_checks(RIME_2, ["cybe"], family=family)
+
+
+# -- the shared arity-3 pass against the public checks ---------------------------
+
+_ARITY3_NAMES = ("ybe", "cybe", "acybe", "tilde", "braid")
+_PUBLIC = {"ybe": check_ybe, "cybe": check_cybe, "tilde": check_tilde_relations,
+           "braid": check_braid_identities}
+_SKEW_TAGS = ("rime-unitary", "classical-unitary", "boundary")
+
+
+def _public_check(op, name, family):
+    # the public check a name stands for; acybe by the family, or by skewness untagged
+    if name == "acybe":
+        skew = family in _SKEW_TAGS or (family is None and (op + flip21(op)).is_zero())
+        return (check_homogeneous_acybe if skew else check_nonhomogeneous_acybe)(op)
+    return _PUBLIC[name](op)
+
+
+def _shared_pass_cases(rng):
+    # (operator, family tag or None): valid families at n = 1..5 with in-pattern
+    # tampered and off-pattern copies, small dense operators, the untagged zero
+    for n in range(1, 6):
+        for spec in _seeded_specs(rng, n):
+            op = build(spec)
+            yield op, spec.family
+            yield op, None
+            if n >= 2:
+                yield _tampered(op, 1, n, op.entry((1, 2), (2, 1)) + 1), spec.family
+            if n >= 3:
+                yield _tampered(op, 1, 2 * n + 2, 1), spec.family
+    for n in (1, 2):
+        size = n * n
+        dense = [[random_rational(rng) if rng.random() < 0.7 else 0 for _ in range(size)]
+                 for _ in range(size)]
+        yield Operator(n, 2, dense), None
+    yield zero(1, 2), None
+
+
+def test_shared_arity3_pass_matches_public_checks():
+    rng = random.Random("shared-pass")
+    for op, family in _shared_pass_cases(rng):
+        names = [rng.choice(_ARITY3_NAMES) for _ in range(rng.randint(1, 7))]
+        reports = run_checks(op, names, family=family)
+        assert reports == [_public_check(op, name, family) for name in names], (op, family, names)
+    assert run_checks(zero(1, 2), ["braid"]) == [check_braid_identities(zero(1, 2))]
+
+
+def _public_suite(spec, reports):
+    # each report rebuilt from the public check it stands for, plus describe(spec);
+    # multiplicities and classify have no public check and are kept as they are
+    tag = spec.family
+    phi = PhiVector(spec.phi) if spec.phi is not None else None
+    mu = MuVector(spec.mu) if spec.mu is not None else None
+    rhat = build(spec)  # for a classical family this is r itself
+    params = r = beta = None
+    if tag == "rime-quantum":
+        params = beta_from_phi(spec.beta, phi)
+        r = classical_rime_r(phi) if phi.strict else None
+    elif tag == "rime-unitary":
+        params, r = unitary_beta(mu), classical_unitary_r0(mu)
+    elif tag == "cg":
+        r, beta = classical_cg_r(spec.n), 1 - spec.q2inv
+    else:
+        r = rhat
+    if params is not None:
+        beta = params.beta
+    public = {
+        "beta-constancy": lambda: check_beta_constancy(params),
+        "ybe": lambda: check_ybe(rhat),
+        "hecke": lambda: check_hecke(rhat, beta),
+        "equivalence-quantum": lambda: check_equivalence_quantum(phi, beta),
+        "quantization": lambda: check_quantization(rhat, beta, r),
+        "idempotent": lambda: check_idempotent_exponential(r),
+        "nilpotent": lambda: check_nilpotent_exponential(r),
+        "equivalence-classical": lambda: check_equivalence_classical(phi if mu is None else mu),
+        **{name: (lambda name=name: _public_check(r, name, tag))
+           for name in _ARITY3_NAMES if name != "ybe"},
+    }
+    fam = describe(spec)
+    rebuilt = [public[rep.name]() if rep.name in public else None for rep in reports]
+    return [rep if new is None else replace(new, metadata={**fam, **new.metadata})
+            for rep, new in zip(reports, rebuilt)]
+
+
+def test_run_suite_matches_public_checks(rng):
+    for n in range(1, 5):
+        for spec in _seeded_specs(rng, n):
+            reports = run_suite(spec)
+            assert reports == _public_suite(spec, reports), spec
+
+
+def test_each_operator_takes_one_leg_pass(monkeypatch):
+    # one _leg_sums call per operator, over the union of the identities its
+    # requested checks need: tilde and acybe share A(r) + r13, braid and ybe the YBE
+    import rimealg.verify as verify
+
+    embeds, passes = [], []
+    leg_sums = verify._leg_sums
+
+    def counting_embed(op, legs):
+        embeds.append(legs)
+        return embed(op, legs)
+
+    def counting_leg_sums(r, *identities):
+        passes.append(len(identities))
+        return leg_sums(r, *identities)
+
+    monkeypatch.setattr(verify, "embed", counting_embed)
+    monkeypatch.setattr(verify, "_leg_sums", counting_leg_sums)
+    phi = (3, 2, 1)
+    run_suite(FamilySpec("classical-rime", 3, phi=phi))
+    assert (embeds, passes) == ([12, 13, 23], [4])
+    embeds.clear(), passes.clear()
+    run_suite(FamilySpec("rime-quantum", 3, beta=F(1, 2), phi=phi))
+    assert (embeds, passes) == ([12, 23, 12, 13, 23], [1, 4])  # Rhat's ybe, then r's pass
+    embeds.clear(), passes.clear()
+    run_checks(classical_rime_r(PhiVector(phi)), ["braid", "tilde", "cybe", "acybe", "ybe", "tilde"])
+    assert (embeds, passes) == ([12, 13, 23], [4])
+    embeds.clear(), passes.clear()
+    run_suite(FamilySpec("boundary", 3), ["nilpotent"])
+    assert (embeds, passes) == ([], [])
