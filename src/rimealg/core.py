@@ -510,7 +510,18 @@ def conjugate_pair(a: Operator, x: Operator) -> Operator:
     X tensor X = (X tensor I)(I tensor X), so the conjugate is one chain of
     five factors that each act on a single tensor slot: row (i, j) of
     X tensor I is X's row i placed in slot 1, and of I tensor X X's row j
-    placed in slot 2.  No n^2-by-n^2 Kronecker product is formed.
+    placed in slot 2.  No n^2-by-n^2 Kronecker product is formed.  It is
+    _conjugate_minus with no target, the one chain sum of the equivalence checks.
+    """
+    return _conjugate_minus(a, x)
+
+
+def _conjugate_minus(a: Operator, x: Operator, target=None) -> Operator:
+    """conjugate_pair(a, x) - target, or conjugate_pair(a, x) for no target, as one chain sum.
+
+    The target is the chain term (-1, (target,)) beside the conjugate's
+    five-factor term, so the difference is summed in ints (see _chain_sum):
+    no conjugated operator is built and no Fraction is subtracted.
     """
     if a.arity != 2:
         raise ValueError("conjugate_pair expects an arity-2 operator")
@@ -519,13 +530,17 @@ def conjugate_pair(a: Operator, x: Operator) -> Operator:
     if a.n != x.n:
         raise ValueError(f"dimension mismatch in conjugation: {a.n} vs {x.n}")
     n = a.n
-    d, (xs, rows, inv) = _scaled_rows(x, a, x.inverse())
+    targets = () if target is None else (target,)
+    for t in targets:
+        _require_space(n, 2, t, "subtraction")
+    d, (xs, rows, inv, *targets) = _scaled_rows(x, a, x.inverse(), *targets)
 
     def slots(m):  # m tensor I, then I tensor m, as int rows on pair offsets
         return ([{k * n + j: v for k, v in m[i].items()} for i in range(n) for j in range(n)],
                 [{i * n + k: v for k, v in m[j].items()} for i in range(n) for j in range(n)])
 
-    return _chain_sum(n, 2, d, [(1, (*slots(xs), rows, *slots(inv)))])
+    terms = [(1, (*slots(xs), rows, *slots(inv)))] + [(-1, (t,)) for t in targets]
+    return _chain_sum(n, 2, d, terms)
 
 
 def inverse(x: Operator) -> Operator:

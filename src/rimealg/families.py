@@ -7,8 +7,8 @@ Cremmer-Gervais solution.  Classical side: the r-matrices those solutions
 quantize, their Cremmer-Gervais normal forms, and the change-of-basis matrix
 X(phi) of elementary symmetric polynomials relating the two pictures.
 
-All parameters are exact rationals; every constructor returns an immutable
-:class:`~rimealg.core.Operator`.
+All parameters are exact rationals; every constructor writes the rows of
+an immutable :class:`~rimealg.core.Operator` directly, one entry at a time.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 def _grid(n: int, rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -227,20 +228,20 @@ def rime_general(d: GeneralRimeData) -> Operator:
     Row (i, j) holds alpha_ij at column (j, i), beta_ij at (i, j), gamma_ij
     at (i, i) and gamma'_ij at (j, j); the diagonal rows (i, i) hold the
     single value alpha_i.  All other entries vanish, which is exactly the
-    rime zero-pattern: columns draw their indices from {i, j}.
+    rime zero-pattern: columns draw their indices from {i, j}.  The four
+    columns of a row are distinct, so each row is written as it stands.
     """
     n = d.n
-    items = []
-    for i in range(1, n + 1):
-        items.append(((i, i), (i, i), d.alpha[i - 1][i - 1]))
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            items.append(((i, j), (j, i), d.alpha[i - 1][j - 1]))
-            items.append(((i, j), (i, j), d.beta[i - 1][j - 1]))
-            items.append(((i, j), (i, i), d.gamma[i - 1][j - 1]))
-            items.append(((i, j), (j, j), d.gamma_prime[i - 1][j - 1]))
-    return Operator.from_items(n, 2, items)
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                cells = ((i * (n + 1), d.alpha[i][i]),)
+            else:
+                cells = ((j * n + i, d.alpha[i][j]), (i * n + j, d.beta[i][j]),
+                         (i * (n + 1), d.gamma[i][j]), (j * (n + 1), d.gamma_prime[i][j]))
+            rows.append({c: v for c, v in cells if v})
+    return Operator._wrap(n, 2, tuple(rows))
 
 
 def beta_from_phi(beta, phi: PhiVector) -> RimeParams:
@@ -288,6 +289,11 @@ def cremmer_gervais(n: int, q2inv, p) -> Operator:
     takes that value directly as the rational ``q2inv``; the Hecke scalar is
     beta = 1 - q2inv.  ``p`` is the second (twist) parameter and appears
     through exact rational powers p^(i-j), hence both must be nonzero.
+
+    Row (i, j) holds p^(i-j) at (j, i), times q2inv when i > j, and, for
+    each s strictly between, from i up to j - 1 or from j + 1 up to i - 1,
+    +-(1 - q2inv) p^(i-s) at (s, i + j - s): plus for s < j, minus for
+    s > j.  Those columns are distinct, and each power p^m is taken once.
     """
     n, _ = _space(n, 2)
     q2inv = as_rational(q2inv)
@@ -295,20 +301,19 @@ def cremmer_gervais(n: int, q2inv, p) -> Operator:
     if q2inv == 0 or p == 0:
         raise ValueError("cremmer_gervais needs nonzero q2inv and p")
     coeff = _ONE - q2inv
-    items = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            head = (q2inv if i > j else _ONE) * p ** (i - j)
-            items.append(((i, j), (j, i), head))
-            for s in range(i, j):
-                l = i + j - s
-                assert 1 <= l <= n
-                items.append(((i, j), (s, l), coeff * p ** (i - s)))
-            for s in range(j + 1, i):
-                l = i + j - s
-                assert 1 <= l <= n
-                items.append(((i, j), (s, l), -coeff * p ** (i - s)))
-    return Operator.from_items(n, 2, items)
+    # by the exponent m = i - j of the head and m = i - s of the terms, -n < m < n
+    powers = {m: p**m for m in range(1 - n, n)}
+    head = {m: q2inv * v if m > 0 else v for m, v in powers.items()}
+    term = {m: -coeff * v if m > 0 else coeff * v for m, v in powers.items()}
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = {j * n + i: head[i - j]}
+            if coeff:
+                for s in range(i, j) if i < j else range(j + 1, i):
+                    row[s * n + i + j - s] = term[i - s]
+            rows.append(row)
+    return Operator._wrap(n, 2, tuple(rows))
 
 
 def _elementary_all(values: Sequence[Fraction]) -> list[Fraction]:
@@ -328,17 +333,24 @@ def x_matrix(phi: PhiVector) -> Operator:
     distinct phi guarantee invertibility.
     """
     values = phi.phi
-    n = phi.n
-    rows = []
-    for k in range(n):
-        e = _elementary_all(values[:k] + values[k + 1 :])
-        rows.append(e[:n])
-    return Operator(n, 1, rows)
+    rows = tuple({c: v for c, v in enumerate(_elementary_all(values[:k] + values[k + 1 :])) if v}
+                 for k in range(phi.n))
+    return Operator._wrap(phi.n, 1, rows)
 
 
-def _tensor_items(left, right, coeff: Fraction) -> list:
-    """Items of coeff * (left (x) right) for arity-1 factors given as (row, col, value) terms."""
-    return [((a, c), (b, d), coeff * u * v) for a, b, u in left for c, d, v in right]
+def _pair_rows(n: int, u, v) -> Operator:
+    """The arity-2 operator whose row (a, b), a != b, holds u_ab at (b, a),
+    -u_ab at (b, b), -v_ab at (a, a) and v_ab at (a, b), for n x n grids u
+    and v of nonzero entries; the diagonal rows are zero.  Both classical
+    rime r-matrices have this shape.
+    """
+    rows = tuple(
+        {b * n + a: u[a][b], b * (n + 1): -u[a][b], a * (n + 1): -v[a][b], a * n + b: v[a][b]}
+        if a != b else {}
+        for a in range(n)
+        for b in range(n)
+    )
+    return Operator._wrap(n, 2, rows)
 
 
 def classical_rime_r(phi: PhiVector) -> Operator:
@@ -357,28 +369,25 @@ def classical_rime_r(phi: PhiVector) -> Operator:
         raise ValueError("classical_rime_r needs a strict phi (no zero entries)")
     values = phi.phi
     n = phi.n
-    items = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            c = _ONE / (values[j - 1] - values[i - 1])
-            left = [(i, j, values[j - 1]), (i, i, -values[i - 1])]
-            right = [(j, i, _ONE), (j, j, -_ONE)]
-            items += _tensor_items(left, right, c)
-    return Operator.from_items(n, 2, items)
+    # row (i, j): phi_j c at (j, i), -phi_j c at (j, j), -phi_i c at (i, i)
+    # and phi_i c at (i, j), with c = 1 / (phi_j - phi_i)
+    diff = [[values[j] - values[i] for j in range(n)] for i in range(n)]
+    u = [[values[j] / diff[i][j] if i != j else None for j in range(n)] for i in range(n)]
+    v = [[values[i] / diff[i][j] if i != j else None for j in range(n)] for i in range(n)]
+    return _pair_rows(n, u, v)
 
 
 def classical_cg_r(n: int) -> Operator:
     """Cremmer-Gervais normal form of the classical rime r-matrix."""
     n, _ = _space(n, 2)
-    items = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for s in range(1, j - i + 1):
-                items.append(((j, i), (i + s - 1, j - s + 1), _ONE))
-                items.append(((i, j), (i + s - 1, j - s + 1), -_ONE))
-    return Operator.from_items(n, 2, items)
+    rows = [{} for _ in range(n * n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            # the columns (i + s - 1, j - s + 1), 1-based, for s = 1 .. j - i
+            cols = [(i + t) * n + j - t for t in range(j - i)]
+            rows[j * n + i] = dict.fromkeys(cols, _ONE)
+            rows[i * n + j] = dict.fromkeys(cols, _MINUS_ONE)
+    return Operator._wrap(n, 2, tuple(rows))
 
 
 def classical_unitary_r0(mu: MuVector) -> Operator:
@@ -392,14 +401,9 @@ def classical_unitary_r0(mu: MuVector) -> Operator:
     """
     values = mu.mu
     n = mu.n
-    items = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            c = _ONE / (values[i - 1] - values[j - 1])
-            wij = [(j, i, _ONE), (j, j, -_ONE)]
-            wji = [(i, j, _ONE), (i, i, -_ONE)]
-            items += _tensor_items(wij, wji, c) + _tensor_items(wji, wij, -c)
-    return Operator.from_items(n, 2, items)
+    # row (i, j): c at (j, i) and (i, j), -c at (j, j) and (i, i), with c = 1 / (mu_j - mu_i)
+    c = [[_ONE / (values[j] - values[i]) if i != j else None for j in range(n)] for i in range(n)]
+    return _pair_rows(n, c, c)
 
 
 def boundary_b(n: int) -> Operator:
@@ -409,13 +413,15 @@ def boundary_b(n: int) -> Operator:
     basis-change matrix of the mu weights reproduces r0 entrywise.
     """
     n, _ = _space(n, 2)
-    items = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(1, j - i + 1):
-                items.append(((i, j), (i + k, j - k + 1), _ONE))
-                items.append(((j, i), (j - k + 1, i + k), -_ONE))
-    return Operator.from_items(n, 2, items)
+    rows = [{} for _ in range(n * n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            # row (i, j): +1 at (i + k, j - k + 1), 1-based, for k = 1 .. j - i;
+            # row (j, i): -1 at the mirror columns (j - k + 1, i + k)
+            rows[i * n + j] = dict.fromkeys(((i + 1 + t) * n + j - t for t in range(j - i)), _ONE)
+            rows[j * n + i] = dict.fromkeys(((j - t) * n + i + 1 + t for t in range(j - i)),
+                                            _MINUS_ONE)
+    return Operator._wrap(n, 2, tuple(rows))
 
 
 def describe(spec: FamilySpec) -> dict[str, str]:

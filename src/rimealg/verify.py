@@ -25,10 +25,10 @@ from .core import (
     LEGS,
     Operator,
     _chain_sum,
+    _conjugate_minus,
     _require_space,
     _scaled_rows,
     as_rational,
-    conjugate_pair,
     embed,
     flip21,
     identity,
@@ -47,6 +47,7 @@ from .families import (
     classical_cg_r,
     classical_rime_r,
     classical_unitary_r0,
+    cremmer_gervais,
     describe,
     rime_from_beta,
     unitary_beta,
@@ -368,33 +369,58 @@ def check_quantization(rhat: Operator, beta, r: Operator) -> VerificationReport:
 
 
 def check_equivalence_quantum(phi: PhiVector, beta) -> VerificationReport:
-    """Conjugating the p = 1 Cremmer-Gervais solution by X(phi) gives the rime one."""
+    """Conjugating the p = 1 Cremmer-Gervais solution by X(phi) gives the rime one.
+
+    At beta = 1 the Cremmer-Gervais solution, whose q^-2 is 1 - beta, does
+    not exist, so beta = 1 raises ValueError (the suites skip it there).
+    The residual (X (x) X) cg (X^-1 (x) X^-1) - Rhat is one chain sum.
+    """
     beta = as_rational(beta)
-    cg = build(FamilySpec("cg", phi.n, q2inv=_ONE - beta, p=_ONE))
-    moved = conjugate_pair(cg, x_matrix(phi))
-    target = rime_from_beta(beta_from_phi(beta, phi))
-    meta = {"beta": str(beta), "phi": ",".join(str(v) for v in phi.phi)}
-    return _verdict("equivalence-quantum", [("Ad X(phi)", moved - target)], meta)
+    if beta == 1:
+        raise ValueError("equivalence-quantum is undefined at beta = 1, "
+                         "where the Cremmer-Gervais q2inv = 1 - beta vanishes")
+    return _equivalence_quantum(phi, beta, x_matrix(phi), rime_from_beta(beta_from_phi(beta, phi)))
 
 
 def check_equivalence_classical(weights: Union[PhiVector, MuVector]) -> VerificationReport:
     """Conjugation by X carries the classical normal forms onto the rime r-matrices.
 
     A PhiVector compares classical_cg_r with classical_rime_r, a MuVector
-    boundary_b with classical_unitary_r0; anything else raises TypeError.
+    boundary_b with classical_unitary_r0, conjugated by X of its weights;
+    anything else raises TypeError.  The residual is one chain sum, as in
+    check_equivalence_quantum.
     """
     if isinstance(weights, PhiVector):
-        x = x_matrix(weights)
-        residual = conjugate_pair(classical_cg_r(weights.n), x) - classical_rime_r(weights)
-        meta = {"which": "rime", "phi": ",".join(str(v) for v in weights.phi)}
-    elif isinstance(weights, MuVector):
+        return _equivalence_classical(weights, x_matrix(weights), classical_rime_r(weights))
+    if isinstance(weights, MuVector):
         x = x_matrix(PhiVector(weights.mu))
-        residual = conjugate_pair(boundary_b(weights.n), x) - classical_unitary_r0(weights)
-        meta = {"which": "boundary", "mu": ",".join(str(v) for v in weights.mu)}
+        return _equivalence_classical(weights, x, classical_unitary_r0(weights))
+    raise TypeError(f"classical equivalence expects a PhiVector or a MuVector, "
+                    f"got {type(weights).__name__}")
+
+
+# The two equivalence reports from a caller's X(phi) and target: the public
+# checks build both, a suite hands over its own X, Rhat and r, so it builds
+# none of them twice.  The residual (X (x) X) a (X^-1 (x) X^-1) - target is
+# one chain sum (core._conjugate_minus).
+
+
+def _equivalence_quantum(phi: PhiVector, beta: Fraction, x: Operator,
+                         rhat: Operator) -> VerificationReport:
+    cg = cremmer_gervais(phi.n, _ONE - beta, _ONE)
+    meta = {"beta": str(beta), "phi": ",".join(str(v) for v in phi.phi)}
+    return _verdict("equivalence-quantum", [("Ad X(phi)", _conjugate_minus(cg, x, rhat))], meta)
+
+
+def _equivalence_classical(weights: Union[PhiVector, MuVector], x: Operator,
+                           r: Operator) -> VerificationReport:
+    if isinstance(weights, PhiVector):
+        source = classical_cg_r(weights.n)
+        meta = {"which": "rime", "phi": ",".join(str(v) for v in weights.phi)}
     else:
-        raise TypeError(f"classical equivalence expects a PhiVector or a MuVector, "
-                        f"got {type(weights).__name__}")
-    return _verdict("equivalence-classical", [("Ad X", residual)], meta)
+        source = boundary_b(weights.n)
+        meta = {"which": "boundary", "mu": ",".join(str(v) for v in weights.mu)}
+    return _verdict("equivalence-classical", [("Ad X", _conjugate_minus(source, x, r))], meta)
 
 
 # -- structure ------------------------------------------------------------
@@ -556,6 +582,7 @@ def run_checks(op: Operator, names, beta=_no_beta, family=None) -> list[Verifica
     """
     if family is not None and family not in FAMILY_TAGS:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILY_TAGS}")
+    names = tuple(names)  # read twice below, so an iterator is taken once
     table = _operator_checks(lambda: op, beta, family, names)
     for name in names:
         if name not in table:
@@ -591,8 +618,7 @@ def _suite_checks(spec: FamilySpec, names=None) -> list[tuple[str, Callable[[], 
     if (tag == "rime-quantum" and beta == 0) or (tag == "cg" and (spec.p != 1 or spec.q2inv == 1)):
         skip.add("quantization")
     available = [name for name in _SUITES[tag] if name not in skip]
-    if names is None:
-        names = available
+    names = available if names is None else tuple(names)
     missing = [name for name in names if name not in available]
     if missing:
         raise ValueError(
@@ -610,15 +636,17 @@ def _suite_checks(spec: FamilySpec, names=None) -> list[tuple[str, Callable[[], 
             return classical_unitary_r0(mu)
         return boundary_b(spec.n) if tag == "boundary" else classical_cg_r(spec.n)
 
+    x = cache(lambda: x_matrix(phi if mu is None else PhiVector(mu.mu)))  # X of the weights
+
     quantum = _operator_checks(rhat, lambda: beta, tag, [name for name in names if name in _ON_RHAT])
     table = _operator_checks(r, _no_beta, tag, [name for name in names if name not in _ON_RHAT])
     table.update((name, quantum[name]) for name in _ON_RHAT)
     table.update({
         "beta-constancy": lambda: check_beta_constancy(params),
         "classify": lambda: _classification_report(rhat(), expected),
-        "equivalence-quantum": lambda: check_equivalence_quantum(phi, beta),
+        "equivalence-quantum": lambda: _equivalence_quantum(phi, beta, x(), rhat()),
         "quantization": lambda: check_quantization(rhat(), beta, r()),
-        "equivalence-classical": lambda: check_equivalence_classical(phi if mu is None else mu),
+        "equivalence-classical": lambda: _equivalence_classical(phi if mu is None else mu, x(), r()),
     })
     return [(name, table[name]) for name in names]
 

@@ -5,9 +5,17 @@ the characteristic polynomial, each a plain function over the public
 :class:`~rimealg.core.Operator` API (items, ``@``, ``+``, ``kron``).  The
 tests build expected values from them the way the paper writes its
 formulas; no check of the package calls them.
+
+The ``*_items`` functions build each family as a list of
+``(row, column, value)`` terms summed by ``Operator.from_items``, with
+1-based multi-indices, the way the families are written as sums of
+elementary terms.  The package's constructors write their rows directly
+and are tested against them.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 from rimealg.core import Operator, kron
 
@@ -49,3 +57,103 @@ def charpoly(a: Operator) -> tuple[Fraction, ...]:
         coeffs.append(c)
         m = am + c * eye
     return tuple(coeffs)
+
+
+# -- item-list constructors ----------------------------------------------------------
+
+
+def _tensor_items(left, right, coeff):
+    """Items of coeff * (left (x) right) for arity-1 factors given as (row, col, value) terms."""
+    return [((a, c), (b, d), coeff * u * v) for a, b, u in left for c, d, v in right]
+
+
+def rime_general_items(d) -> Operator:
+    """alpha_ij at (j, i), beta_ij at (i, j), gamma_ij at (i, i), gamma'_ij at (j, j); alpha_i at (i, i)."""
+    n = d.n
+    items = []
+    for i in range(1, n + 1):
+        items.append(((i, i), (i, i), d.alpha[i - 1][i - 1]))
+        for j in range(1, n + 1):
+            if j == i:
+                continue
+            items.append(((i, j), (j, i), d.alpha[i - 1][j - 1]))
+            items.append(((i, j), (i, j), d.beta[i - 1][j - 1]))
+            items.append(((i, j), (i, i), d.gamma[i - 1][j - 1]))
+            items.append(((i, j), (j, j), d.gamma_prime[i - 1][j - 1]))
+    return Operator.from_items(n, 2, items)
+
+
+def cremmer_gervais_items(n: int, q2inv, p) -> Operator:
+    """The Cremmer-Gervais solution for nonzero rationals q2inv and p."""
+    q2inv, p = Fraction(q2inv), Fraction(p)
+    coeff = 1 - q2inv
+    items = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            items.append(((i, j), (j, i), (q2inv if i > j else 1) * p ** (i - j)))
+            for s in range(i, j):
+                items.append(((i, j), (s, i + j - s), coeff * p ** (i - s)))
+            for s in range(j + 1, i):
+                items.append(((i, j), (s, i + j - s), -coeff * p ** (i - s)))
+    return Operator.from_items(n, 2, items)
+
+
+def x_matrix_items(phi) -> Operator:
+    """X[k, j] = e_{j-1}(phi with phi_k omitted), each e_m summed over m-subsets."""
+    values, n = phi.phi, phi.n
+    items = []
+    for k in range(1, n + 1):
+        rest = values[: k - 1] + values[k:]
+        for j in range(1, n + 1):
+            e = sum((prod(c, start=Fraction(1)) for c in combinations(rest, j - 1)), Fraction(0))
+            items.append(((k,), (j,), e))
+    return Operator.from_items(n, 1, items)
+
+
+def classical_rime_r_items(phi) -> Operator:
+    """Sum over i != j of (phi_j e^i_j - phi_i e^i_i) (x) (e^j_i - e^j_j) / (phi_j - phi_i)."""
+    values, n = phi.phi, phi.n
+    items = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                c = Fraction(1) / (values[j - 1] - values[i - 1])
+                left = [(i, j, values[j - 1]), (i, i, -values[i - 1])]
+                right = [(j, i, 1), (j, j, -1)]
+                items += _tensor_items(left, right, c)
+    return Operator.from_items(n, 2, items)
+
+
+def classical_cg_r_items(n: int) -> Operator:
+    """+1 in row (j, i) and -1 in row (i, j) at each (i + s - 1, j - s + 1), i < j, s = 1..j-i."""
+    items = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for s in range(1, j - i + 1):
+                items.append(((j, i), (i + s - 1, j - s + 1), 1))
+                items.append(((i, j), (i + s - 1, j - s + 1), -1))
+    return Operator.from_items(n, 2, items)
+
+
+def classical_unitary_r0_items(mu) -> Operator:
+    """Sum over i < j of (W^i_j wedge W^j_i) / (mu_i - mu_j), W^i_j = e^j_i - e^j_j."""
+    values, n = mu.mu, mu.n
+    items = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            c = Fraction(1) / (values[i - 1] - values[j - 1])
+            wij = [(j, i, 1), (j, j, -1)]
+            wji = [(i, j, 1), (i, i, -1)]
+            items += _tensor_items(wij, wji, c) + _tensor_items(wji, wij, -c)
+    return Operator.from_items(n, 2, items)
+
+
+def boundary_b_items(n: int) -> Operator:
+    """Sum over i < j and k = 1..j-i of e^i_{i+k} wedge e^j_{j-k+1}, as items."""
+    items = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(1, j - i + 1):
+                items.append(((i, j), (i + k, j - k + 1), 1))
+                items.append(((j, i), (j - k + 1, i + k), -1))
+    return Operator.from_items(n, 2, items)

@@ -8,7 +8,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_distinct, random_rational
-from oracle import matrix_unit, transpose, wedge, z_generator
+from oracle import (
+    boundary_b_items,
+    classical_cg_r_items,
+    classical_rime_r_items,
+    classical_unitary_r0_items,
+    cremmer_gervais_items,
+    matrix_unit,
+    rime_general_items,
+    transpose,
+    wedge,
+    x_matrix_items,
+    z_generator,
+)
 from rimealg.core import Operator, identity, kron, permutation, zero
 from rimealg.families import (
     FAMILY_TAGS,
@@ -563,3 +575,65 @@ def test_item_list_constructors_match_kron_formulas():
             mu = MuVector(random_distinct(rng, n, nonzero=False))
             assert classical_rime_r(phi) == _classical_rime_oracle(phi)
             assert classical_unitary_r0(mu) == _classical_unitary_oracle(mu)
+
+
+# -- direct-row constructors against the item-list oracles ---------------------------
+
+
+def _grid(rng, n, zero_diagonal):
+    # about a third of the entries zero, so rows lose cells to the zero filter
+    return [[0 if (zero_diagonal and i == j) or rng.random() < 0.3 else random_rational(rng)
+             for j in range(n)] for i in range(n)]
+
+
+def _assert_same_operator(op, oracle):
+    assert op == oracle
+    assert (type(op.n), op.arity) == (int, oracle.arity)
+    assert all(type(v) is F and v for row in op.rows for v in row.values())
+
+
+def test_direct_row_constructors_match_item_lists():
+    rng = random.Random("direct-row-constructors")
+    for n in range(1, 8):
+        _assert_same_operator(classical_cg_r(n), classical_cg_r_items(n))
+        _assert_same_operator(boundary_b(n), boundary_b_items(n))
+        for _ in range(4):
+            phi = PhiVector(random_distinct(rng, n, nonzero=True))
+            mu = MuVector(random_distinct(rng, n, nonzero=False))
+            q2inv = random_rational(rng, nonzero=True)
+            p = random_rational(rng, nonzero=True)
+            _assert_same_operator(classical_rime_r(phi), classical_rime_r_items(phi))
+            _assert_same_operator(classical_unitary_r0(mu), classical_unitary_r0_items(mu))
+            _assert_same_operator(x_matrix(phi), x_matrix_items(phi))
+            _assert_same_operator(cremmer_gervais(n, q2inv, p), cremmer_gervais_items(n, q2inv, p))
+            b = _grid(rng, n, zero_diagonal=True)
+            d = GeneralRimeData(n, _grid(rng, n, False), b, _grid(rng, n, True), _grid(rng, n, True))
+            _assert_same_operator(rime_general(d), rime_general_items(d))
+            params = beta_from_phi(random_rational(rng), phi)
+            grid = params.beta_offdiag
+            alpha = [[1 if i == j else 1 - grid[j][i] for j in range(n)] for i in range(n)]
+            gamma = [[-v for v in row] for row in grid]
+            canonical = GeneralRimeData(n, alpha, grid, gamma, list(zip(*grid)))
+            _assert_same_operator(rime_from_beta(params), rime_general_items(canonical))
+
+
+def test_direct_row_constructors_match_item_lists_at_degenerate_parameters():
+    rng = random.Random("direct-row-degenerate")
+    for n in range(1, 8):
+        zeros = [[0] * n for _ in range(n)]
+        empty = GeneralRimeData(n, zeros, zeros, zeros, zeros)
+        _assert_same_operator(rime_general(empty), rime_general_items(empty))
+        assert rime_general(empty).is_zero()
+        for p in (-1, F(-2, 3), F(-5), random_rational(rng, nonzero=True)):
+            # q2inv = 1 drops every term but the heads; a negative p flips signs by parity
+            _assert_same_operator(cremmer_gervais(n, 1, p), cremmer_gervais_items(n, 1, p))
+            _assert_same_operator(cremmer_gervais(n, F(-1, 2), p),
+                                  cremmer_gervais_items(n, F(-1, 2), p))
+        rest = random_distinct(rng, n, nonzero=True)
+        for k in range(n):  # phi with one zero: some e_m of the other entries vanish
+            phi = PhiVector(rest[:k] + (F(0),) + rest[k + 1:])
+            _assert_same_operator(x_matrix(phi), x_matrix_items(phi))
+            if n >= 2:  # e_(n-1) of the other entries is their product: 0 off row k
+                assert x_matrix(phi).entry((k + 1) % n + 1, n) == 0
+            mu = MuVector(phi.phi)
+            _assert_same_operator(classical_unitary_r0(mu), classical_unitary_r0_items(mu))

@@ -12,6 +12,7 @@ from conftest import random_distinct, random_rational
 from oracle import charpoly, matrix_unit
 from rimealg.core import (
     Operator,
+    _conjugate_minus,
     conjugate_pair,
     embed,
     flip21,
@@ -32,6 +33,7 @@ from rimealg.families import (
     classical_cg_r,
     classical_rime_r,
     classical_unitary_r0,
+    cremmer_gervais,
     describe,
     rime_from_beta,
     rime_general,
@@ -681,6 +683,70 @@ def test_conjugate_pair_matches_on_tampered_family_operators(data, n, inside):
     _assert_conjugation_matches(_tampered(op, i * n + j, col, value), x)
 
 
+# -- the equivalence residual as one chain sum ---------------------------------------
+
+
+def _equivalence_triples(rng, n):
+    # (a, X, target) of the three equivalences the checks state, at valid targets
+    phi, mu = random_phi(rng, n), random_mu(rng, n)
+    beta = random_rational(rng)
+    while beta == 1:
+        beta = random_rational(rng)
+    yield cremmer_gervais(n, 1 - beta, 1), x_matrix(phi), rime_from_beta(beta_from_phi(beta, phi))
+    yield classical_cg_r(n), x_matrix(phi), classical_rime_r(phi)
+    yield boundary_b(n), x_matrix(PhiVector(mu.mu)), classical_unitary_r0(mu)
+
+
+def _shifted_at(rng, op, inside):
+    # op with one entry of a random row (i, j) shifted, inside or outside the
+    # rime pattern of that row; None when the row has no such column
+    n = op.n
+    i, j = rng.randrange(n), rng.randrange(n)
+    pattern = {i * n + j, j * n + i, i * (n + 1), j * (n + 1)}
+    cols = [c for c in range(n * n) if (c in pattern) == inside]
+    if not cols:
+        return None
+    col = rng.choice(cols)
+    return _tampered(op, i * n + j, col, op.dense_rows()[i * n + j][col] + random_rational(rng, True))
+
+
+def test_one_chain_residual_matches_conjugate_minus_target():
+    rng = random.Random("one-chain-residual")
+    for n in range(1, 6):
+        for a, x, target in _equivalence_triples(rng, n):
+            assert _conjugate_minus(a, x, target).is_zero()
+            assert _conjugate_minus(a, x) == conjugate_pair(a, x)
+            for inside in (True, False, True, False):
+                bad = _shifted_at(rng, target, inside)
+                if bad is not None:
+                    residual = _conjugate_minus(a, x, bad)
+                    assert residual == conjugate_pair(a, x) - bad
+                    assert not residual.is_zero()
+                    assert all(type(v) is F for row in residual.rows for v in row.values())
+
+
+@given(st.data(), st.integers(1, 3))
+def test_one_chain_residual_matches_kronecker_oracle(data, n):
+    x = data.draw(bases(n))
+    a = data.draw(st.one_of(sparse_operators2(n), operators2(n)))
+    target = data.draw(st.one_of(st.just(zero(n, 2)), sparse_operators2(n), operators2(n)))
+    assert _conjugate_minus(a, x, target) == _conjugate_oracle(a, x) - target
+
+
+def test_one_chain_residual_rejects_a_mismatched_target():
+    x = x_matrix(PhiVector((2, 1)))
+    with pytest.raises(ValueError, match="subtraction requires matching operators"):
+        _conjugate_minus(classical_cg_r(2), x, classical_cg_r(3))
+    with pytest.raises(ValueError, match="subtraction requires matching operators"):
+        _conjugate_minus(classical_cg_r(2), x, identity(2, 3))
+
+
+def test_equivalence_quantum_rejects_beta_one():
+    for beta in (1, F(1), "1", "2/2"):
+        with pytest.raises(ValueError, match="undefined at beta = 1"):
+            check_equivalence_quantum(PhiVector((2, 1)), beta)
+
+
 def test_conjugation_makes_no_operator_product(monkeypatch):
     products = []
     matmul = Operator.__matmul__
@@ -1127,3 +1193,112 @@ def test_each_operator_takes_one_leg_pass(monkeypatch):
     embeds.clear(), passes.clear()
     run_suite(FamilySpec("boundary", 3), ["nilpotent"])
     assert (embeds, passes) == ([], [])
+
+
+def test_run_suite_and_run_checks_read_names_once():
+    spec = FamilySpec("boundary", 2)
+    assert run_suite(spec, iter(["cybe"])) == run_suite(spec, ["cybe"])
+    assert len(run_suite(spec, iter(["cybe"]))) == 1
+    names = ["nilpotent", "cybe", "nilpotent"]
+    assert run_suite(spec, (name for name in names)) == run_suite(spec, names)
+    op = permutation(2)
+    assert run_checks(op, iter(["ybe"])) == run_checks(op, ["ybe"]) == [check_ybe(op)]
+    assert run_checks(op, (name for name in ("ybe", "cybe"))) == run_checks(op, ["ybe", "cybe"])
+    with pytest.raises(ValueError, match="unknown check 'nope'"):
+        run_checks(op, iter(["ybe", "nope"]))
+    with pytest.raises(ValueError, match="ybe not applicable"):
+        run_suite(spec, iter(["cybe", "ybe"]))
+
+
+# the constructors a suite may call, as the names verify and families look them up by
+_CONSTRUCTORS = ("beta_from_phi", "unitary_beta", "rime_general", "rime_from_beta",
+                 "cremmer_gervais", "classical_rime_r", "classical_cg_r",
+                 "classical_unitary_r0", "boundary_b", "x_matrix", "build")
+
+
+def _count_constructor_calls(monkeypatch, calls):
+    import rimealg.families as families
+    import rimealg.verify as verify
+
+    for name in _CONSTRUCTORS:
+        original = getattr(families, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        for module in (families, verify):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+
+
+def test_run_suite_builds_each_operator_once(monkeypatch):
+    calls = {}
+    _count_constructor_calls(monkeypatch, calls)
+    rng = random.Random("built-once")
+    for n in (1, 2, 3, 4):
+        specs = _seeded_specs(rng, n)
+        specs.append(FamilySpec("rime-quantum", n, beta=F(1, 2), phi=(0, *range(1, n))))
+        specs.append(FamilySpec("cg", n, q2inv=F(1, 3), p=1))
+        for spec in specs:
+            calls.clear()
+            reports = run_suite(spec)
+            assert all(rep.passed for rep in reports), spec
+            assert calls and max(calls.values()) == 1, (spec, calls)
+    calls.clear()
+    run_suite(FamilySpec("rime-quantum", 3, beta=F(1, 2), phi=(3, 2, 1)))
+    assert calls == {"beta_from_phi": 1, "rime_from_beta": 1, "rime_general": 1,
+                     "cremmer_gervais": 1, "classical_rime_r": 1, "classical_cg_r": 1,
+                     "x_matrix": 1}
+
+
+_EQUIVALENCES = ("equivalence-quantum", "equivalence-classical")
+
+
+@pytest.mark.parametrize("constructor", ["rime_from_beta", "classical_rime_r",
+                                         "classical_unitary_r0", "x_matrix"])
+@pytest.mark.parametrize("inside", [True, False])
+def test_suite_equivalence_reports_match_public_checks_on_tampered_operators(
+        monkeypatch, constructor, inside):
+    # the suites hand their own X, Rhat and r to the equivalence reports, and the
+    # public checks build them; with one constructor's output shifted at one entry,
+    # inside or outside the rime pattern, both must fail alike, witness included
+    import rimealg.verify as verify
+
+    original = getattr(verify, constructor)
+    rng = random.Random(f"tampered-{constructor}-{inside}")
+
+    def shifted(*args):
+        op = original(*args)
+        state = rng.getstate()
+        bad = None
+        while bad is None or bad.arity == 1 and bad.det() == 0:  # X must stay invertible
+            if op.arity == 2:
+                bad = _shifted_at(rng, op, inside)
+            else:
+                i, j = rng.randrange(op.n), rng.randrange(op.n)
+                bad = _tampered(op, i, j, op.dense_rows()[i][j] + random_rational(rng, True))
+        rng.setstate(state)  # the suite and the public check see the same copy
+        return bad
+
+    monkeypatch.setattr(verify, constructor, shifted)
+    failed = 0
+    for n in (2, 3, 4):
+        phi = random_distinct(rng, n, nonzero=True)
+        mu = random_distinct(rng, n, nonzero=False)
+        beta = random_rational(rng)
+        while beta == 1:
+            beta = random_rational(rng)
+        for spec in (FamilySpec("rime-quantum", n, beta=beta, phi=phi),
+                     FamilySpec("rime-unitary", n, mu=mu),
+                     FamilySpec("classical-rime", n, phi=phi),
+                     FamilySpec("classical-unitary", n, mu=mu)):
+            names = [name for name in _EQUIVALENCES if name in _suite_names(spec)]
+            reports = run_suite(spec, names)
+            assert reports == _public_suite(spec, reports), spec
+            failed += sum(not rep.passed for rep in reports)
+    assert failed
+
+
+def _suite_names(spec):
+    return [rep.name for rep in run_suite(spec)]
