@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import exp, isfinite, isnan, log, nan
 from numbers import Integral
 from statistics import linear_regression
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import Operator
 from .families import MuVector, PhiVector, beta_from_phi, unitary_beta
@@ -63,16 +63,18 @@ def _fit_slope(betas: Sequence[float], deviations: Sequence[float]) -> float:
     return linear_regression(xs, ys).slope
 
 
-def unitary_limit_curve(mu: MuVector, betas: Sequence[float]) -> LimitCurve:
+def unitary_limit_curve(mu: MuVector, betas: Iterable[float]) -> LimitCurve:
     """Deviation of beta_ij(beta) from the skew grid along phi_i = 1 + beta*mu_i.
 
-    The betas are validated first (finite, positive, strictly decreasing).
+    ``betas`` is read once, so an iterator gives the curve of its values.
+    They are validated first (finite, positive, strictly decreasing).
     For each sampled beta, the float is promoted to the rational it
     represents and the grid ``beta_from_phi(beta, phi)`` is compared
     entrywise, exactly, with the limit grid ``unitary_beta(mu)``; the curve
     records the max over i != j.  Deviations are first order in beta, so the
     fitted log-log slope is 1.
     """
+    betas = tuple(betas)
     _check_betas(betas)
     limit = unitary_beta(mu).beta_offdiag
     deviations = []

@@ -28,10 +28,10 @@ from .core import (
     _conjugate_minus,
     _require_space,
     _scaled_rows,
+    _swap_offsets,
     as_rational,
     embed,
     flip21,
-    identity,
     permutation,
 )
 from .families import (
@@ -132,29 +132,27 @@ def _verdict(name: str, parts, metadata=None) -> VerificationReport:
     return VerificationReport(name, max_residual == 0, max_residual, witness, meta)
 
 
-def _quadratic_residual(a: Operator, c1, c0) -> Operator:
-    """The exact operator a a + c1 a + c0 I, as one chain sum in ints (see core._chain_sum)."""
-    d, (rows,) = _scaled_rows(a)
-    terms = [(1, (rows, rows)), (as_rational(c1), (rows,)), (as_rational(c0), ())]
-    return _chain_sum(a.n, a.arity, d, terms)
+# -- every single-operator identity, as a table of chain terms --------------------
 
-
-# -- the arity-3 identities, as chain terms over the legs of one operator ------
-
-# each identity is a table of terms (c, legs); leg 0 is r12, 1 is r13 and 2 is r23
-_YBE = ((1, (0, 2, 0)), (-1, (2, 0, 2)))
-_BRAID = ((1, (0, 1, 2)), (-1, (2, 1, 0)))
-_A = ((1, (1, 0)), (-1, (0, 2)), (1, (2, 1)))
-_A_PRIME = ((1, (0, 1)), (-1, (2, 0)), (1, (1, 2)))
+# A table is a tuple of terms (c, factors), and its residual is the sum of
+# c F1 ... Fj.  A factor is a leg 12, 13 or 23 of r on V (x) V (x) V, r itself,
+# its flip "r21", or the flip "P"; a term with no factors reads as c I.
+_YBE = ((1, (12, 23, 12)), (-1, (23, 12, 23)))
+_BRAID = ((1, (12, 13, 23)), (-1, (23, 13, 12)))
+_A = ((1, (13, 12)), (-1, (12, 23)), (1, (23, 13)))
+_A_PRIME = ((1, (12, 13)), (-1, (23, 12)), (1, (13, 23)))
 _CYBE = _A_PRIME + tuple((-c, legs) for c, legs in _A)
-_SHIFTED_A = _A + ((1, (1,)),)
-# the arity-2 companions of the associative identities
-_SKEW = "r + r21"
-_SHIFTED = "r + r21 - (P - I)"
+_SHIFTED_A = _A + ((1, (13,)),)
+# the arity-2 companions of the associative identities: r + r21 and r + r21 - (P - I)
+_SKEW = ((1, ("r",)), (1, ("r21",)))
+_SHIFTED = _SKEW + ((-1, ("P",)), (1, ()))
+# the quadratic laws r^2 + r and r^2; the Hecke law's table is built per beta
+_SQUARE_PLUS = ((1, ("r", "r")), (1, ("r",)))
+_SQUARE = ((1, ("r", "r")),)
 
-# each arity-3 check: its report name, its parts as (part name, residual), and
-# the acybe variant it reports; a check without a variant reports n instead
-_ARITY3 = {
+# each check of one operator: its report name, its parts as (part name, table),
+# and the acybe variant it reports; a check without a variant reports n instead
+_CHECKS = {
     "ybe": ("ybe", (("ybe", _YBE),), None),
     "cybe": ("cybe", (("cybe", _CYBE),), None),
     "nonhomogeneous-acybe": ("acybe", (("A(r) = -r13", _SHIFTED_A), ("r + r21 = P - I", _SHIFTED)),
@@ -168,89 +166,65 @@ _ARITY3 = {
 _SKEW_FAMILIES = ("rime-unitary", "classical-unitary", "boundary")
 
 
-def _leg_sums(r: Operator, *identities) -> list[Operator]:
-    """Each identity's sum of c r_l1 ... r_lj over its terms, as an arity-3 operator.
+class _Identities:
+    """The residual of every table above on one operator r, each summed once, at first use.
 
-    r is scaled once, at arity 2: D, the lcm of its denominators, and the
-    int rows of D r (see core._scaled_rows).  Every leg that a term uses is
-    embedded from those rows once, in the order 12, 13, 23; embedding only
-    reindexes, so no embedded entry is converted again.  Each identity is
-    one chain sum in ints over the legs (see core._chain_sum), so no
-    arity-3 product of Fractions is made.
-    """
-    used = sorted({leg for terms in identities for _, legs in terms for leg in legs})
-    d, (rows,) = _scaled_rows(r)
-    scaled = Operator._wrap(r.n, r.arity, tuple(rows))
-    leg_rows = {leg: embed(scaled, LEGS[leg])._rows for leg in used}
-    return [_chain_sum(r.n, 3, d, [(c, [leg_rows[leg] for leg in legs]) for c, legs in terms])
-            for terms in identities]
-
-
-class _LegPass:
-    """The residuals of the arity-3 checks ``names`` on one operator, each made once.
-
-    ``names`` are check names: keys of _ARITY3, or "acybe", whose variant
-    is the family's, or for an untagged ``r`` (``family`` None) the
-    homogeneous one exactly when r + r21 = 0; other names are ignored.  The
-    first leg sum asked for sums the identities of every named check in one
-    _leg_sums call, so r is scaled and its legs embedded once.  The pair
-    residuals are made at their first use.
+    r is scaled once: D, the lcm of its denominators, and the int rows of
+    D r (see core._scaled_rows).  Every other factor is made from those rows
+    once, at first use, by reindexing only: the legs through embed, r21
+    through flip21 and D P from the flip's offsets, so no entry is converted
+    again.  Each table is one chain sum in ints (see core._chain_sum), at
+    arity 3 if it uses a leg and at r's own arity otherwise, so no product
+    of Fractions is made.
     """
 
-    def __init__(self, r: Operator, names, family=None):
+    def __init__(self, r: Operator):
         self.r = r
-        self._names = names
-        self._family = family
-        self._residuals = {}
+        self._d = None
+        self._factors = {}
+        self._sums = {}
 
-    def _key(self, name: str) -> str:
-        if name != "acybe":
-            return name
-        family = self._family
-        if family in _SKEW_FAMILIES or (family is None and self._residual(_SKEW).is_zero()):
-            return "homogeneous-acybe"
-        return "nonhomogeneous-acybe"
-
-    def _residual(self, source) -> Operator:
-        done = self._residuals
-        if source not in done:
+    def _factor(self, name) -> list:
+        factors = self._factors
+        if name not in factors:
             r = self.r
-            if source == _SKEW:
-                done[source] = r + flip21(r)
-            elif source == _SHIFTED:
-                done[source] = self._residual(_SKEW) - (permutation(r.n) - identity(r.n, 2))
+            if name == "P":
+                factors[name] = [{s: self._d} for s in _swap_offsets(r.n)]
             else:
-                keys = [self._key(name) for name in self._names
-                        if name in _ARITY3 or name == "acybe"]
-                identities = dict.fromkeys(source for key in keys for _, source in _ARITY3[key][1]
-                                           if not isinstance(source, str))
-                done.update(zip(identities, _leg_sums(r, *identities)))
-        return done[source]
+                scaled = Operator._wrap(r.n, r.arity, factors["r"])
+                factors[name] = (flip21(scaled) if name == "r21" else embed(scaled, name))._rows
+        return factors[name]
 
-    def report(self, name: str) -> VerificationReport:
-        """The report of the arity-3 check ``name``, which must be one of ``names``."""
-        report_name, parts, variant = _ARITY3[self._key(name)]
+    def residual(self, table) -> Operator:
+        result = self._sums.get(table)
+        if result is None:
+            r = self.r
+            if not self._factors:
+                self._d, (self._factors["r"],) = _scaled_rows(r)
+            terms = [(c, [self._factor(name) for name in names]) for c, names in table]
+            arity = 3 if any(name in LEGS for _, names in table for name in names) else r.arity
+            result = self._sums[table] = _chain_sum(r.n, arity, self._d, terms)
+        return result
+
+    def report(self, check: str) -> VerificationReport:
+        """The report of ``check``, a key of _CHECKS."""
+        name, parts, variant = _CHECKS[check]
         meta = {"n": self.r.n} if variant is None else {"variant": variant}
-        residuals = [(part, self._residual(source)) for part, source in parts]
-        return _verdict(report_name, residuals, meta)
-
-
-def _check_arity3(r: Operator, name: str) -> VerificationReport:
-    return _LegPass(r, (name,)).report(name)
+        return _verdict(name, [(part, self.residual(table)) for part, table in parts], meta)
 
 
 # -- quantum checks -------------------------------------------------------
 
 
 def check_ybe(rhat: Operator) -> VerificationReport:
-    """Braid-form Yang-Baxter equation: R12 R23 R12 = R23 R12 R23 (see _leg_sums)."""
-    return _check_arity3(rhat, "ybe")
+    """Braid-form Yang-Baxter equation: R12 R23 R12 = R23 R12 R23 (see _Identities)."""
+    return _Identities(rhat).report("ybe")
 
 
 def check_hecke(rhat: Operator, beta) -> VerificationReport:
     """Quadratic relation Rhat^2 = beta*Rhat + (1 - beta)*I."""
     beta = as_rational(beta)
-    residual = _quadratic_residual(rhat, -beta, beta - 1)
+    residual = _Identities(rhat).residual(((1, ("r", "r")), (-beta, ("r",)), (beta - 1, ())))
     return _verdict("hecke", [("hecke", residual)], {"beta": str(beta)})
 
 
@@ -278,31 +252,31 @@ def hecke_multiplicities(rhat: Operator, beta) -> tuple[int, int]:
 
 def assoc_A(r: Operator) -> Operator:
     """Associative combination A(r) = r13 r12 - r12 r23 + r23 r13."""
-    return _leg_sums(r, _A)[0]
+    return _Identities(r).residual(_A)
 
 
 def assoc_Aprime(r: Operator) -> Operator:
     """Mirror combination A'(r) = r12 r13 - r23 r12 + r13 r23."""
-    return _leg_sums(r, _A_PRIME)[0]
+    return _Identities(r).residual(_A_PRIME)
 
 
 def check_cybe(r: Operator) -> VerificationReport:
     """Classical Yang-Baxter equation [r12,r23] + [r12,r13] + [r13,r23] = 0.
 
     Its residual is A'(r) - A(r) for every operator, which is how _CYBE
-    states it (see _leg_sums).
+    states it (see _Identities).
     """
-    return _check_arity3(r, "cybe")
+    return _Identities(r).report("cybe")
 
 
 def check_nonhomogeneous_acybe(r: Operator) -> VerificationReport:
     """Non-homogeneous associative equation A(r) = -r13 with companion r + r21 = P - I."""
-    return _check_arity3(r, "nonhomogeneous-acybe")
+    return _Identities(r).report("nonhomogeneous-acybe")
 
 
 def check_homogeneous_acybe(r: Operator) -> VerificationReport:
     """Homogeneous associative equation A(r) = 0 with companion skew symmetry r + r21 = 0."""
-    return _check_arity3(r, "homogeneous-acybe")
+    return _Identities(r).report("homogeneous-acybe")
 
 
 def check_tilde_relations(r: Operator) -> VerificationReport:
@@ -313,17 +287,17 @@ def check_tilde_relations(r: Operator) -> VerificationReport:
     non-homogeneous acybe and rt itself is never built; the tests hold both
     identities, witness included, against rt built directly.
     """
-    return _check_arity3(r, "tilde")
+    return _Identities(r).report("tilde")
 
 
 def check_braid_identities(r: Operator) -> VerificationReport:
-    """Both braid identities for an arity-2 operator (see _leg_sums).
+    """Both braid identities for an arity-2 operator (see _Identities).
 
     They hold whenever r^2 = -r and A(r) = A'(r) = -r13; those hypotheses
     are themselves verified by the idempotency and acybe checks run next to
     this one in the suites.
     """
-    return _check_arity3(r, "braid")
+    return _Identities(r).report("braid")
 
 
 def check_idempotent_exponential(r: Operator) -> VerificationReport:
@@ -334,7 +308,7 @@ def check_idempotent_exponential(r: Operator) -> VerificationReport:
     I + (t + s - t s) r, the exact form of e^(h r) = I + (1 - e^(-h)) r.
     The tests hold that identity; the law is not computed again here.
     """
-    return _verdict("idempotent", [("r^2 = -r", _quadratic_residual(r, 1, 0))], {"n": r.n})
+    return _verdict("idempotent", [("r^2 = -r", _Identities(r).residual(_SQUARE_PLUS))], {"n": r.n})
 
 
 def check_nilpotent_exponential(r0: Operator) -> VerificationReport:
@@ -344,7 +318,7 @@ def check_nilpotent_exponential(r0: Operator) -> VerificationReport:
     consequence of r0^2 = 0.  The tests hold that identity; the product
     is not computed again here.
     """
-    return _verdict("nilpotent", [("r^2 = 0", _quadratic_residual(r0, 0, 0))], {"n": r0.n})
+    return _verdict("nilpotent", [("r^2 = 0", _Identities(r0).residual(_SQUARE))], {"n": r0.n})
 
 
 # -- bridges between the two sides ----------------------------------------
@@ -372,13 +346,16 @@ def check_equivalence_quantum(phi: PhiVector, beta) -> VerificationReport:
     """Conjugating the p = 1 Cremmer-Gervais solution by X(phi) gives the rime one.
 
     At beta = 1 the Cremmer-Gervais solution, whose q^-2 is 1 - beta, does
-    not exist, so beta = 1 raises ValueError (the suites skip it there).
-    The residual (X (x) X) cg (X^-1 (x) X^-1) - Rhat is one chain sum.
+    not exist, so beta = 1 raises ValueError (the suites skip it there);
+    ``phi`` other than a PhiVector raises TypeError.  The residual
+    (X (x) X) cg (X^-1 (x) X^-1) - Rhat is one chain sum.
     """
     beta = as_rational(beta)
     if beta == 1:
         raise ValueError("equivalence-quantum is undefined at beta = 1, "
                          "where the Cremmer-Gervais q2inv = 1 - beta vanishes")
+    if not isinstance(phi, PhiVector):
+        raise TypeError(f"quantum equivalence expects a PhiVector, got {type(phi).__name__}")
     return _equivalence_quantum(phi, beta, x_matrix(phi), rime_from_beta(beta_from_phi(beta, phi)))
 
 
@@ -486,8 +463,6 @@ def check_beta_constancy(p: RimeParams) -> VerificationReport:
 
 _IDEMPOTENT = ("cybe", "acybe", "tilde", "idempotent", "braid")
 _NILPOTENT = ("cybe", "acybe", "nilpotent")
-# the suite checks that run on a quantum family's Rhat; the others run on its r
-_ON_RHAT = ("ybe", "hecke", "multiplicities")
 # each family's suite in order, before the applicability rules of _suite_checks
 _SUITES = {
     "rime-quantum": ("beta-constancy", "ybe", "hecke", "multiplicities", "classify",
@@ -543,30 +518,38 @@ def _no_beta() -> Fraction:
     raise ValueError("hecke and multiplicities need beta")
 
 
-def _operator_checks(op, beta, family, names) -> dict[str, Callable[[], VerificationReport]]:
+def _operator_checks(rhat, r, beta, family) -> dict[str, Callable[[], VerificationReport]]:
     """Name -> not-yet-run check for the checks that need only an operator.
 
-    ``op`` and ``beta`` are zero-argument callables that only a running check
-    calls.  The arity-3 checks (ybe, cybe, acybe, tilde, braid) share one
-    _LegPass over op() for the checks in ``names``, made when the first of
-    them runs, so the union of their identities is summed in one leg pass.
-    They build their reports through the same _LegPass.report as the public
-    check_* functions, but do not call those functions; the other checks
-    are looked up as module globals at call time.
+    ``rhat``, ``r`` and ``beta`` are zero-argument callables that only a
+    running check calls: ybe, hecke, multiplicities and classify read
+    rhat(), the others r().  Each distinct callable gets one _Identities,
+    made when its first check runs, so the checks on one operator share its
+    legs and residuals; a document passes its one operator as both.  acybe
+    takes the family's variant, or for an untagged operator (``family``
+    None) the homogeneous one exactly when r + r21 = 0.  The other checks
+    that have a public check_* function call it, looked up as a module
+    global at call time.
     """
-    legs = cache(lambda: _LegPass(op(), names, family))
+    identities = cache(lambda source: _Identities(source()))
+
+    def acybe() -> VerificationReport:
+        engine = identities(r)
+        skew = family in _SKEW_FAMILIES or (family is None and engine.residual(_SKEW).is_zero())
+        return engine.report("homogeneous-acybe" if skew else "nonhomogeneous-acybe")
+
     return {
-        "ybe": lambda: legs().report("ybe"),
-        "hecke": lambda: check_hecke(op(), beta()),
-        "multiplicities": lambda: _multiplicity_report(op(), beta()),
+        "ybe": lambda: identities(rhat).report("ybe"),
+        "hecke": lambda: check_hecke(rhat(), beta()),
+        "multiplicities": lambda: _multiplicity_report(rhat(), beta()),
         "classify": lambda: VerificationReport(
-            "classify", True, _ZERO, None, {"observed": classify_structure(op()).tag}),
-        "cybe": lambda: legs().report("cybe"),
-        "acybe": lambda: legs().report("acybe"),
-        "tilde": lambda: legs().report("tilde"),
-        "idempotent": lambda: check_idempotent_exponential(op()),
-        "nilpotent": lambda: check_nilpotent_exponential(op()),
-        "braid": lambda: legs().report("braid"),
+            "classify", True, _ZERO, None, {"observed": classify_structure(rhat()).tag}),
+        "cybe": lambda: identities(r).report("cybe"),
+        "acybe": acybe,
+        "tilde": lambda: identities(r).report("tilde"),
+        "idempotent": lambda: check_idempotent_exponential(r()),
+        "nilpotent": lambda: check_nilpotent_exponential(r()),
+        "braid": lambda: identities(r).report("braid"),
     }
 
 
@@ -583,7 +566,8 @@ def run_checks(op: Operator, names, beta=_no_beta, family=None) -> list[Verifica
     if family is not None and family not in FAMILY_TAGS:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILY_TAGS}")
     names = tuple(names)  # read twice below, so an iterator is taken once
-    table = _operator_checks(lambda: op, beta, family, names)
+    rhat = r = (lambda: op)  # one callable: every check of op shares one _Identities
+    table = _operator_checks(rhat, r, beta, family)
     for name in names:
         if name not in table:
             raise ValueError(f"unknown check {name!r}; document input supports {', '.join(table)}")
@@ -638,9 +622,7 @@ def _suite_checks(spec: FamilySpec, names=None) -> list[tuple[str, Callable[[], 
 
     x = cache(lambda: x_matrix(phi if mu is None else PhiVector(mu.mu)))  # X of the weights
 
-    quantum = _operator_checks(rhat, lambda: beta, tag, [name for name in names if name in _ON_RHAT])
-    table = _operator_checks(r, _no_beta, tag, [name for name in names if name not in _ON_RHAT])
-    table.update((name, quantum[name]) for name in _ON_RHAT)
+    table = _operator_checks(rhat, r, lambda: beta, tag)
     table.update({
         "beta-constancy": lambda: check_beta_constancy(params),
         "classify": lambda: _classification_report(rhat(), expected),

@@ -1,10 +1,11 @@
 """Oracle helpers that only the tests use.
 
-Matrix units, the wedge product, the generators Z^i_j, the transpose and
-the characteristic polynomial, each a plain function over the public
-:class:`~rimealg.core.Operator` API (items, ``@``, ``+``, ``kron``).  The
-tests build expected values from them the way the paper writes its
-formulas; no check of the package calls them.
+Matrix units, the wedge product, the generators Z^i_j, the transpose, the
+characteristic polynomial and the sum of a table of chain terms, each a
+plain function over the public :class:`~rimealg.core.Operator` API (items,
+``@``, ``+``, ``kron``, ``embed``).  The tests build expected values from
+them the way the paper writes its formulas; no check of the package calls
+them.
 
 The ``*_items`` functions build each family as a list of
 ``(row, column, value)`` terms summed by ``Operator.from_items``, with
@@ -17,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import prod
 
-from rimealg.core import Operator, kron
+from rimealg.core import LEGS, Operator, embed, flip21, identity, kron, permutation
 
 
 def matrix_unit(i: int, j: int, n: int) -> Operator:
@@ -57,6 +58,25 @@ def charpoly(a: Operator) -> tuple[Fraction, ...]:
         coeffs.append(c)
         m = am + c * eye
     return tuple(coeffs)
+
+
+def chain_table(r: Operator, table) -> Operator:
+    """The sum of c F1 ... Fj over the terms (c, factors) of an identity table.
+
+    A factor is a leg 12, 13 or 23 of r, r itself ("r"), its flip "r21" or
+    the flip "P"; a term with no factors is c I.  The sum acts on
+    V (x) V (x) V when a term uses a leg, and on r's own space otherwise.
+    """
+    uses_legs = any(name in LEGS for _, names in table for name in names)
+    n, arity = r.n, 3 if uses_legs else r.arity
+    named = {"r": lambda: r, "r21": lambda: flip21(r), "P": lambda: permutation(n)}
+    total = Operator.zero(n, arity)
+    for c, names in table:
+        term = identity(n, arity)
+        for name in names:
+            term = term @ (embed(r, name) if name in LEGS else named[name]())
+        total = total + c * term
+    return total
 
 
 # -- item-list constructors ----------------------------------------------------------

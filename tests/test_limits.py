@@ -40,6 +40,16 @@ def test_unitary_limit_three_weights_decreases_monotonically():
     assert abs(curve.slope - 1.0) <= 0.1
 
 
+def test_unitary_limit_reads_an_iterator_of_betas_once():
+    mu = MuVector((0, 1, 3))
+    betas = [1e-1, 1e-2, 1e-3, 1e-4]
+    expected = unitary_limit_curve(mu, betas)
+    assert unitary_limit_curve(mu, iter(betas)) == expected
+    assert unitary_limit_curve(mu, (b for b in betas)) == expected
+    with pytest.raises(ValueError, match="beta samples must be strictly decreasing"):
+        unitary_limit_curve(mu, (b for b in reversed(betas)))
+
+
 @pytest.mark.parametrize("betas, message", [
     ([math.inf], "finite"),
     ([1e-2, math.nan], "finite"),

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_distinct, random_rational
-from oracle import charpoly, matrix_unit
+from oracle import chain_table, charpoly, matrix_unit
 from rimealg.core import (
     Operator,
     _conjugate_minus,
@@ -239,7 +239,7 @@ def test_arity3_checks_embed_each_leg_once(check, monkeypatch):
 
     monkeypatch.setattr("rimealg.verify.embed", counting_embed)
     check(r)
-    assert embeds == [12, 13, 23]
+    assert sorted(embeds) == [12, 13, 23]  # in the order the check's tables first use them
 
 
 def test_nonhomogeneous_acybe(rng):
@@ -540,6 +540,74 @@ def test_cubic_checks_reject_other_arities(check, arity):
         check(identity(2, arity))
 
 
+_ARITY3_CHECKS = (check_ybe, check_braid_identities, check_cybe, check_nonhomogeneous_acybe,
+                  check_homogeneous_acybe, check_tilde_relations, assoc_A, assoc_Aprime)
+
+
+@pytest.mark.parametrize("check", _ARITY3_CHECKS[2:])  # ybe and braid: the test above
+@pytest.mark.parametrize("arity", [1, 3])
+def test_every_arity3_check_rejects_other_arities_through_embed(check, arity):
+    with pytest.raises(ValueError, match="^embed expects an arity-2 operator$"):
+        check(identity(2, arity))
+
+
+# -- every identity table against its operator-arithmetic oracle ------------------
+
+
+def _identity_table_cases(rng):
+    # dense random operators at n = 1..3 of arity 1, 2 and 3, then every family
+    # at n = 1..3 with copies shifted at one entry inside and outside the rime pattern
+    for n in (1, 2, 3):
+        for arity in (1, 2, 3):
+            size = n**arity
+            yield Operator(n, arity, [[random_rational(rng) if rng.random() < 0.6 else 0
+                                       for _ in range(size)] for _ in range(size)])
+        for spec in _seeded_specs(rng, n):
+            op = build(spec)
+            yield op
+            for inside in (True, False):
+                bad = _shifted_at(rng, op, inside)
+                if bad is not None:
+                    yield bad
+
+
+def test_every_identity_table_matches_its_operator_oracle(monkeypatch):
+    # every table that a check sums, caught where _Identities hands back its
+    # residual, equals the same table summed with @, +, embed, flip21,
+    # permutation and identity: whole residual operators, not only witnesses
+    import rimealg.verify as verify
+
+    summed = []
+    residual = verify._Identities.residual
+
+    def recording(self, table):
+        result = residual(self, table)
+        summed.append((self.r, table, result))
+        return result
+
+    monkeypatch.setattr(verify._Identities, "residual", recording)
+    rng = random.Random("identity-tables")
+    tables = set()
+    for op in _identity_table_cases(rng):
+        summed.clear()
+        if op.arity == 2:
+            for check in _ARITY3_CHECKS:
+                check(op)
+            run_checks(op, ["acybe"])  # untagged, so r + r21 picks the variant
+        for beta in (0, F(1, 3), F(-7, 3), 2):
+            check_hecke(op, beta)
+        check_idempotent_exponential(op)
+        check_nilpotent_exponential(op)
+        for r, table, result in summed:
+            assert r is op
+            assert result == chain_table(op, table), (op, table)
+            tables.add(table)
+    named = {table for _, parts, _ in verify._CHECKS.values() for _, table in parts}
+    named |= {verify._A, verify._A_PRIME, verify._SKEW, verify._SQUARE, verify._SQUARE_PLUS}
+    assert named <= tables
+    assert len(tables - named) == 4  # the Hecke law at each beta
+
+
 # -- bridges --------------------------------------------------------------------
 
 
@@ -739,6 +807,13 @@ def test_one_chain_residual_rejects_a_mismatched_target():
         _conjugate_minus(classical_cg_r(2), x, classical_cg_r(3))
     with pytest.raises(ValueError, match="subtraction requires matching operators"):
         _conjugate_minus(classical_cg_r(2), x, identity(2, 3))
+
+
+def test_equivalence_quantum_rejects_other_weights_with_a_type_error():
+    for weights in ((1, 2), MuVector((0, 1)), FamilySpec("rime-quantum", 2, beta=3, phi=(2, 1))):
+        with pytest.raises(TypeError, match=f"^quantum equivalence expects a PhiVector, "
+                                            f"got {type(weights).__name__}$"):
+            check_equivalence_quantum(weights, 0)
 
 
 def test_equivalence_quantum_rejects_beta_one():
@@ -1164,35 +1239,49 @@ def test_run_suite_matches_public_checks(rng):
 
 
 def test_each_operator_takes_one_leg_pass(monkeypatch):
-    # one _leg_sums call per operator, over the union of the identities its
-    # requested checks need: tilde and acybe share A(r) + r13, braid and ybe the YBE
+    # per operator, each leg is embedded once, at its first use, and each table
+    # is summed by one _chain_sum call, recorded as (arity, number of terms):
+    # tilde and acybe share A(r) + r13 and r + r21 - (P - I), braid and ybe the
+    # YBE; the quadratic checks and quantization sum their own tables, and no
+    # check makes an Operator product
     import rimealg.verify as verify
 
-    embeds, passes = [], []
-    leg_sums = verify._leg_sums
+    embeds, sums, products = [], [], []
+    chain_sum = verify._chain_sum
+    matmul = Operator.__matmul__
 
     def counting_embed(op, legs):
         embeds.append(legs)
         return embed(op, legs)
 
-    def counting_leg_sums(r, *identities):
-        passes.append(len(identities))
-        return leg_sums(r, *identities)
+    def counting_chain_sum(n, arity, d, terms):
+        sums.append((arity, len(terms)))
+        return chain_sum(n, arity, d, terms)
+
+    def counting_matmul(a, b):
+        products.append(a.arity)
+        return matmul(a, b)
 
     monkeypatch.setattr(verify, "embed", counting_embed)
-    monkeypatch.setattr(verify, "_leg_sums", counting_leg_sums)
+    monkeypatch.setattr(verify, "_chain_sum", counting_chain_sum)
+    monkeypatch.setattr(Operator, "__matmul__", counting_matmul)
     phi = (3, 2, 1)
+    # cybe, then acybe's A(r) + r13 and r + r21 - (P - I), idempotent, braid's two
+    r_tables = [(3, 6), (3, 4), (2, 4), (2, 2), (3, 2), (3, 2)]
     run_suite(FamilySpec("classical-rime", 3, phi=phi))
-    assert (embeds, passes) == ([12, 13, 23], [4])
-    embeds.clear(), passes.clear()
+    assert (embeds, sums) == ([12, 13, 23], r_tables)
+    embeds.clear(), sums.clear()
     run_suite(FamilySpec("rime-quantum", 3, beta=F(1, 2), phi=phi))
-    assert (embeds, passes) == ([12, 23, 12, 13, 23], [1, 4])  # Rhat's ybe, then r's pass
-    embeds.clear(), passes.clear()
+    # Rhat's ybe, hecke and quantization, then r's checks
+    assert (embeds, sums) == ([12, 23, 12, 13, 23], [(3, 2), (2, 3), (2, 3), *r_tables])
+    embeds.clear(), sums.clear()
     run_checks(classical_rime_r(PhiVector(phi)), ["braid", "tilde", "cybe", "acybe", "ybe", "tilde"])
-    assert (embeds, passes) == ([12, 13, 23], [4])
-    embeds.clear(), passes.clear()
+    # braid's two, tilde's two, cybe, and untagged acybe's r + r21; ybe and tilde reuse theirs
+    assert (embeds, sums) == ([12, 23, 13], [(3, 2), (3, 2), (3, 4), (2, 4), (3, 6), (2, 2)])
+    embeds.clear(), sums.clear()
     run_suite(FamilySpec("boundary", 3), ["nilpotent"])
-    assert (embeds, passes) == ([], [])
+    assert (embeds, sums) == ([], [(2, 1)])
+    assert products == []
 
 
 def test_run_suite_and_run_checks_read_names_once():
