@@ -6,9 +6,8 @@ or on a matrix document, and ``report`` sweeps randomized parameters over
 every family and summarizes the outcome.
 
 Exit codes are a stable contract: 0 when everything passes, 1 when some
-check fails, 2 on usage or input errors.  The environment variable
-RIME_MAX_N overrides the default dimension cap (6), up to a hard limit of 8
-set by the cost of exact arity-3 products.
+check fails, 2 on usage or input errors.  The base dimension n is at most
+8, a limit set by the cost of exact arity-3 products on dense documents.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import random
 import re
 import sys
@@ -37,8 +35,7 @@ __all__ = ["MatrixDocument", "cmd_generate", "cmd_verify", "cmd_report", "main",
 #: Index convention recorded inside every document.
 ORDER = "lexicographic (i,j) rows/cols"
 
-_DEFAULT_CAP = 6
-_HARD_CAP = 8
+_MAX_N = 8
 
 # short CLI names for the long family tags
 _ALIASES = {"rime": "rime-quantum", "unitary": "rime-unitary"}
@@ -135,23 +132,9 @@ class MatrixDocument:
         return "\n".join("\t".join(row) for row in self.entries) + "\n"
 
 
-def _n_cap() -> int:
-    raw = os.environ.get("RIME_MAX_N")
-    if raw is None:
-        return _DEFAULT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"RIME_MAX_N must be an integer, got {raw!r}") from None
-    if not 1 <= cap <= _HARD_CAP:
-        raise ValueError(f"RIME_MAX_N must be between 1 and {_HARD_CAP}, got {cap}")
-    return cap
-
-
 def _check_cap(n: int) -> None:
-    cap = _n_cap()
-    if n > cap:
-        raise ValueError(f"n above supported cap: {n} > {cap} (raise RIME_MAX_N, hard limit {_HARD_CAP})")
+    if n > _MAX_N:
+        raise ValueError(f"n above supported cap: {n} > {_MAX_N}")
 
 
 # the flags whose value is a rational (phi, mu: a comma-separated list of them)
@@ -232,7 +215,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    requested = [part.strip() for part in args.checks.split(",")] if args.checks else None
+    requested = None if args.checks is None else [part.strip() for part in args.checks.split(",")]
+    if requested is not None and "" in requested:
+        raise ValueError(f"empty check name in --checks {args.checks!r}")
     if args.input:
         given = [flag for flag in _FAMILY_FLAGS if getattr(args, flag[2:]) is not None]
         if given:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rimealg.cli import MatrixDocument, _n_cap, format_report, main
+from rimealg.cli import MatrixDocument, format_report, main
 from rimealg.core import permutation
 from rimealg.families import FAMILY_TAGS, FamilySpec, build
 from rimealg.verify import VerificationReport, check_ybe
@@ -25,30 +25,6 @@ RIME_ENTRIES = [
     ["6", "-5", "-3", "3"],
     ["0", "0", "0", "1"],
 ]
-
-
-# -- dimension cap -------------------------------------------------------------
-
-
-def test_n_cap_default_and_override(monkeypatch):
-    monkeypatch.delenv("RIME_MAX_N", raising=False)
-    assert _n_cap() == 6
-    monkeypatch.setenv("RIME_MAX_N", "8")
-    assert _n_cap() == 8
-    monkeypatch.setenv("RIME_MAX_N", "3")
-    assert _n_cap() == 3
-
-
-def test_n_cap_rejects_bad_values(monkeypatch):
-    monkeypatch.setenv("RIME_MAX_N", "abc")
-    with pytest.raises(ValueError):
-        _n_cap()
-    monkeypatch.setenv("RIME_MAX_N", "9")
-    with pytest.raises(ValueError):
-        _n_cap()
-    monkeypatch.setenv("RIME_MAX_N", "0")
-    with pytest.raises(ValueError):
-        _n_cap()
 
 
 # -- document format -------------------------------------------------------------
@@ -197,15 +173,68 @@ def test_unknown_or_valueless_flag_still_exits_2(capsys, argv):
 
 
 def test_generate_above_cap_exit_2(capsys):
-    assert main(["generate", "boundary", "--n", "7"]) == 2
+    assert main(["generate", "boundary", "--n", "9"]) == 2
     assert "n above supported cap" in capsys.readouterr().err
 
 
-def test_generate_respects_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("RIME_MAX_N", "3")
-    assert main(["generate", "boundary", "--n", "3"]) == 0
+@pytest.mark.parametrize("value", ["3", "abc"])
+def test_dimension_limit_ignores_rime_max_n(value, monkeypatch, capsys):
+    # the limit n <= 8 is a constant: no environment variable moves it
+    monkeypatch.setenv("RIME_MAX_N", value)
+    assert main(["generate", "boundary", "--n", "8"]) == 0
     capsys.readouterr()
-    assert main(["generate", "boundary", "--n", "4"]) == 2
+    assert main(["generate", "boundary", "--n", "9"]) == 2
+    assert capsys.readouterr().err == "error: n above supported cap: 9 > 8\n"
+
+
+def test_dimension_limit_admits_n_8(capsys):
+    assert main(["verify", "--family", "rime", "--n", "8", "--beta", "-7/3", "--phi", "3,1,4,-2,5,7,9,-6",
+                 "--checks", "equivalence-quantum,equivalence-classical,quantization"]) == 0
+    assert capsys.readouterr().out == "equivalence-quantum PASS\nequivalence-classical PASS\nquantization PASS\n"
+    assert main(["report", "--n-max", "8", "--seeds", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "total 317/317 checks passed"
+
+
+# -- entry size ---------------------------------------------------------------------
+
+
+# Python's int-to-str digit limit (4300 by default) is the entry-size limit: a
+# longer decimal number in a document cell or a rational flag exits 2
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _document_argv(tmp_path, big, json_integer):
+    grid = [["0"] * 4 for _ in range(4)]
+    grid[1][2] = big  # big times the unit at row (1,2), column (2,1) squares to 0
+    text = json.dumps({"n": 2, "arity": 2, "entries": grid})
+    if json_integer:
+        text = text.replace(f'"{big}"', big)
+    path = tmp_path / "big.json"
+    path.write_text(text, encoding="utf-8")
+    return ["verify", "--input", str(path), "--checks", "nilpotent"], "nilpotent PASS\n"
+
+
+_ENTRY_ROUTES = {
+    "document-string-cell": lambda tmp_path, big: _document_argv(tmp_path, big, False),
+    "document-json-integer-cell": lambda tmp_path, big: _document_argv(tmp_path, big, True),
+    "beta-flag": lambda tmp_path, big: (
+        ["verify", "--family", "rime", "--n", "2", "--beta", big, "--phi", "2,1", "--checks", "ybe"],
+        "ybe PASS\n",
+    ),
+}
+
+
+@pytest.mark.skipif(not _MAX_DIGITS, reason="this Python has no int-to-str digit limit")
+@pytest.mark.parametrize("route", sorted(_ENTRY_ROUTES))
+def test_entry_digit_limit(route, tmp_path, capsys):
+    argv, passed = _ENTRY_ROUTES[route](tmp_path, "9" * _MAX_DIGITS)
+    assert main(argv) == 0
+    assert capsys.readouterr() == (passed, "")
+    argv, _ = _ENTRY_ROUTES[route](tmp_path, "9" * (_MAX_DIGITS + 1))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: Exceeds the limit ({_MAX_DIGITS} digits)")
 
 
 # -- verify ---------------------------------------------------------------------------
@@ -231,6 +260,16 @@ def test_verify_boundary_full_names(capsys):
 def test_verify_unknown_check_exit_2(capsys):
     assert main(["verify", "--family", "boundary", "--n", "3", "--checks", "ybe"]) == 2
     assert "not applicable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("checks", ["", "ybe,", "ybe,,hecke", " , "])
+def test_verify_empty_check_name_exit_2(checks, tmp_path, capsys):
+    main(["generate", "rime", "--n", "2", "--beta", "3", "--phi", "2,1"])
+    path = tmp_path / "rime.json"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    for source in (["--family", "rime", "--n", "2", "--beta", "3", "--phi", "2,1"], ["--input", str(path)]):
+        assert main(["verify", *source, f"--checks={checks}"]) == 2
+        assert capsys.readouterr() == ("", f"error: empty check name in --checks {checks!r}\n")
 
 
 def test_verify_without_inputs_exit_2(capsys):
