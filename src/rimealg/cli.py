@@ -72,11 +72,14 @@ class MatrixDocument:
             params = {k: v for k, v in describe(spec).items() if k not in ("family", "n")}
         size = op.size
         entries = []
-        for row in op.rows:  # only the stored, nonzero entries are formatted
-            cells = ["0"] * size
-            for c, v in row.items():
-                cells[c] = str(v)
-            entries.append(tuple(cells))
+        try:
+            for row in op.rows:  # only the stored, nonzero entries are formatted
+                cells = ["0"] * size
+                for c, v in row.items():
+                    cells[c] = str(v)
+                entries.append(tuple(cells))
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise _entry_too_long(op) from None
         return cls(op.n, op.arity, ORDER, family, params, tuple(entries))
 
     def to_operator(self) -> Operator:
@@ -130,6 +133,21 @@ class MatrixDocument:
 
     def to_tsv(self) -> str:
         return "\n".join("\t".join(row) for row in self.entries) + "\n"
+
+
+def _entry_too_long(op: Operator) -> ValueError:
+    """The error for an operator whose first entry, in row-major order, str() refuses.
+
+    A cell of more digits than sys.get_int_max_str_digits() could not be read
+    back by verify --input, so no document is written.
+    """
+    for row, col, value in op.nonzero_items():
+        try:
+            str(value)
+        except ValueError:
+            break
+    return ValueError(f"entry at row ({','.join(map(str, row))}), column ({','.join(map(str, col))}) "
+                      f"exceeds the {sys.get_int_max_str_digits()}-digit limit of a document entry")
 
 
 def _check_cap(n: int) -> None:

@@ -331,11 +331,22 @@ def x_matrix(phi: PhiVector) -> Operator:
     Columns are graded by polynomial degree; the determinant is the
     Vandermonde-type product of differences prod_{j<k} (phi_j - phi_k), so
     distinct phi guarantee invertibility.
+
+    Row k is prod_{i != k} (1 + t phi_i) = E(t) / (1 + t phi_k), with E the
+    generating polynomial of e(phi), taken once: synthetic division gives
+    c_0 = 1 and c_j = e_j - phi_k c_(j-1), so X costs O(n^2).
     """
-    values = phi.phi
-    rows = tuple({c: v for c, v in enumerate(_elementary_all(values[:k] + values[k + 1 :])) if v}
-                 for k in range(phi.n))
-    return Operator._wrap(phi.n, 1, rows)
+    e = _elementary_all(phi.phi)
+    rows = []
+    for v in phi.phi:
+        row = {0: _ONE}
+        c = _ONE
+        for j in range(1, phi.n):
+            c = e[j] - v * c
+            if c:
+                row[j] = c
+        rows.append(row)
+    return Operator._wrap(phi.n, 1, tuple(rows))
 
 
 def _pair_rows(n: int, u, v) -> Operator:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable, Optional, Union
 
 from .core import (
@@ -161,6 +161,8 @@ _CHECKS = {
     "tilde": ("tilde", (("A(rt) = I/4", _SHIFTED_A), ("rt + rt21 = P", _SHIFTED)), None),
     "braid": ("braid", (("r12 r23 r12 = r23 r12 r23", _YBE), ("r12 r13 r23 = r23 r13 r12", _BRAID)),
               None),
+    "idempotent": ("idempotent", (("r^2 = -r", _SQUARE_PLUS),), None),
+    "nilpotent": ("nilpotent", (("r^2 = 0", _SQUARE),), None),
 }
 # skew families (r + r21 = 0) take the homogeneous acybe; their suites use _NILPOTENT
 _SKEW_FAMILIES = ("rime-unitary", "classical-unitary", "boundary")
@@ -212,6 +214,12 @@ class _Identities:
         meta = {"n": self.r.n} if variant is None else {"variant": variant}
         return _verdict(name, [(part, self.residual(table)) for part, table in parts], meta)
 
+    def hecke(self, beta) -> VerificationReport:
+        """The report of the Hecke law r^2 = beta r + (1 - beta) I."""
+        beta = as_rational(beta)
+        residual = self.residual(((1, ("r", "r")), (-beta, ("r",)), (beta - 1, ())))
+        return _verdict("hecke", [("hecke", residual)], {"beta": str(beta)})
+
 
 # -- quantum checks -------------------------------------------------------
 
@@ -223,9 +231,7 @@ def check_ybe(rhat: Operator) -> VerificationReport:
 
 def check_hecke(rhat: Operator, beta) -> VerificationReport:
     """Quadratic relation Rhat^2 = beta*Rhat + (1 - beta)*I."""
-    beta = as_rational(beta)
-    residual = _Identities(rhat).residual(((1, ("r", "r")), (-beta, ("r",)), (beta - 1, ())))
-    return _verdict("hecke", [("hecke", residual)], {"beta": str(beta)})
+    return _Identities(rhat).hecke(beta)
 
 
 def hecke_multiplicities(rhat: Operator, beta) -> tuple[int, int]:
@@ -308,7 +314,7 @@ def check_idempotent_exponential(r: Operator) -> VerificationReport:
     I + (t + s - t s) r, the exact form of e^(h r) = I + (1 - e^(-h)) r.
     The tests hold that identity; the law is not computed again here.
     """
-    return _verdict("idempotent", [("r^2 = -r", _Identities(r).residual(_SQUARE_PLUS))], {"n": r.n})
+    return _Identities(r).report("idempotent")
 
 
 def check_nilpotent_exponential(r0: Operator) -> VerificationReport:
@@ -318,7 +324,7 @@ def check_nilpotent_exponential(r0: Operator) -> VerificationReport:
     consequence of r0^2 = 0.  The tests hold that identity; the product
     is not computed again here.
     """
-    return _verdict("nilpotent", [("r^2 = 0", _Identities(r0).residual(_SQUARE))], {"n": r0.n})
+    return _Identities(r0).report("nilpotent")
 
 
 # -- bridges between the two sides ----------------------------------------
@@ -525,11 +531,9 @@ def _operator_checks(rhat, r, beta, family) -> dict[str, Callable[[], Verificati
     running check calls: ybe, hecke, multiplicities and classify read
     rhat(), the others r().  Each distinct callable gets one _Identities,
     made when its first check runs, so the checks on one operator share its
-    legs and residuals; a document passes its one operator as both.  acybe
-    takes the family's variant, or for an untagged operator (``family``
-    None) the homogeneous one exactly when r + r21 = 0.  The other checks
-    that have a public check_* function call it, looked up as a module
-    global at call time.
+    scale, legs and residuals; a document passes its one operator as both.
+    acybe takes the family's variant, or for an untagged operator
+    (``family`` None) the homogeneous one exactly when r + r21 = 0.
     """
     identities = cache(lambda source: _Identities(source()))
 
@@ -540,15 +544,15 @@ def _operator_checks(rhat, r, beta, family) -> dict[str, Callable[[], Verificati
 
     return {
         "ybe": lambda: identities(rhat).report("ybe"),
-        "hecke": lambda: check_hecke(rhat(), beta()),
+        "hecke": lambda: identities(rhat).hecke(beta()),
         "multiplicities": lambda: _multiplicity_report(rhat(), beta()),
         "classify": lambda: VerificationReport(
             "classify", True, _ZERO, None, {"observed": classify_structure(rhat()).tag}),
         "cybe": lambda: identities(r).report("cybe"),
         "acybe": acybe,
         "tilde": lambda: identities(r).report("tilde"),
-        "idempotent": lambda: check_idempotent_exponential(r()),
-        "nilpotent": lambda: check_nilpotent_exponential(r()),
+        "idempotent": lambda: identities(r).report("idempotent"),
+        "nilpotent": lambda: identities(r).report("nilpotent"),
         "braid": lambda: identities(r).report("braid"),
     }
 
@@ -574,6 +578,25 @@ def run_checks(op: Operator, names, beta=_no_beta, family=None) -> list[Verifica
     if op.arity != 2:
         raise ValueError(f"every check needs an arity-2 operator, got arity {op.arity}")
     return [table[name]() for name in names]
+
+
+# the checks of a suite's classical operator, whose reports the suites share
+_COMPANIONS = ("cybe", "acybe", "tilde", "idempotent", "nilpotent", "braid", "equivalence-classical")
+
+
+@lru_cache(maxsize=16)
+def _companion_reports(recipe, constructors) -> dict[str, VerificationReport]:
+    """Check name -> report of the classical operator made from ``recipe``; filled by _suite_checks.
+
+    ``recipe`` is the operator's PhiVector, its MuVector, or (tag, n) for
+    classical-cg and boundary, and it fixes every field of those reports:
+    the acybe variant is the non-homogeneous one for phi and classical-cg
+    and the homogeneous one for mu and boundary.  ``constructors`` are the
+    functions that build the operator and its X, as this module looks them
+    up, so a replaced constructor makes a new entry.  An entry holds
+    reports only, no operator or engine.
+    """
+    return {}
 
 
 def _suite_checks(spec: FamilySpec, names=None) -> list[tuple[str, Callable[[], VerificationReport]]]:
@@ -630,7 +653,20 @@ def _suite_checks(spec: FamilySpec, names=None) -> list[tuple[str, Callable[[], 
         "quantization": lambda: check_quantization(rhat(), beta, r()),
         "equivalence-classical": lambda: _equivalence_classical(phi if mu is None else mu, x(), r()),
     })
-    return [(name, table[name]) for name in names]
+    # r's checks go through the memo of its recipe: a hit builds no operator, X or engine
+    recipe = phi if phi is not None else mu if mu is not None else (tag, spec.n)
+    reports = cache(lambda: _companion_reports(recipe, (
+        classical_rime_r, classical_unitary_r0, classical_cg_r, boundary_b, x_matrix)))
+
+    def remembered(name):
+        def check() -> VerificationReport:
+            memo = reports()
+            if name not in memo:
+                memo[name] = table[name]()
+            return memo[name]
+        return check
+
+    return [(name, remembered(name) if name in _COMPANIONS else table[name]) for name in names]
 
 
 def run_suite(spec: FamilySpec, names=None) -> list[VerificationReport]:
@@ -647,8 +683,15 @@ def run_suite(spec: FamilySpec, names=None) -> list[VerificationReport]:
     equivalence where a weight vector is available.
 
     With ``names``, only the named checks run, in the requested order (a
-    repeated name runs again); a name outside the family's suite raises
-    ValueError, listing the available ones, before any check runs.
+    repeated name returns the same report); a name outside the family's
+    suite raises ValueError, listing the available ones, before any check
+    runs.
+
+    The checks of the classical operator (cybe, acybe, tilde, idempotent,
+    nilpotent, braid, equivalence-classical) read and fill a memo of at
+    most 16 recipes (see _companion_reports), so a suite that shares its
+    phi, its mu, or a parameterless operator with an earlier one returns
+    that suite's reports without computing them again.
     """
     checks = _suite_checks(spec, names)
     fam = describe(spec)

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 
+import rimealg.verify
+
 settings.register_profile(
     "exact",
     max_examples=20,
@@ -32,3 +34,10 @@ def random_distinct(rng: random.Random, count: int, nonzero: bool) -> tuple[Frac
 @pytest.fixture
 def rng():
     return random.Random("fixture-seed")
+
+
+@pytest.fixture(autouse=True)
+def cold_report_memo():
+    # run_suite keeps the reports of each classical operator across calls;
+    # every test starts without them, so no test sees what an earlier one ran
+    rimealg.verify._companion_reports.cache_clear()

@@ -130,6 +130,23 @@ def x_matrix_items(phi) -> Operator:
     return Operator.from_items(n, 1, items)
 
 
+def x_matrix_per_row(phi) -> Operator:
+    """X[k, j] = e_{j-1}(phi with phi_k omitted), the e_m of each row from its own product.
+
+    Each row multiplies out prod_{i != k} (1 + t phi_i) one factor at a time,
+    so X costs O(n^3).
+    """
+    values, n = phi.phi, phi.n
+    rows = []
+    for k in range(n):
+        e = [Fraction(1)] + [Fraction(0)] * (n - 1)
+        for v in values[:k] + values[k + 1:]:
+            for m in range(n - 1, 0, -1):
+                e[m] += v * e[m - 1]
+        rows.append(e)
+    return Operator(n, 1, rows)
+
+
 def classical_rime_r_items(phi) -> Operator:
     """Sum over i != j of (phi_j e^i_j - phi_i e^i_i) (x) (e^j_i - e^j_j) / (phi_j - phi_i)."""
     values, n = phi.phi, phi.n

@@ -237,6 +237,30 @@ def test_entry_digit_limit(route, tmp_path, capsys):
     assert err.startswith(f"error: Exceeds the limit ({_MAX_DIGITS} digits)")
 
 
+@pytest.mark.skipif(not _MAX_DIGITS, reason="this Python has no int-to-str digit limit")
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_generate_refuses_an_entry_over_the_digit_limit(fmt, tmp_path, capsys):
+    # beta = 10^k - 1 at phi = (2, 1) puts 2 beta and 1 + beta, each one digit
+    # longer than beta, in row (1,2): at k = 4300 no document is written, since
+    # verify --input could not read it back, and at k = 4299 it round-trips
+    argv = ["generate", "rime", "--n", "2", "--beta", "9" * _MAX_DIGITS, "--phi", "2,1", "--format", fmt]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: entry at row (1,2), column (1,1) exceeds the "
+                                       f"{_MAX_DIGITS}-digit limit of a document entry\n")
+    argv[5] = "9" * (_MAX_DIGITS - 1)
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    if fmt == "json":
+        assert MatrixDocument.from_json(text).to_json() == text
+        path = tmp_path / "big.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["verify", "--input", str(path), "--checks", "hecke,classify"]) == 0
+        assert capsys.readouterr() == ("hecke PASS\nclassify PASS\n", "")
+    else:
+        cells = [cell.lstrip("-") for line in text.splitlines() for cell in line.split("\t")]
+        assert max(map(len, cells)) == _MAX_DIGITS
+
+
 # -- verify ---------------------------------------------------------------------------
 
 

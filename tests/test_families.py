@@ -19,6 +19,7 @@ from oracle import (
     transpose,
     wedge,
     x_matrix_items,
+    x_matrix_per_row,
     z_generator,
 )
 from rimealg.core import Operator, identity, kron, permutation, zero
@@ -637,3 +638,22 @@ def test_direct_row_constructors_match_item_lists_at_degenerate_parameters():
                 assert x_matrix(phi).entry((k + 1) % n + 1, n) == 0
             mu = MuVector(phi.phi)
             _assert_same_operator(classical_unitary_r0(mu), classical_unitary_r0_items(mu))
+
+
+def test_x_matrix_matches_per_row_products():
+    # one e(phi) and a synthetic division per row give the rows that multiplying
+    # out each row's own product gives, also where phi holds a zero
+    rng = random.Random("x-matrix-rows")
+    for n in range(1, 9):
+        for nonzero in (True, False):
+            for _ in range(3):
+                phi = PhiVector(random_distinct(rng, n, nonzero))
+                _assert_same_operator(x_matrix(phi), x_matrix_per_row(phi))
+        rest = random_distinct(rng, n, nonzero=True)
+        phi = PhiVector(rest[:n // 2] + (F(0),) + rest[n // 2 + 1:])
+        _assert_same_operator(x_matrix(phi), x_matrix_per_row(phi))
+        # at n = 3 the row without 43 has e_1(41, -41) = 0 inside it; 41 and 43
+        # lie outside the range of the drawn entries
+        if n >= 3:
+            phi = PhiVector((F(41), F(-41), F(43)) + rest[3:])
+            _assert_same_operator(x_matrix(phi), x_matrix_per_row(phi))

@@ -1271,10 +1271,17 @@ def test_each_operator_takes_one_leg_pass(monkeypatch):
     run_suite(FamilySpec("classical-rime", 3, phi=phi))
     assert (embeds, sums) == ([12, 13, 23], r_tables)
     embeds.clear(), sums.clear()
+    verify._companion_reports.cache_clear()  # cold: r's checks run again
     run_suite(FamilySpec("rime-quantum", 3, beta=F(1, 2), phi=phi))
     # Rhat's ybe, hecke and quantization, then r's checks
     assert (embeds, sums) == ([12, 23, 12, 13, 23], [(3, 2), (2, 3), (2, 3), *r_tables])
     embeds.clear(), sums.clear()
+    # warm: r's reports come from the memo, so only Rhat's tables are summed
+    run_suite(FamilySpec("rime-quantum", 3, beta=F(-7, 3), phi=phi))
+    assert (embeds, sums) == ([12, 23], [(3, 2), (2, 3), (2, 3)])
+    embeds.clear(), sums.clear()
+    run_suite(FamilySpec("classical-rime", 3, phi=phi))
+    assert (embeds, sums) == ([], [])
     run_checks(classical_rime_r(PhiVector(phi)), ["braid", "tilde", "cybe", "acybe", "ybe", "tilde"])
     # braid's two, tilde's two, cybe, and untagged acybe's r + r21; ybe and tilde reuse theirs
     assert (embeds, sums) == ([12, 23, 13], [(3, 2), (3, 2), (3, 4), (2, 4), (3, 6), (2, 2)])
@@ -1321,7 +1328,12 @@ def _count_constructor_calls(monkeypatch, calls):
                 monkeypatch.setattr(module, name, counting)
 
 
+_CLASSICAL_FAMILIES = ("classical-rime", "classical-cg", "classical-unitary", "boundary")
+
+
 def test_run_suite_builds_each_operator_once(monkeypatch):
+    import rimealg.verify as verify
+
     calls = {}
     _count_constructor_calls(monkeypatch, calls)
     rng = random.Random("built-once")
@@ -1330,15 +1342,31 @@ def test_run_suite_builds_each_operator_once(monkeypatch):
         specs.append(FamilySpec("rime-quantum", n, beta=F(1, 2), phi=(0, *range(1, n))))
         specs.append(FamilySpec("cg", n, q2inv=F(1, 3), p=1))
         for spec in specs:
+            verify._companion_reports.cache_clear()  # cold: every operator is built
             calls.clear()
             reports = run_suite(spec)
             assert all(rep.passed for rep in reports), spec
             assert calls and max(calls.values()) == 1, (spec, calls)
+            # warm: the classical operator's reports come from the memo, so a
+            # classical suite builds nothing and a quantum one no more than before
+            cold = dict(calls)
+            calls.clear()
+            assert run_suite(spec) == reports
+            if spec.family in _CLASSICAL_FAMILIES:
+                assert calls == {}, spec
+            else:
+                assert calls.items() <= cold.items(), (spec, calls)
+    verify._companion_reports.cache_clear()
     calls.clear()
-    run_suite(FamilySpec("rime-quantum", 3, beta=F(1, 2), phi=(3, 2, 1)))
+    spec = FamilySpec("rime-quantum", 3, beta=F(1, 2), phi=(3, 2, 1))
+    run_suite(spec)
     assert calls == {"beta_from_phi": 1, "rime_from_beta": 1, "rime_general": 1,
                      "cremmer_gervais": 1, "classical_rime_r": 1, "classical_cg_r": 1,
                      "x_matrix": 1}
+    calls.clear()
+    run_suite(spec)  # warm: r for quantization only, and no classical_cg_r
+    assert calls == {"beta_from_phi": 1, "rime_from_beta": 1, "rime_general": 1,
+                     "cremmer_gervais": 1, "classical_rime_r": 1, "x_matrix": 1}
 
 
 _EQUIVALENCES = ("equivalence-quantum", "equivalence-classical")
@@ -1391,3 +1419,139 @@ def test_suite_equivalence_reports_match_public_checks_on_tampered_operators(
 
 def _suite_names(spec):
     return [rep.name for rep in run_suite(spec)]
+
+
+# -- the memo of the classical operator's reports ----------------------------------
+
+# the family whose suite checks the same classical operator, for the families with weights
+_SIBLINGS = {"rime-quantum": "classical-rime", "classical-rime": "rime-quantum",
+             "rime-unitary": "classical-unitary", "classical-unitary": "rime-unitary"}
+
+
+def test_suite_reports_match_with_cold_and_warm_memo():
+    # each suite gives the same reports from a cold memo as from one warmed by
+    # its sibling (the same phi or mu), in full or by one check, or by itself
+    import rimealg.verify as verify
+
+    rng = random.Random("cold-and-warm")
+    for n in range(1, 6):
+        specs = {spec.family: spec for spec in _seeded_specs(rng, n)}
+        for spec in specs.values():
+            verify._companion_reports.cache_clear()
+            cold = run_suite(spec)
+            sibling = specs[_SIBLINGS.get(spec.family, spec.family)]
+            for warm_names in (None, [rng.choice(_suite_names(sibling))]):
+                verify._companion_reports.cache_clear()
+                run_suite(sibling, warm_names)
+                assert run_suite(spec) == cold, (spec, warm_names)
+            assert run_suite(spec, [rep.name for rep in cold] * 2) == cold * 2, spec
+
+
+def test_warm_classical_suite_builds_and_sums_nothing(monkeypatch):
+    import rimealg.core as core
+    import rimealg.verify as verify
+
+    calls, sums = {}, []
+    _count_constructor_calls(monkeypatch, calls)
+    for module in (core, verify):  # equivalence-classical sums through core
+        monkeypatch.setattr(module, "_chain_sum",
+                            lambda *args, _sum=module._chain_sum: sums.append(args[1]) or _sum(*args))
+    rng = random.Random("warm-classical")
+    for n in (1, 2, 3, 4):
+        for spec in _seeded_specs(rng, n):
+            if spec.family in _CLASSICAL_FAMILIES:
+                cold = run_suite(spec)
+                assert calls and sums, spec
+                calls.clear(), sums.clear()
+                assert run_suite(spec) == cold
+                assert (calls, sums) == ({}, []), spec
+
+
+def test_memo_holds_at_most_16_recipes():
+    import rimealg.verify as verify
+
+    rng = random.Random("bounded-memo")
+    seen = set()
+    while len(seen) < 100:
+        phi = random_distinct(rng, 2, nonzero=True)
+        if phi not in seen:
+            seen.add(phi)
+            assert all(rep.passed for rep in run_suite(FamilySpec("classical-rime", 2, phi=phi)))
+    info = verify._companion_reports.cache_info()
+    assert (info.maxsize, info.currsize, info.hits, info.misses) == (16, 16, 0, 100)
+    # an entry holds reports only
+    spec = FamilySpec("boundary", 3)
+    run_suite(spec)
+    recipe_reports = verify._companion_reports(("boundary", 3), (
+        verify.classical_rime_r, verify.classical_unitary_r0, verify.classical_cg_r,
+        verify.boundary_b, verify.x_matrix))
+    assert list(recipe_reports) == ["cybe", "acybe", "nilpotent"]
+    assert all(type(rep) is verify.VerificationReport for rep in recipe_reports.values())
+
+
+def test_run_checks_and_public_checks_never_read_the_memo():
+    import rimealg.verify as verify
+
+    rng = random.Random("memo-bypass")
+    phi = random_phi(rng, 3)
+    mu = random_mu(rng, 3)
+    run_suite(FamilySpec("classical-rime", 3, phi=phi.phi))  # warm, for phi
+    before = verify._companion_reports.cache_info()
+    r = classical_rime_r(phi)
+    bad = _shifted_at(rng, r, inside=False)
+    names = ["cybe", "acybe", "tilde", "idempotent", "nilpotent", "braid", "ybe", "hecke"]
+    for op in (r, bad, classical_unitary_r0(mu), boundary_b(3)):
+        run_checks(op, names, beta=lambda: F(1, 2))
+        for check in _ARITY3_CHECKS + (check_idempotent_exponential, check_nilpotent_exponential):
+            check(op)
+        check_hecke(op, 3)
+    check_equivalence_classical(phi)
+    check_equivalence_classical(mu)
+    assert verify._companion_reports.cache_info() == before
+    assert not run_checks(bad, ["cybe"])[0].passed
+
+
+@pytest.mark.parametrize("constructor, spec", [
+    ("classical_rime_r", FamilySpec("classical-rime", 3, phi=(3, 2, 1))),
+    ("classical_unitary_r0", FamilySpec("classical-unitary", 3, mu=(0, 1, -2))),
+    ("classical_cg_r", FamilySpec("classical-cg", 3)),
+    ("boundary_b", FamilySpec("boundary", 3)),
+    ("x_matrix", FamilySpec("classical-rime", 3, phi=(3, 2, 1))),
+])
+def test_constructor_patched_after_warm_call_is_not_hidden(monkeypatch, constructor, spec):
+    # a suite run after a constructor is replaced reports on the new operator,
+    # as a cold memo would, whatever the memo held before
+    import rimealg.verify as verify
+
+    passed = run_suite(spec)
+    assert all(rep.passed for rep in passed)
+    original = getattr(verify, constructor)
+
+    def shifted(*args):
+        op = original(*args)
+        if op.arity == 1:  # X of other weights: still invertible, but not this operator's
+            return original(PhiVector(tuple(v + 1 for v in args[0].phi)))
+        return _shifted_at(random.Random(f"patched-{constructor}"), op, inside=False)
+
+    monkeypatch.setattr(verify, constructor, shifted)
+    warm = run_suite(spec)
+    verify._companion_reports.cache_clear()
+    assert warm == run_suite(spec)
+    assert not all(rep.passed for rep in warm)
+
+
+def test_one_scale_per_operator(monkeypatch):
+    # the quadratic checks share the engine of the other checks on their operator,
+    # so a document's checks scale it once, and a cold quantum suite scales Rhat
+    # and r once each, plus quantization's own scale of P, Rhat and r
+    import rimealg.verify as verify
+
+    scaled = []
+    scaled_rows = verify._scaled_rows
+    monkeypatch.setattr(verify, "_scaled_rows", lambda *ops: scaled.append(len(ops)) or scaled_rows(*ops))
+    op = rime_from_beta(beta_from_phi(F(1, 2), PhiVector((3, 2, 1))))
+    run_checks(op, ["hecke", "ybe", "idempotent", "nilpotent", "cybe", "hecke"], beta=lambda: F(1, 2))
+    assert scaled == [1]
+    scaled.clear()
+    run_suite(FamilySpec("rime-quantum", 3, beta=F(1, 2), phi=(3, 2, 1)))
+    assert scaled == [1, 3, 1]
