@@ -504,24 +504,24 @@ def _chain_sum(n: int, arity: int, d: int, terms) -> Operator:
     return Operator._wrap(n, arity, tuple(out))
 
 
+def _slot(m: Operator, slot: int) -> Operator:
+    """m tensor I (slot 1) or I tensor m (slot 2) on V tensor V; like embed, it only reindexes m's rows."""
+    if m.arity != 1:
+        raise ValueError("a slot placement expects an arity-1 operator")
+    n, rows = m.n, m._rows
+    placed = (({k * n + j: v for k, v in rows[i].items()} if slot == 1 else
+               {i * n + k: v for k, v in rows[j].items()}) for i in range(n) for j in range(n))
+    return Operator._wrap(n, 2, tuple(placed))
+
+
 def conjugate_pair(a: Operator, x: Operator) -> Operator:
     """Change of basis on both tensor factors: (X tensor X) a (X^-1 tensor X^-1).
 
-    X tensor X = (X tensor I)(I tensor X), so the conjugate is one chain of
-    five factors that each act on a single tensor slot: row (i, j) of
-    X tensor I is X's row i placed in slot 1, and of I tensor X X's row j
-    placed in slot 2.  No n^2-by-n^2 Kronecker product is formed.  It is
-    _conjugate_minus with no target, the one chain sum of the equivalence checks.
-    """
-    return _conjugate_minus(a, x)
-
-
-def _conjugate_minus(a: Operator, x: Operator, target=None) -> Operator:
-    """conjugate_pair(a, x) - target, or conjugate_pair(a, x) for no target, as one chain sum.
-
-    The target is the chain term (-1, (target,)) beside the conjugate's
-    five-factor term, so the difference is summed in ints (see _chain_sum):
-    no conjugated operator is built and no Fraction is subtracted.
+    X tensor X = (X tensor I)(I tensor X), so the conjugate is one chain
+    term of five factors that each act on a single tensor slot (see _slot),
+    summed in ints by _chain_sum.  No n^2-by-n^2 Kronecker product is
+    formed.  The equivalence checks state the same change of basis without
+    X^-1; this is the one route that inverts X.
     """
     if a.arity != 2:
         raise ValueError("conjugate_pair expects an arity-2 operator")
@@ -530,17 +530,10 @@ def _conjugate_minus(a: Operator, x: Operator, target=None) -> Operator:
     if a.n != x.n:
         raise ValueError(f"dimension mismatch in conjugation: {a.n} vs {x.n}")
     n = a.n
-    targets = () if target is None else (target,)
-    for t in targets:
-        _require_space(n, 2, t, "subtraction")
-    d, (xs, rows, inv, *targets) = _scaled_rows(x, a, x.inverse(), *targets)
-
-    def slots(m):  # m tensor I, then I tensor m, as int rows on pair offsets
-        return ([{k * n + j: v for k, v in m[i].items()} for i in range(n) for j in range(n)],
-                [{i * n + k: v for k, v in m[j].items()} for i in range(n) for j in range(n)])
-
-    terms = [(1, (*slots(xs), rows, *slots(inv)))] + [(-1, (t,)) for t in targets]
-    return _chain_sum(n, 2, d, terms)
+    d, (xs, rows, inv) = _scaled_rows(x, a, x.inverse())
+    xs, inv = Operator._wrap(n, 1, xs), Operator._wrap(n, 1, inv)
+    chain = (_slot(xs, 1)._rows, _slot(xs, 2)._rows, rows, _slot(inv, 1)._rows, _slot(inv, 2)._rows)
+    return _chain_sum(n, 2, d, [(1, chain)])
 
 
 def inverse(x: Operator) -> Operator:

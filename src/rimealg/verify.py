@@ -22,17 +22,15 @@ from functools import cache, lru_cache
 from typing import Callable, Optional, Union
 
 from .core import (
-    LEGS,
     Operator,
     _chain_sum,
-    _conjugate_minus,
     _require_space,
     _scaled_rows,
+    _slot,
     _swap_offsets,
     as_rational,
     embed,
     flip21,
-    permutation,
 )
 from .families import (
     FAMILY_TAGS,
@@ -122,36 +120,44 @@ def _verdict(name: str, parts, metadata=None) -> VerificationReport:
     witness = None
     for part_name, res in parts:
         m = res.max_abs()
-        if m > max_residual:
-            max_residual = m
+        max_residual = max(max_residual, m)
         if m and witness is None:
-            row, col, value = res.first_nonzero()
-            witness = (row, col, value)
+            witness = res.first_nonzero()
             if len(parts) > 1:
                 meta["failed_part"] = part_name
     return VerificationReport(name, max_residual == 0, max_residual, witness, meta)
 
 
-# -- every single-operator identity, as a table of chain terms --------------------
+# -- every identity, as a table of chain terms over named operands -----------------
 
 # A table is a tuple of terms (c, factors), and its residual is the sum of
-# c F1 ... Fj.  A factor is a leg 12, 13 or 23 of r on V (x) V (x) V, r itself,
-# its flip "r21", or the flip "P"; a term with no factors reads as c I.
-_YBE = ((1, (12, 23, 12)), (-1, (23, 12, 23)))
-_BRAID = ((1, (12, 13, 23)), (-1, (23, 13, 12)))
-_A = ((1, (13, 12)), (-1, (12, 23)), (1, (23, 13)))
-_A_PRIME = ((1, (12, 13)), (-1, (23, 12)), (1, (13, 23)))
+# c F1 ... Fj.  A factor names a one-letter operand and its placement: "r12",
+# "r13" and "r23" are the legs of r on V (x) V (x) V, "r21" its flip, "X1"
+# and "X2" are X (x) I and I (x) X on V (x) V, and a bare "r" is r as it is;
+# "P" is the flip itself.  A term with no factors reads as c I.  A
+# coefficient is a number, or the name of a scalar bound when the check
+# runs, negated by a leading "-".
+_YBE = ((1, ("r12", "r23", "r12")), (-1, ("r23", "r12", "r23")))
+_BRAID = ((1, ("r12", "r13", "r23")), (-1, ("r23", "r13", "r12")))
+_A = ((1, ("r13", "r12")), (-1, ("r12", "r23")), (1, ("r23", "r13")))
+_A_PRIME = ((1, ("r12", "r13")), (-1, ("r23", "r12")), (1, ("r13", "r23")))
 _CYBE = _A_PRIME + tuple((-c, legs) for c, legs in _A)
-_SHIFTED_A = _A + ((1, (13,)),)
+_SHIFTED_A = _A + ((1, ("r13",)),)
 # the arity-2 companions of the associative identities: r + r21 and r + r21 - (P - I)
 _SKEW = ((1, ("r",)), (1, ("r21",)))
 _SHIFTED = _SKEW + ((-1, ("P",)), (1, ()))
-# the quadratic laws r^2 + r and r^2; the Hecke law's table is built per beta
+# the quadratic laws r^2 + r, r^2 and the Hecke law r^2 - beta r + (beta - 1) I
 _SQUARE_PLUS = ((1, ("r", "r")), (1, ("r",)))
 _SQUARE = ((1, ("r", "r")),)
+_HECKE = ((1, ("r", "r")), ("-beta", ("r",)), ("beta", ()), (-1, ()))
+# P Rhat - I - c r for Rhat "R" and its classical companion "r"
+_QUANTIZATION = ((1, ("P", "R")), (-1, ()), ("-c", ("r",)))
+# (X (x) X) a - t (X (x) X): X carries a onto t, stated without X^-1
+_CONJUGATION = ((1, ("X1", "X2", "a")), (-1, ("t", "X1", "X2")))
 
-# each check of one operator: its report name, its parts as (part name, table),
-# and the acybe variant it reports; a check without a variant reports n instead
+# each check: its report name, its parts as (part name, table), and the acybe
+# variant it reports; a check without a variant reports n, unless its caller
+# gives the metadata
 _CHECKS = {
     "ybe": ("ybe", (("ybe", _YBE),), None),
     "cybe": ("cybe", (("cybe", _CYBE),), None),
@@ -163,62 +169,72 @@ _CHECKS = {
               None),
     "idempotent": ("idempotent", (("r^2 = -r", _SQUARE_PLUS),), None),
     "nilpotent": ("nilpotent", (("r^2 = 0", _SQUARE),), None),
+    "hecke": ("hecke", (("hecke", _HECKE),), None),
+    "quantization": ("quantization", (("P Rhat = I + beta r", _QUANTIZATION),), None),
+    "equivalence-quantum": ("equivalence-quantum", (("Ad X(phi)", _CONJUGATION),), None),
+    "equivalence-classical": ("equivalence-classical", (("Ad X", _CONJUGATION),), None),
 }
 # skew families (r + r21 = 0) take the homogeneous acybe; their suites use _NILPOTENT
 _SKEW_FAMILIES = ("rime-unitary", "classical-unitary", "boundary")
 
 
-class _Identities:
-    """The residual of every table above on one operator r, each summed once, at first use.
+def _bind(c, bound):
+    """A table coefficient: a number, or a name read from ``bound``, negated by a leading "-"."""
+    return (-bound[c[1:]] if c[0] == "-" else bound[c]) if isinstance(c, str) else c
 
-    r is scaled once: D, the lcm of its denominators, and the int rows of
-    D r (see core._scaled_rows).  Every other factor is made from those rows
-    once, at first use, by reindexing only: the legs through embed, r21
-    through flip21 and D P from the flip's offsets, so no entry is converted
-    again.  Each table is one chain sum in ints (see core._chain_sum), at
-    arity 3 if it uses a leg and at r's own arity otherwise, so no product
-    of Fractions is made.
+
+class _Identities:
+    """The residual of every table above on named operands, each summed once, at first use.
+
+    The operands are scaled once, together, when the engine is made: D, the
+    lcm of all their denominators, and the int rows of D times each (see
+    core._scaled_rows).  Every other factor is made from those rows once, at
+    first use, by reindexing only: the legs through embed, the flip through
+    flip21, the slots through core._slot and D P from the flip's offsets, so
+    no entry is converted again.  Each table is one chain sum in ints (see
+    core._chain_sum) on the space of its first factor, which every factor
+    must act on, so no product of Fractions is made.
     """
 
-    def __init__(self, r: Operator):
-        self.r = r
-        self._d = None
-        self._factors = {}
+    def __init__(self, **operands: Operator):
+        self.operands = operands
+        self.n = next(iter(operands.values())).n
+        self._d, scaled = _scaled_rows(*operands.values())
+        self._factors = {key: Operator._wrap(op.n, op.arity, rows)
+                         for (key, op), rows in zip(operands.items(), scaled)}
         self._sums = {}
 
-    def _factor(self, name) -> list:
-        factors = self._factors
+    def _factor(self, name) -> Operator:
+        factors, n = self._factors, self.n
         if name not in factors:
-            r = self.r
             if name == "P":
-                factors[name] = [{s: self._d} for s in _swap_offsets(r.n)]
+                factors[name] = Operator._wrap(n, 2, tuple({s: self._d} for s in _swap_offsets(n)))
             else:
-                scaled = Operator._wrap(r.n, r.arity, factors["r"])
-                factors[name] = (flip21(scaled) if name == "r21" else embed(scaled, name))._rows
+                op, place = factors[name[0]], name[1:]
+                factors[name] = (flip21(op) if place == "21" else
+                                 _slot(op, int(place)) if place in ("1", "2") else embed(op, int(place)))
         return factors[name]
 
-    def residual(self, table) -> Operator:
+    def residual(self, table, **bound) -> Operator:
+        """The sum of ``table``, its named coefficients read from ``bound``."""
+        table = tuple((_bind(c, bound), names) for c, names in table)
         result = self._sums.get(table)
         if result is None:
-            r = self.r
-            if not self._factors:
-                self._d, (self._factors["r"],) = _scaled_rows(r)
             terms = [(c, [self._factor(name) for name in names]) for c, names in table]
-            arity = 3 if any(name in LEGS for _, names in table for name in names) else r.arity
-            result = self._sums[table] = _chain_sum(r.n, arity, self._d, terms)
+            first = next(fs[0] for _, fs in terms if fs)
+            n, arity = first.n, first.arity
+            for f in (f for _, fs in terms for f in fs):
+                _require_space(n, arity, f, "chain sum")
+            terms = [(c, [f._rows for f in fs]) for c, fs in terms]
+            result = self._sums[table] = _chain_sum(n, arity, self._d, terms)
         return result
 
-    def report(self, check: str) -> VerificationReport:
-        """The report of ``check``, a key of _CHECKS."""
+    def report(self, check: str, meta=None, **bound) -> VerificationReport:
+        """The report of ``check``, a key of _CHECKS; ``meta`` defaults to n or the acybe variant."""
         name, parts, variant = _CHECKS[check]
-        meta = {"n": self.r.n} if variant is None else {"variant": variant}
-        return _verdict(name, [(part, self.residual(table)) for part, table in parts], meta)
-
-    def hecke(self, beta) -> VerificationReport:
-        """The report of the Hecke law r^2 = beta r + (1 - beta) I."""
-        beta = as_rational(beta)
-        residual = self.residual(((1, ("r", "r")), (-beta, ("r",)), (beta - 1, ())))
-        return _verdict("hecke", [("hecke", residual)], {"beta": str(beta)})
+        if meta is None:
+            meta = {"n": self.n} if variant is None else {"variant": variant}
+        return _verdict(name, [(part, self.residual(table, **bound)) for part, table in parts], meta)
 
 
 # -- quantum checks -------------------------------------------------------
@@ -226,12 +242,17 @@ class _Identities:
 
 def check_ybe(rhat: Operator) -> VerificationReport:
     """Braid-form Yang-Baxter equation: R12 R23 R12 = R23 R12 R23 (see _Identities)."""
-    return _Identities(rhat).report("ybe")
+    return _Identities(r=rhat).report("ybe")
 
 
 def check_hecke(rhat: Operator, beta) -> VerificationReport:
-    """Quadratic relation Rhat^2 = beta*Rhat + (1 - beta)*I."""
-    return _Identities(rhat).hecke(beta)
+    """Quadratic relation Rhat^2 = beta*Rhat + (1 - beta)*I (see _Identities)."""
+    return _hecke(_Identities(r=rhat), beta)
+
+
+def _hecke(engine: _Identities, beta) -> VerificationReport:
+    beta = as_rational(beta)
+    return engine.report("hecke", {"beta": str(beta)}, beta=beta)
 
 
 def hecke_multiplicities(rhat: Operator, beta) -> tuple[int, int]:
@@ -258,12 +279,12 @@ def hecke_multiplicities(rhat: Operator, beta) -> tuple[int, int]:
 
 def assoc_A(r: Operator) -> Operator:
     """Associative combination A(r) = r13 r12 - r12 r23 + r23 r13."""
-    return _Identities(r).residual(_A)
+    return _Identities(r=r).residual(_A)
 
 
 def assoc_Aprime(r: Operator) -> Operator:
     """Mirror combination A'(r) = r12 r13 - r23 r12 + r13 r23."""
-    return _Identities(r).residual(_A_PRIME)
+    return _Identities(r=r).residual(_A_PRIME)
 
 
 def check_cybe(r: Operator) -> VerificationReport:
@@ -272,17 +293,17 @@ def check_cybe(r: Operator) -> VerificationReport:
     Its residual is A'(r) - A(r) for every operator, which is how _CYBE
     states it (see _Identities).
     """
-    return _Identities(r).report("cybe")
+    return _Identities(r=r).report("cybe")
 
 
 def check_nonhomogeneous_acybe(r: Operator) -> VerificationReport:
     """Non-homogeneous associative equation A(r) = -r13 with companion r + r21 = P - I."""
-    return _Identities(r).report("nonhomogeneous-acybe")
+    return _Identities(r=r).report("nonhomogeneous-acybe")
 
 
 def check_homogeneous_acybe(r: Operator) -> VerificationReport:
     """Homogeneous associative equation A(r) = 0 with companion skew symmetry r + r21 = 0."""
-    return _Identities(r).report("homogeneous-acybe")
+    return _Identities(r=r).report("homogeneous-acybe")
 
 
 def check_tilde_relations(r: Operator) -> VerificationReport:
@@ -293,7 +314,7 @@ def check_tilde_relations(r: Operator) -> VerificationReport:
     non-homogeneous acybe and rt itself is never built; the tests hold both
     identities, witness included, against rt built directly.
     """
-    return _Identities(r).report("tilde")
+    return _Identities(r=r).report("tilde")
 
 
 def check_braid_identities(r: Operator) -> VerificationReport:
@@ -303,7 +324,7 @@ def check_braid_identities(r: Operator) -> VerificationReport:
     are themselves verified by the idempotency and acybe checks run next to
     this one in the suites.
     """
-    return _Identities(r).report("braid")
+    return _Identities(r=r).report("braid")
 
 
 def check_idempotent_exponential(r: Operator) -> VerificationReport:
@@ -314,7 +335,7 @@ def check_idempotent_exponential(r: Operator) -> VerificationReport:
     I + (t + s - t s) r, the exact form of e^(h r) = I + (1 - e^(-h)) r.
     The tests hold that identity; the law is not computed again here.
     """
-    return _Identities(r).report("idempotent")
+    return _Identities(r=r).report("idempotent")
 
 
 def check_nilpotent_exponential(r0: Operator) -> VerificationReport:
@@ -324,7 +345,7 @@ def check_nilpotent_exponential(r0: Operator) -> VerificationReport:
     consequence of r0^2 = 0.  The tests hold that identity; the product
     is not computed again here.
     """
-    return _Identities(r0).report("nilpotent")
+    return _Identities(r=r0).report("nilpotent")
 
 
 # -- bridges between the two sides ----------------------------------------
@@ -335,17 +356,14 @@ def check_quantization(rhat: Operator, beta, r: Operator) -> VerificationReport:
 
     At beta = 0 the expansion parameter is absorbed into r itself (the
     skew-symmetric family), so the relation checked becomes P Rhat = I + r.
-    The residual is one chain sum in ints (see core._chain_sum).
+    The residual P Rhat - I - c r, with c = beta or 1, is one table of
+    _Identities on Rhat and r together.
     """
     beta = as_rational(beta)
-    coeff = beta if beta else _ONE
-    n = rhat.n
-    # raise what P @ Rhat and (P Rhat - I) - coeff r raise on a mismatched operand
-    _require_space(n, 2, rhat, "composition")
-    _require_space(n, 2, r, "subtraction")
-    d, (flip, rhat_rows, r_rows) = _scaled_rows(permutation(n), rhat, r)
-    residual = _chain_sum(n, 2, d, [(1, (flip, rhat_rows)), (-1, ()), (-coeff, (r_rows,))])
-    return _verdict("quantization", [("P Rhat = I + beta r", residual)], {"beta": str(beta)})
+    # raise what P @ Rhat and (P Rhat - I) - c r raise on a mismatched operand
+    _require_space(rhat.n, 2, rhat, "composition")
+    _require_space(rhat.n, 2, r, "subtraction")
+    return _Identities(R=rhat, r=r).report("quantization", {"beta": str(beta)}, c=beta or _ONE)
 
 
 def check_equivalence_quantum(phi: PhiVector, beta) -> VerificationReport:
@@ -353,8 +371,8 @@ def check_equivalence_quantum(phi: PhiVector, beta) -> VerificationReport:
 
     At beta = 1 the Cremmer-Gervais solution, whose q^-2 is 1 - beta, does
     not exist, so beta = 1 raises ValueError (the suites skip it there);
-    ``phi`` other than a PhiVector raises TypeError.  The residual
-    (X (x) X) cg (X^-1 (x) X^-1) - Rhat is one chain sum.
+    ``phi`` other than a PhiVector raises TypeError.  The residual is
+    (X (x) X) cg - Rhat (X (x) X), with no X^-1 (see _equivalence).
     """
     beta = as_rational(beta)
     if beta == 1:
@@ -362,7 +380,7 @@ def check_equivalence_quantum(phi: PhiVector, beta) -> VerificationReport:
                          "where the Cremmer-Gervais q2inv = 1 - beta vanishes")
     if not isinstance(phi, PhiVector):
         raise TypeError(f"quantum equivalence expects a PhiVector, got {type(phi).__name__}")
-    return _equivalence_quantum(phi, beta, x_matrix(phi), rime_from_beta(beta_from_phi(beta, phi)))
+    return _equivalence(phi, x_matrix(phi), rime_from_beta(beta_from_phi(beta, phi)), beta)
 
 
 def check_equivalence_classical(weights: Union[PhiVector, MuVector]) -> VerificationReport:
@@ -370,40 +388,40 @@ def check_equivalence_classical(weights: Union[PhiVector, MuVector]) -> Verifica
 
     A PhiVector compares classical_cg_r with classical_rime_r, a MuVector
     boundary_b with classical_unitary_r0, conjugated by X of its weights;
-    anything else raises TypeError.  The residual is one chain sum, as in
+    anything else raises TypeError.  The residual has no X^-1, as in
     check_equivalence_quantum.
     """
     if isinstance(weights, PhiVector):
-        return _equivalence_classical(weights, x_matrix(weights), classical_rime_r(weights))
+        return _equivalence(weights, x_matrix(weights), classical_rime_r(weights))
     if isinstance(weights, MuVector):
-        x = x_matrix(PhiVector(weights.mu))
-        return _equivalence_classical(weights, x, classical_unitary_r0(weights))
+        return _equivalence(weights, x_matrix(PhiVector(weights.mu)), classical_unitary_r0(weights))
     raise TypeError(f"classical equivalence expects a PhiVector or a MuVector, "
                     f"got {type(weights).__name__}")
 
 
-# The two equivalence reports from a caller's X(phi) and target: the public
-# checks build both, a suite hands over its own X, Rhat and r, so it builds
-# none of them twice.  The residual (X (x) X) a (X^-1 (x) X^-1) - target is
-# one chain sum (core._conjugate_minus).
+def _equivalence(weights: Union[PhiVector, MuVector], x: Operator, target: Operator,
+                 beta=None) -> VerificationReport:
+    """The equivalence report that X of ``weights`` carries a normal form onto ``target``.
 
-
-def _equivalence_quantum(phi: PhiVector, beta: Fraction, x: Operator,
-                         rhat: Operator) -> VerificationReport:
-    cg = cremmer_gervais(phi.n, _ONE - beta, _ONE)
-    meta = {"beta": str(beta), "phi": ",".join(str(v) for v in phi.phi)}
-    return _verdict("equivalence-quantum", [("Ad X(phi)", _conjugate_minus(cg, x, rhat))], meta)
-
-
-def _equivalence_classical(weights: Union[PhiVector, MuVector], x: Operator,
-                           r: Operator) -> VerificationReport:
-    if isinstance(weights, PhiVector):
-        source = classical_cg_r(weights.n)
-        meta = {"which": "rime", "phi": ",".join(str(v) for v in weights.phi)}
+    The normal form is CG(1 - beta, 1) for a ``beta``, else classical_cg_r
+    for phi and boundary_b for mu.  The public checks build X and the target,
+    a suite hands over its own, so it builds none of them twice.  The
+    residual (X (x) X) a - target (X (x) X) vanishes for a singular X too,
+    so it proves X (x) X a (X^-1 (x) X^-1) = target only once det X != 0:
+    a singular X raises ValueError.
+    """
+    if not x.det():
+        raise ValueError("matrix is singular, cannot invert")
+    if beta is not None:
+        check, a = "equivalence-quantum", cremmer_gervais(weights.n, _ONE - beta, _ONE)
+        meta = {"beta": str(beta), "phi": ",".join(map(str, weights.phi))}
+    elif isinstance(weights, PhiVector):
+        check, a = "equivalence-classical", classical_cg_r(weights.n)
+        meta = {"which": "rime", "phi": ",".join(map(str, weights.phi))}
     else:
-        source = boundary_b(weights.n)
-        meta = {"which": "boundary", "mu": ",".join(str(v) for v in weights.mu)}
-    return _verdict("equivalence-classical", [("Ad X", _conjugate_minus(source, x, r))], meta)
+        check, a = "equivalence-classical", boundary_b(weights.n)
+        meta = {"which": "boundary", "mu": ",".join(map(str, weights.mu))}
+    return _Identities(X=x, a=a, t=target).report(check, meta)
 
 
 # -- structure ------------------------------------------------------------
@@ -441,26 +459,16 @@ def classify_structure(m: Operator) -> StructureClass:
     data = GeneralRimeData(n, alpha, grid(lambda i, j: i * n + j), gamma, gamma_prime)
     if not any(map(any, gamma)) and not any(map(any, gamma_prime)):
         return StructureClass("ice", data)
-    strict = all(
-        alpha[i][j] and gamma[i][j]
-        for i in range(n)
-        for j in range(n)
-        if i != j
-    )
+    strict = all(alpha[i][j] and gamma[i][j] for i in range(n) for j in range(n) if i != j)
     return StructureClass("strict-rime" if strict else "rime", data)
 
 
 def check_beta_constancy(p: RimeParams) -> VerificationReport:
     """Re-verify that beta_ij + beta_ji equals the stored scalar for every pair."""
-    max_residual = _ZERO
-    witness = None
-    for i in range(1, p.n + 1):
-        for j in range(i + 1, p.n + 1):
-            dev = p.entry(i, j) + p.entry(j, i) - p.beta
-            if dev and witness is None:
-                witness = ((i, j), (j, i), dev)
-            if abs(dev) > max_residual:
-                max_residual = abs(dev)
+    deviations = [((i, j), (j, i), p.entry(i, j) + p.entry(j, i) - p.beta)
+                  for i in range(1, p.n + 1) for j in range(i + 1, p.n + 1)]
+    witness = next((dev for dev in deviations if dev[2]), None)
+    max_residual = max((abs(dev[2]) for dev in deviations), default=_ZERO)
     meta = {"beta": str(p.beta)}
     return VerificationReport("beta-constancy", max_residual == 0, max_residual, witness, meta)
 
@@ -507,12 +515,9 @@ def _classification_report(m: Operator, expected: str) -> VerificationReport:
 
 
 def _expected_rime_class(params: RimeParams) -> str:
-    off = [
-        (params.entry(i, j), params.entry(j, i))
-        for i in range(1, params.n + 1)
-        for j in range(1, params.n + 1)
-        if i != j
-    ]
+    n = params.n
+    off = [(params.entry(i, j), params.entry(j, i))
+           for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     if all(bij == 0 for bij, _ in off):
         return "ice"
     if all(bij != 0 and bji != 1 for bij, bji in off):
@@ -535,7 +540,7 @@ def _operator_checks(rhat, r, beta, family) -> dict[str, Callable[[], Verificati
     acybe takes the family's variant, or for an untagged operator
     (``family`` None) the homogeneous one exactly when r + r21 = 0.
     """
-    identities = cache(lambda source: _Identities(source()))
+    identities = cache(lambda source: _Identities(r=source()))
 
     def acybe() -> VerificationReport:
         engine = identities(r)
@@ -544,16 +549,12 @@ def _operator_checks(rhat, r, beta, family) -> dict[str, Callable[[], Verificati
 
     return {
         "ybe": lambda: identities(rhat).report("ybe"),
-        "hecke": lambda: identities(rhat).hecke(beta()),
+        "hecke": lambda: _hecke(identities(rhat), beta()),
         "multiplicities": lambda: _multiplicity_report(rhat(), beta()),
         "classify": lambda: VerificationReport(
             "classify", True, _ZERO, None, {"observed": classify_structure(rhat()).tag}),
-        "cybe": lambda: identities(r).report("cybe"),
-        "acybe": acybe,
-        "tilde": lambda: identities(r).report("tilde"),
-        "idempotent": lambda: identities(r).report("idempotent"),
-        "nilpotent": lambda: identities(r).report("nilpotent"),
-        "braid": lambda: identities(r).report("braid"),
+        **{name: acybe if name == "acybe" else (lambda name=name: identities(r).report(name))
+           for name in ("cybe", "acybe", "tilde", "idempotent", "nilpotent", "braid")},
     }
 
 
@@ -649,9 +650,9 @@ def _suite_checks(spec: FamilySpec, names=None) -> list[tuple[str, Callable[[], 
     table.update({
         "beta-constancy": lambda: check_beta_constancy(params),
         "classify": lambda: _classification_report(rhat(), expected),
-        "equivalence-quantum": lambda: _equivalence_quantum(phi, beta, x(), rhat()),
+        "equivalence-quantum": lambda: _equivalence(phi, x(), rhat(), beta),
         "quantization": lambda: check_quantization(rhat(), beta, r()),
-        "equivalence-classical": lambda: _equivalence_classical(phi if mu is None else mu, x(), r()),
+        "equivalence-classical": lambda: _equivalence(phi if mu is None else mu, x(), r()),
     })
     # r's checks go through the memo of its recipe: a hit builds no operator, X or engine
     recipe = phi if phi is not None else mu if mu is not None else (tag, spec.n)

@@ -3,7 +3,7 @@
 Matrix units, the wedge product, the generators Z^i_j, the transpose, the
 characteristic polynomial and the sum of a table of chain terms, each a
 plain function over the public :class:`~rimealg.core.Operator` API (items,
-``@``, ``+``, ``kron``, ``embed``).  The tests build expected values from
+``@``, ``+``, ``kron``, ``embed``, ``flip21``, ``permutation``).  The tests build expected values from
 them the way the paper writes its formulas; no check of the package calls
 them.
 
@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import prod
 
-from rimealg.core import LEGS, Operator, embed, flip21, identity, kron, permutation
+from rimealg.core import Operator, embed, flip21, identity, kron, permutation
 
 
 def matrix_unit(i: int, j: int, n: int) -> Operator:
@@ -60,22 +60,45 @@ def charpoly(a: Operator) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def chain_table(r: Operator, table) -> Operator:
+def chain_table(operands: dict, table, **bound) -> Operator:
     """The sum of c F1 ... Fj over the terms (c, factors) of an identity table.
 
-    A factor is a leg 12, 13 or 23 of r, r itself ("r"), its flip "r21" or
-    the flip "P"; a term with no factors is c I.  The sum acts on
-    V (x) V (x) V when a term uses a leg, and on r's own space otherwise.
+    ``operands`` maps one-letter names to operators.  A factor is the flip
+    "P", or an operand's name followed by its placement: nothing for the
+    operand itself, 12, 13 or 23 for its leg, 21 for its flip, 1 for
+    m (x) I and 2 for I (x) m.  A term with no factors is c I.  A coefficient
+    is a number, or a name in ``bound``, negated by a leading "-".  The sum
+    acts on the space of the first factor.
     """
-    uses_legs = any(name in LEGS for _, names in table for name in names)
-    n, arity = r.n, 3 if uses_legs else r.arity
-    named = {"r": lambda: r, "r21": lambda: flip21(r), "P": lambda: permutation(n)}
-    total = Operator.zero(n, arity)
+    n = next(iter(operands.values())).n
+
+    def factor(name):
+        if name == "P":
+            return permutation(n)
+        m, place = operands[name[0]], name[1:]
+        if place in ("12", "13", "23"):
+            return embed(m, int(place))
+        if place == "21":
+            return flip21(m)
+        if place == "1":
+            return kron(m, identity(n))
+        if place == "2":
+            return kron(identity(n), m)
+        assert place == "", name
+        return m
+
+    def coefficient(c):
+        if isinstance(c, str):
+            return -bound[c[1:]] if c.startswith("-") else bound[c]
+        return c
+
+    first = next(factor(names[0]) for _, names in table if names)
+    total = Operator.zero(n, first.arity)
     for c, names in table:
-        term = identity(n, arity)
+        term = identity(n, first.arity)
         for name in names:
-            term = term @ (embed(r, name) if name in LEGS else named[name]())
-        total = total + c * term
+            term = term @ factor(name)
+        total = total + coefficient(c) * term
     return total
 
 

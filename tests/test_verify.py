@@ -12,7 +12,6 @@ from conftest import random_distinct, random_rational
 from oracle import chain_table, charpoly, matrix_unit
 from rimealg.core import (
     Operator,
-    _conjugate_minus,
     conjugate_pair,
     embed,
     flip21,
@@ -554,14 +553,18 @@ def test_every_arity3_check_rejects_other_arities_through_embed(check, arity):
 # -- every identity table against its operator-arithmetic oracle ------------------
 
 
+def _dense(rng, n, arity):
+    size = n**arity
+    return Operator(n, arity, [[random_rational(rng) if rng.random() < 0.6 else 0 for _ in range(size)]
+                               for _ in range(size)])
+
+
 def _identity_table_cases(rng):
     # dense random operators at n = 1..3 of arity 1, 2 and 3, then every family
     # at n = 1..3 with copies shifted at one entry inside and outside the rime pattern
     for n in (1, 2, 3):
         for arity in (1, 2, 3):
-            size = n**arity
-            yield Operator(n, arity, [[random_rational(rng) if rng.random() < 0.6 else 0
-                                       for _ in range(size)] for _ in range(size)])
+            yield _dense(rng, n, arity)
         for spec in _seeded_specs(rng, n):
             op = build(spec)
             yield op
@@ -571,21 +574,29 @@ def _identity_table_cases(rng):
                     yield bad
 
 
-def test_every_identity_table_matches_its_operator_oracle(monkeypatch):
-    # every table that a check sums, caught where _Identities hands back its
-    # residual, equals the same table summed with @, +, embed, flip21,
-    # permutation and identity: whole residual operators, not only witnesses
+def _record_residuals(monkeypatch):
+    # every (operands, table, bound coefficients, residual) that an _Identities sums
     import rimealg.verify as verify
 
     summed = []
     residual = verify._Identities.residual
 
-    def recording(self, table):
-        result = residual(self, table)
-        summed.append((self.r, table, result))
+    def recording(self, table, **bound):
+        result = residual(self, table, **bound)
+        summed.append((self.operands, table, bound, result))
         return result
 
     monkeypatch.setattr(verify._Identities, "residual", recording)
+    return summed
+
+
+def test_every_identity_table_matches_its_operator_oracle(monkeypatch):
+    # every table that a single-operator check sums, caught where _Identities
+    # hands back its residual, equals the same table summed with @, +, embed,
+    # flip21, permutation and identity: whole residual operators, not only witnesses
+    import rimealg.verify as verify
+
+    summed = _record_residuals(monkeypatch)
     rng = random.Random("identity-tables")
     tables = set()
     for op in _identity_table_cases(rng):
@@ -598,14 +609,74 @@ def test_every_identity_table_matches_its_operator_oracle(monkeypatch):
             check_hecke(op, beta)
         check_idempotent_exponential(op)
         check_nilpotent_exponential(op)
-        for r, table, result in summed:
-            assert r is op
-            assert result == chain_table(op, table), (op, table)
+        for operands, table, bound, result in summed:
+            assert list(operands) == ["r"] and operands["r"] is op
+            assert result == chain_table(operands, table, **bound), (op, table, bound)
             tables.add(table)
     named = {table for _, parts, _ in verify._CHECKS.values() for _, table in parts}
     named |= {verify._A, verify._A_PRIME, verify._SKEW, verify._SQUARE, verify._SQUARE_PLUS}
-    assert named <= tables
-    assert len(tables - named) == 4  # the Hecke law at each beta
+    assert tables == named - {verify._QUANTIZATION, verify._CONJUGATION}
+
+
+def _invertible(rng, n):
+    x = _dense(rng, n, 1)
+    while not x.det():
+        x = _dense(rng, n, 1)
+    return x
+
+
+def _two_operand_cases(rng, n):
+    # (Rhat, beta, r) and (a, X, t) cases: dense random operands with an invertible
+    # X, then each family's own, each also with one operand shifted at one entry
+    # inside or outside the rime pattern
+    phi, mu = random_phi(rng, n), random_mu(rng, n)
+    beta = random_rational(rng, True)
+    quantizations = [(_dense(rng, n, 2), random_rational(rng), _dense(rng, n, 2)),
+                     (rime_from_beta(beta_from_phi(beta, phi)), beta, classical_rime_r(phi)),
+                     (rime_from_beta(unitary_beta(mu)), F(0), classical_unitary_r0(mu)),
+                     (cremmer_gervais(n, 1 - beta, 1), beta, classical_cg_r(n))]
+    conjugations = [(_dense(rng, n, 2), _invertible(rng, n), _dense(rng, n, 2)),
+                    *_equivalence_triples(rng, n)]
+    for rhat, beta, r in quantizations:
+        yield "quantization", (rhat, beta, r)
+        for inside in (True, False):
+            for case in ((_shifted_at(rng, rhat, inside), beta, r), (rhat, beta, _shifted_at(rng, r, inside))):
+                if None not in case:
+                    yield "quantization", case
+    for a, x, t in conjugations:
+        yield "conjugation", (a, x, t)
+        for inside in (True, False):
+            for case in ((_shifted_at(rng, a, inside), x, t), (a, x, _shifted_at(rng, t, inside))):
+                if None not in case:
+                    yield "conjugation", case
+
+
+def test_two_operand_tables_match_their_operator_oracle(monkeypatch):
+    # quantization and both equivalences, caught where _Identities hands back
+    # their residuals, equal their tables summed with @, +, kron and permutation;
+    # conjugate_pair equals its own five-factor chain; and the inverse-free
+    # residual is the conjugated one carried by X (x) X
+    import rimealg.verify as verify
+
+    summed = _record_residuals(monkeypatch)
+    rng = random.Random("two-operand-tables")
+    tables = set()
+    for n in (1, 2, 3):
+        for kind, case in _two_operand_cases(rng, n):
+            summed.clear()
+            if kind == "quantization":
+                assert check_quantization(*case) == _quantization_oracle(*case)
+            else:
+                a, x, t = case
+                xx = kron(x, x)
+                assert _conjugation_residual(a, x, t) == (conjugate_pair(a, x) - t) @ xx == xx @ a - t @ xx
+                conjugate = chain_table({"X": x, "a": a, "Y": x.inverse()},
+                                        ((1, ("X1", "X2", "a", "Y1", "Y2")),))
+                assert conjugate_pair(a, x) == conjugate
+            for operands, table, bound, result in summed:
+                assert result == chain_table(operands, table, **bound), (kind, case)
+                tables.add(table)
+    assert tables == {verify._QUANTIZATION, verify._CONJUGATION}
 
 
 # -- bridges --------------------------------------------------------------------
@@ -778,17 +849,26 @@ def _shifted_at(rng, op, inside):
     return _tampered(op, i * n + j, col, op.dense_rows()[i * n + j][col] + random_rational(rng, True))
 
 
+def _conjugation_residual(a, x, target):
+    # the equivalences' one chain sum, (X (x) X) a - target (X (x) X)
+    import rimealg.verify as verify
+
+    return verify._Identities(X=x, a=a, t=target).residual(verify._CONJUGATION)
+
+
 def test_one_chain_residual_matches_conjugate_minus_target():
+    # the residual vanishes at each equivalence's own target, and at a shifted
+    # target it is the conjugate minus that target, carried by X (x) X
     rng = random.Random("one-chain-residual")
     for n in range(1, 6):
         for a, x, target in _equivalence_triples(rng, n):
-            assert _conjugate_minus(a, x, target).is_zero()
-            assert _conjugate_minus(a, x) == conjugate_pair(a, x)
+            assert _conjugation_residual(a, x, target).is_zero()
+            assert conjugate_pair(a, x) == target
             for inside in (True, False, True, False):
                 bad = _shifted_at(rng, target, inside)
                 if bad is not None:
-                    residual = _conjugate_minus(a, x, bad)
-                    assert residual == conjugate_pair(a, x) - bad
+                    residual = _conjugation_residual(a, x, bad)
+                    assert residual == (conjugate_pair(a, x) - bad) @ kron(x, x)
                     assert not residual.is_zero()
                     assert all(type(v) is F for row in residual.rows for v in row.values())
 
@@ -798,15 +878,67 @@ def test_one_chain_residual_matches_kronecker_oracle(data, n):
     x = data.draw(bases(n))
     a = data.draw(st.one_of(sparse_operators2(n), operators2(n)))
     target = data.draw(st.one_of(st.just(zero(n, 2)), sparse_operators2(n), operators2(n)))
-    assert _conjugate_minus(a, x, target) == _conjugate_oracle(a, x) - target
+    xx = kron(x, x)
+    assert _conjugation_residual(a, x, target) == xx @ a - target @ xx
+    assert _conjugation_residual(a, x, target) == (_conjugate_oracle(a, x) - target) @ xx
 
 
 def test_one_chain_residual_rejects_a_mismatched_target():
     x = x_matrix(PhiVector((2, 1)))
-    with pytest.raises(ValueError, match="subtraction requires matching operators"):
-        _conjugate_minus(classical_cg_r(2), x, classical_cg_r(3))
-    with pytest.raises(ValueError, match="subtraction requires matching operators"):
-        _conjugate_minus(classical_cg_r(2), x, identity(2, 3))
+    with pytest.raises(ValueError, match="requires matching operators"):
+        _conjugation_residual(classical_cg_r(2), x, classical_cg_r(3))
+    with pytest.raises(ValueError, match="requires matching operators"):
+        _conjugation_residual(classical_cg_r(2), x, identity(2, 3))
+    with pytest.raises(ValueError, match="^a slot placement expects an arity-1 operator$"):
+        _conjugation_residual(classical_cg_r(2), identity(2, 2), classical_cg_r(2))
+
+
+def _singular_bases(n):
+    # the zero matrix, and X(phi) with its last row replaced by its first
+    dense = x_matrix(PhiVector(tuple(range(1, n + 1)))).dense_rows()
+    return zero(n, 1), Operator(n, 1, dense[:-1] + dense[:1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_equivalences_refuse_a_singular_basis(monkeypatch, n):
+    # (X (x) X) a - t (X (x) X) vanishes for a singular X, so every equivalence
+    # route raises on one and never passes
+    import rimealg.verify as verify
+
+    phi = tuple(range(n, 0, -1))
+    specs = [FamilySpec("rime-quantum", n, beta=F(-7, 3), phi=phi),
+             FamilySpec("rime-unitary", n, mu=tuple(range(n))),
+             FamilySpec("classical-rime", n, phi=phi), FamilySpec("classical-unitary", n, mu=tuple(range(n)))]
+    for singular in _singular_bases(n):
+        assert singular.det() == 0
+        monkeypatch.setattr(verify, "x_matrix", lambda weights, x=singular: x)
+        verify._companion_reports.cache_clear()
+        for check in (lambda: check_equivalence_quantum(PhiVector(phi), F(-7, 3)),
+                      lambda: check_equivalence_classical(PhiVector(phi)),
+                      lambda: check_equivalence_classical(MuVector(tuple(range(n)))),
+                      *(lambda spec=spec: run_suite(spec) for spec in specs)):
+            with pytest.raises(ValueError, match="^matrix is singular, cannot invert$"):
+                check()
+    verify._companion_reports.cache_clear()
+
+
+def test_no_check_inverts_a_matrix(monkeypatch):
+    # no suite and no equivalence check inverts X: each passes with inverse refused
+    import rimealg.verify as verify
+
+    def refuse(self):
+        raise AssertionError("a check inverted a matrix")
+
+    monkeypatch.setattr(Operator, "inverse", refuse)
+    verify._companion_reports.cache_clear()  # cold: every equivalence runs
+    rng = random.Random("no-inverse")
+    for n in range(2, 6):
+        for spec in _seeded_specs(rng, n):
+            assert all(rep.passed for rep in run_suite(spec)), spec
+        phi = random_phi(rng, n)
+        assert check_equivalence_quantum(phi, F(-7, 3)).passed
+        assert check_equivalence_classical(phi).passed
+        assert check_equivalence_classical(random_mu(rng, n)).passed
 
 
 def test_equivalence_quantum_rejects_other_weights_with_a_type_error():
@@ -1242,8 +1374,8 @@ def test_each_operator_takes_one_leg_pass(monkeypatch):
     # per operator, each leg is embedded once, at its first use, and each table
     # is summed by one _chain_sum call, recorded as (arity, number of terms):
     # tilde and acybe share A(r) + r13 and r + r21 - (P - I), braid and ybe the
-    # YBE; the quadratic checks and quantization sum their own tables, and no
-    # check makes an Operator product
+    # YBE; the quadratic checks, quantization and the equivalences sum their
+    # own tables, and no check makes an Operator product
     import rimealg.verify as verify
 
     embeds, sums, products = [], [], []
@@ -1266,19 +1398,21 @@ def test_each_operator_takes_one_leg_pass(monkeypatch):
     monkeypatch.setattr(verify, "_chain_sum", counting_chain_sum)
     monkeypatch.setattr(Operator, "__matmul__", counting_matmul)
     phi = (3, 2, 1)
-    # cybe, then acybe's A(r) + r13 and r + r21 - (P - I), idempotent, braid's two
-    r_tables = [(3, 6), (3, 4), (2, 4), (2, 2), (3, 2), (3, 2)]
+    # cybe, then acybe's A(r) + r13 and r + r21 - (P - I), idempotent, braid's
+    # two, and equivalence-classical
+    r_tables = [(3, 6), (3, 4), (2, 4), (2, 2), (3, 2), (3, 2), (2, 2)]
     run_suite(FamilySpec("classical-rime", 3, phi=phi))
     assert (embeds, sums) == ([12, 13, 23], r_tables)
     embeds.clear(), sums.clear()
     verify._companion_reports.cache_clear()  # cold: r's checks run again
     run_suite(FamilySpec("rime-quantum", 3, beta=F(1, 2), phi=phi))
-    # Rhat's ybe, hecke and quantization, then r's checks
-    assert (embeds, sums) == ([12, 23, 12, 13, 23], [(3, 2), (2, 3), (2, 3), *r_tables])
+    # Rhat's ybe and hecke, equivalence-quantum, quantization, then r's checks
+    rhat_tables = [(3, 2), (2, 4), (2, 2), (2, 3)]
+    assert (embeds, sums) == ([12, 23, 12, 13, 23], [*rhat_tables, *r_tables])
     embeds.clear(), sums.clear()
     # warm: r's reports come from the memo, so only Rhat's tables are summed
     run_suite(FamilySpec("rime-quantum", 3, beta=F(-7, 3), phi=phi))
-    assert (embeds, sums) == ([12, 23], [(3, 2), (2, 3), (2, 3)])
+    assert (embeds, sums) == ([12, 23], rhat_tables)
     embeds.clear(), sums.clear()
     run_suite(FamilySpec("classical-rime", 3, phi=phi))
     assert (embeds, sums) == ([], [])
@@ -1448,14 +1582,12 @@ def test_suite_reports_match_with_cold_and_warm_memo():
 
 
 def test_warm_classical_suite_builds_and_sums_nothing(monkeypatch):
-    import rimealg.core as core
     import rimealg.verify as verify
 
     calls, sums = {}, []
     _count_constructor_calls(monkeypatch, calls)
-    for module in (core, verify):  # equivalence-classical sums through core
-        monkeypatch.setattr(module, "_chain_sum",
-                            lambda *args, _sum=module._chain_sum: sums.append(args[1]) or _sum(*args))
+    chain_sum = verify._chain_sum  # every check sums through the engine in verify
+    monkeypatch.setattr(verify, "_chain_sum", lambda *args: sums.append(args[1]) or chain_sum(*args))
     rng = random.Random("warm-classical")
     for n in (1, 2, 3, 4):
         for spec in _seeded_specs(rng, n):
@@ -1542,8 +1674,10 @@ def test_constructor_patched_after_warm_call_is_not_hidden(monkeypatch, construc
 
 def test_one_scale_per_operator(monkeypatch):
     # the quadratic checks share the engine of the other checks on their operator,
-    # so a document's checks scale it once, and a cold quantum suite scales Rhat
-    # and r once each, plus quantization's own scale of P, Rhat and r
+    # so a document's checks scale it once; a cold quantum suite scales Rhat and
+    # r once each, and each check of two operators scales its own together:
+    # cg, X and Rhat for equivalence-quantum, Rhat and r for quantization, and
+    # classical_cg_r, X and r for equivalence-classical
     import rimealg.verify as verify
 
     scaled = []
@@ -1554,4 +1688,4 @@ def test_one_scale_per_operator(monkeypatch):
     assert scaled == [1]
     scaled.clear()
     run_suite(FamilySpec("rime-quantum", 3, beta=F(1, 2), phi=(3, 2, 1)))
-    assert scaled == [1, 3, 1]
+    assert scaled == [1, 3, 2, 1, 3]
