@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Callable, Optional, Union
 
 from .core import (
@@ -380,7 +380,8 @@ def check_equivalence_quantum(phi: PhiVector, beta) -> VerificationReport:
                          "where the Cremmer-Gervais q2inv = 1 - beta vanishes")
     if not isinstance(phi, PhiVector):
         raise TypeError(f"quantum equivalence expects a PhiVector, got {type(phi).__name__}")
-    return _equivalence(phi, x_matrix(phi), rime_from_beta(beta_from_phi(beta, phi)), beta)
+    return _equivalence(phi, x_matrix(phi), _normal_form(phi, beta),
+                        rime_from_beta(beta_from_phi(beta, phi)), beta)
 
 
 def check_equivalence_classical(weights: Union[PhiVector, MuVector]) -> VerificationReport:
@@ -392,34 +393,45 @@ def check_equivalence_classical(weights: Union[PhiVector, MuVector]) -> Verifica
     check_equivalence_quantum.
     """
     if isinstance(weights, PhiVector):
-        return _equivalence(weights, x_matrix(weights), classical_rime_r(weights))
+        return _equivalence(weights, x_matrix(weights), _normal_form(weights), classical_rime_r(weights))
     if isinstance(weights, MuVector):
-        return _equivalence(weights, x_matrix(PhiVector(weights.mu)), classical_unitary_r0(weights))
+        return _equivalence(weights, x_matrix(PhiVector(weights.mu)), _normal_form(weights),
+                            classical_unitary_r0(weights))
     raise TypeError(f"classical equivalence expects a PhiVector or a MuVector, "
                     f"got {type(weights).__name__}")
 
 
-def _equivalence(weights: Union[PhiVector, MuVector], x: Operator, target: Operator,
-                 beta=None) -> VerificationReport:
-    """The equivalence report that X of ``weights`` carries a normal form onto ``target``.
+def _normal_form(weights: Union[PhiVector, MuVector], beta=None) -> Operator:
+    """The operator X of ``weights`` carries onto the rime one.
 
-    The normal form is CG(1 - beta, 1) for a ``beta``, else classical_cg_r
-    for phi and boundary_b for mu.  The public checks build X and the target,
-    a suite hands over its own, so it builds none of them twice.  The
-    residual (X (x) X) a - target (X (x) X) vanishes for a singular X too,
-    so it proves X (x) X a (X^-1 (x) X^-1) = target only once det X != 0:
-    a singular X raises ValueError.
+    It is CG(1 - beta, 1) for a ``beta``, else classical_cg_r for phi and
+    boundary_b for mu; it takes no parameter but n and ``beta``.
+    """
+    if beta is not None:
+        return cremmer_gervais(weights.n, _ONE - beta, _ONE)
+    return (classical_cg_r if isinstance(weights, PhiVector) else boundary_b)(weights.n)
+
+
+def _equivalence(weights: Union[PhiVector, MuVector], x: Operator, a: Operator, target: Operator,
+                 beta=None) -> VerificationReport:
+    """The equivalence report that X of ``weights`` carries the normal form ``a`` onto ``target``.
+
+    ``a`` is _normal_form(weights, beta).  The public checks build X, a and
+    the target, a suite hands over its own, so it builds none of them twice.
+    The residual (X (x) X) a - target (X (x) X) vanishes for a singular X
+    too, so it proves X (x) X a (X^-1 (x) X^-1) = target only once
+    det X != 0: a singular X raises ValueError.
     """
     if not x.det():
         raise ValueError("matrix is singular, cannot invert")
     if beta is not None:
-        check, a = "equivalence-quantum", cremmer_gervais(weights.n, _ONE - beta, _ONE)
+        check = "equivalence-quantum"
         meta = {"beta": str(beta), "phi": ",".join(map(str, weights.phi))}
     elif isinstance(weights, PhiVector):
-        check, a = "equivalence-classical", classical_cg_r(weights.n)
+        check = "equivalence-classical"
         meta = {"which": "rime", "phi": ",".join(map(str, weights.phi))}
     else:
-        check, a = "equivalence-classical", boundary_b(weights.n)
+        check = "equivalence-classical"
         meta = {"which": "boundary", "mu": ",".join(map(str, weights.mu))}
     return _Identities(X=x, a=a, t=target).report(check, meta)
 
@@ -529,6 +541,23 @@ def _no_beta() -> Fraction:
     raise ValueError("hecke and multiplicities need beta")
 
 
+def _recall(memo: dict, key, make: Callable):
+    """memo[key], set to make() first when it is absent."""
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
+
+
+def _once(make: Callable) -> Callable:
+    """A zero-argument callable returning make(), which runs at its first call only.
+
+    It does what functools.cache does for a function of no arguments, but
+    makes no wrapper: making one costs more than a memo-hit suite's checks.
+    """
+    memo = {}
+    return lambda: _recall(memo, None, make)
+
+
 def _operator_checks(rhat, r, beta, family) -> dict[str, Callable[[], VerificationReport]]:
     """Name -> not-yet-run check for the checks that need only an operator.
 
@@ -540,7 +569,10 @@ def _operator_checks(rhat, r, beta, family) -> dict[str, Callable[[], Verificati
     acybe takes the family's variant, or for an untagged operator
     (``family`` None) the homogeneous one exactly when r + r21 = 0.
     """
-    identities = cache(lambda source: _Identities(r=source()))
+    engines = {}
+
+    def identities(source) -> _Identities:
+        return _recall(engines, source, lambda: _Identities(r=source()))
 
     def acybe() -> VerificationReport:
         engine = identities(r)
@@ -595,7 +627,11 @@ def _companion_reports(recipe, constructors) -> dict[str, VerificationReport]:
     and the homogeneous one for mu and boundary.  ``constructors`` are the
     functions that build the operator and its X, as this module looks them
     up, so a replaced constructor makes a new entry.  An entry holds
-    reports only, no operator or engine.
+    reports only, no operator or engine.  The (classical-cg, n) and
+    (boundary, n) entries also serve every phi and every mu of that n: a
+    suite of a weight vector reads them for the passing reports it takes
+    over from its normal form (see _suite_checks), and fills them when
+    they are empty.
     """
     return {}
 
@@ -604,6 +640,18 @@ def _suite_checks(spec: FamilySpec, names=None) -> list[tuple[str, Callable[[], 
     """The named checks, by default the family's applicable ones, as (name, not-yet-run check) pairs.
 
     A name outside the applicable checks raises ValueError, listing them.
+
+    The checks of r, the classical operator, read and fill r's memo entry
+    (see _companion_reports).  When r comes from a phi or a mu and the
+    suite runs equivalence-classical, or r's entry holds its report, a
+    companion check first takes that report.  If it passed, the check
+    takes the report of the normal form, the operand a of that
+    equivalence, from the normal form's own entry, which one engine on the
+    normal form fills when it is empty; it keeps that report if it passes
+    (see run_suite for why it is r's).  Otherwise it runs r's own table,
+    so a failing report always carries r's own witness and max_residual.
+    A check requested without the equivalence, on a cold entry, runs r's
+    own table too, so it costs what it did before.
     """
     tag = spec.family
     phi = PhiVector(spec.phi) if spec.phi is not None else None
@@ -634,9 +682,10 @@ def _suite_checks(spec: FamilySpec, names=None) -> list[tuple[str, Callable[[], 
             f"available: {','.join(available)}"
         )
 
-    rhat = cache(lambda: build(spec) if params is None else rime_from_beta(params))
+    rhat = _once(lambda: build(spec) if params is None else rime_from_beta(params))
+    weights = phi if mu is None else mu  # None for cg, classical-cg and boundary
 
-    @cache
+    @_once
     def r() -> Operator:  # the family's classical operator, or Rhat's companion
         if phi is not None:
             return classical_rime_r(phi)
@@ -644,28 +693,41 @@ def _suite_checks(spec: FamilySpec, names=None) -> list[tuple[str, Callable[[], 
             return classical_unitary_r0(mu)
         return boundary_b(spec.n) if tag == "boundary" else classical_cg_r(spec.n)
 
-    x = cache(lambda: x_matrix(phi if mu is None else PhiVector(mu.mu)))  # X of the weights
+    x = _once(lambda: x_matrix(phi if mu is None else PhiVector(mu.mu)))  # X of the weights
+    nf = _once(lambda: _normal_form(weights))  # the classical normal form X carries onto r
 
     table = _operator_checks(rhat, r, lambda: beta, tag)
     table.update({
         "beta-constancy": lambda: check_beta_constancy(params),
         "classify": lambda: _classification_report(rhat(), expected),
-        "equivalence-quantum": lambda: _equivalence(phi, x(), rhat(), beta),
+        "equivalence-quantum": lambda: _equivalence(phi, x(), _normal_form(phi, beta), rhat(), beta),
         "quantization": lambda: check_quantization(rhat(), beta, r()),
-        "equivalence-classical": lambda: _equivalence(phi if mu is None else mu, x(), r()),
+        "equivalence-classical": lambda: _equivalence(weights, x(), nf(), r()),
     })
     # r's checks go through the memo of its recipe: a hit builds no operator, X or engine
-    recipe = phi if phi is not None else mu if mu is not None else (tag, spec.n)
-    reports = cache(lambda: _companion_reports(recipe, (
-        classical_rime_r, classical_unitary_r0, classical_cg_r, boundary_b, x_matrix)))
+    recipe = weights if weights is not None else (tag, spec.n)
+    constructors = (classical_rime_r, classical_unitary_r0, classical_cg_r, boundary_b, x_matrix)
+    reports = _once(lambda: _companion_reports(recipe, constructors))
+
+    @_once
+    def normal_form_checks():  # the normal form's memo entry, and its checks on one engine
+        nf_tag = "classical-cg" if mu is None else "boundary"
+        return (_companion_reports((nf_tag, spec.n), constructors),
+                _operator_checks(nf, nf, _no_beta, nf_tag))
+
+    def companion(name) -> VerificationReport:
+        # only where this suite runs r's equivalence anyway, or an earlier one did:
+        # a check run alone then costs what it did
+        memo, eq = reports(), "equivalence-classical"
+        if name != eq and (eq in names or eq in memo) and _recall(memo, eq, table[eq]).passed:
+            nf_memo, checks = normal_form_checks()
+            report = _recall(nf_memo, name, checks[name])
+            if report.passed:
+                return report
+        return table[name]()
 
     def remembered(name):
-        def check() -> VerificationReport:
-            memo = reports()
-            if name not in memo:
-                memo[name] = table[name]()
-            return memo[name]
-        return check
+        return lambda: _recall(reports(), name, lambda: companion(name))
 
     return [(name, remembered(name) if name in _COMPANIONS else table[name]) for name in names]
 
@@ -693,6 +755,18 @@ def run_suite(spec: FamilySpec, names=None) -> list[VerificationReport]:
     most 16 recipes (see _companion_reports), so a suite that shares its
     phi, its mu, or a parameterless operator with an earlier one returns
     that suite's reports without computing them again.
+
+    The companions of a phi or a mu (every one of those checks but
+    equivalence-classical) are verified once per normal form, classical_cg_r
+    for phi and boundary_b for mu.  Every table of those checks is a
+    polynomial in r12, r13, r23, r21, P and I, and conjugation by
+    X (x) X (x) X commutes with each of them.  So once equivalence-classical
+    has proved r = Ad X(a) for the normal form a, with det X != 0, a table
+    vanishes on r exactly when it vanishes on a, and a passing report of a,
+    which carries no witness and the same name and metadata, is r's.  r's
+    own tables still run when the equivalence fails, when a's report fails
+    and when the suite neither runs nor remembers the equivalence, so a
+    failure is always reported on r itself.
     """
     checks = _suite_checks(spec, names)
     fam = describe(spec)

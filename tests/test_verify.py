@@ -1328,21 +1328,27 @@ def test_shared_arity3_pass_matches_public_checks():
 
 def _public_suite(spec, reports):
     # each report rebuilt from the public check it stands for, plus describe(spec);
-    # multiplicities and classify have no public check and are kept as they are
+    # multiplicities and classify have no public check and are kept as they are;
+    # r is built by the constructor the suite calls, as verify looks it up
+    import rimealg.verify as verify
+
     tag = spec.family
     phi = PhiVector(spec.phi) if spec.phi is not None else None
     mu = MuVector(spec.mu) if spec.mu is not None else None
-    rhat = build(spec)  # for a classical family this is r itself
+    rhat = build(spec)
     params = r = beta = None
+    if phi is not None:
+        r = verify.classical_rime_r(phi) if phi.strict else None
+    elif mu is not None:
+        r = verify.classical_unitary_r0(mu)
+    else:
+        r = verify.boundary_b(spec.n) if tag == "boundary" else verify.classical_cg_r(spec.n)
     if tag == "rime-quantum":
         params = beta_from_phi(spec.beta, phi)
-        r = classical_rime_r(phi) if phi.strict else None
     elif tag == "rime-unitary":
-        params, r = unitary_beta(mu), classical_unitary_r0(mu)
+        params = unitary_beta(mu)
     elif tag == "cg":
-        r, beta = classical_cg_r(spec.n), 1 - spec.q2inv
-    else:
-        r = rhat
+        beta = 1 - spec.q2inv
     if params is not None:
         beta = params.beta
     public = {
@@ -1398,9 +1404,10 @@ def test_each_operator_takes_one_leg_pass(monkeypatch):
     monkeypatch.setattr(verify, "_chain_sum", counting_chain_sum)
     monkeypatch.setattr(Operator, "__matmul__", counting_matmul)
     phi = (3, 2, 1)
-    # cybe, then acybe's A(r) + r13 and r + r21 - (P - I), idempotent, braid's
-    # two, and equivalence-classical
-    r_tables = [(3, 6), (3, 4), (2, 4), (2, 2), (3, 2), (3, 2), (2, 2)]
+    # equivalence-classical, then the normal form's tables, which r's reports
+    # are taken from: cybe, acybe's A(r) + r13 and r + r21 - (P - I),
+    # idempotent and braid's two; r's own tables are not summed
+    r_tables = [(2, 2), (3, 6), (3, 4), (2, 4), (2, 2), (3, 2), (3, 2)]
     run_suite(FamilySpec("classical-rime", 3, phi=phi))
     assert (embeds, sums) == ([12, 13, 23], r_tables)
     embeds.clear(), sums.clear()
@@ -1416,6 +1423,10 @@ def test_each_operator_takes_one_leg_pass(monkeypatch):
     embeds.clear(), sums.clear()
     run_suite(FamilySpec("classical-rime", 3, phi=phi))
     assert (embeds, sums) == ([], [])
+    # another phi of the same n: its equivalence only, the normal form's reports are warm
+    run_suite(FamilySpec("classical-rime", 3, phi=(5, -1, 2)))
+    assert (embeds, sums) == ([], [(2, 2)])
+    sums.clear()
     run_checks(classical_rime_r(PhiVector(phi)), ["braid", "tilde", "cybe", "acybe", "ybe", "tilde"])
     # braid's two, tilde's two, cybe, and untagged acybe's r + r21; ybe and tilde reuse theirs
     assert (embeds, sums) == ([12, 23, 13], [(3, 2), (3, 2), (3, 4), (2, 4), (3, 6), (2, 2)])
@@ -1501,6 +1512,15 @@ def test_run_suite_builds_each_operator_once(monkeypatch):
     run_suite(spec)  # warm: r for quantization only, and no classical_cg_r
     assert calls == {"beta_from_phi": 1, "rime_from_beta": 1, "rime_general": 1,
                      "cremmer_gervais": 1, "classical_rime_r": 1, "x_matrix": 1}
+    # a cold classical suite of weights builds its normal form once: the operand
+    # of equivalence-classical is the operator whose reports r's checks take
+    for spec, r_constructor, normal_form in (
+            (FamilySpec("classical-rime", 3, phi=(3, 2, 1)), "classical_rime_r", "classical_cg_r"),
+            (FamilySpec("classical-unitary", 3, mu=(0, 1, -2)), "classical_unitary_r0", "boundary_b")):
+        verify._companion_reports.cache_clear()
+        calls.clear()
+        run_suite(spec)
+        assert calls == {r_constructor: 1, normal_form: 1, "x_matrix": 1}, spec
 
 
 _EQUIVALENCES = ("equivalence-quantum", "equivalence-classical")
@@ -1592,6 +1612,8 @@ def test_warm_classical_suite_builds_and_sums_nothing(monkeypatch):
     for n in (1, 2, 3, 4):
         for spec in _seeded_specs(rng, n):
             if spec.family in _CLASSICAL_FAMILIES:
+                # cold: a suite of the same n may have filled the normal form's entry
+                verify._companion_reports.cache_clear()
                 cold = run_suite(spec)
                 assert calls and sums, spec
                 calls.clear(), sums.clear()
@@ -1610,7 +1632,9 @@ def test_memo_holds_at_most_16_recipes():
             seen.add(phi)
             assert all(rep.passed for rep in run_suite(FamilySpec("classical-rime", 2, phi=phi)))
     info = verify._companion_reports.cache_info()
-    assert (info.maxsize, info.currsize, info.hits, info.misses) == (16, 16, 0, 100)
+    # one miss per phi, and the entry of classical_cg_r(2), which the first suite
+    # fills and each later one reads once
+    assert (info.maxsize, info.currsize, info.hits, info.misses) == (16, 16, 99, 101)
     # an entry holds reports only
     spec = FamilySpec("boundary", 3)
     run_suite(spec)
@@ -1675,9 +1699,10 @@ def test_constructor_patched_after_warm_call_is_not_hidden(monkeypatch, construc
 def test_one_scale_per_operator(monkeypatch):
     # the quadratic checks share the engine of the other checks on their operator,
     # so a document's checks scale it once; a cold quantum suite scales Rhat and
-    # r once each, and each check of two operators scales its own together:
-    # cg, X and Rhat for equivalence-quantum, Rhat and r for quantization, and
-    # classical_cg_r, X and r for equivalence-classical
+    # the normal form classical_cg_r once each, and each check of two operators
+    # scales its own together: cg, X and Rhat for equivalence-quantum, Rhat and r
+    # for quantization, and classical_cg_r, X and r for equivalence-classical;
+    # r's own tables are not summed, so r is not scaled alone
     import rimealg.verify as verify
 
     scaled = []
@@ -1688,4 +1713,179 @@ def test_one_scale_per_operator(monkeypatch):
     assert scaled == [1]
     scaled.clear()
     run_suite(FamilySpec("rime-quantum", 3, beta=F(1, 2), phi=(3, 2, 1)))
-    assert scaled == [1, 3, 2, 1, 3]
+    assert scaled == [1, 3, 2, 3, 1]
+
+
+# -- r's reports taken over from its normal form -------------------------------------
+
+# the normal form X carries r onto, by the family of r's weights
+_NORMAL_FORM = {"rime-quantum": "classical-cg", "classical-rime": "classical-cg",
+                "rime-unitary": "boundary", "classical-unitary": "boundary"}
+_COMPANION_NAMES = ("cybe", "acybe", "tilde", "idempotent", "nilpotent", "braid")
+
+
+def _weighted_specs(rng, n):
+    # the four families with weights on one draw, plus rime-quantum at a phi
+    # holding 0 (not strict) and a mu that holds 0 every other draw
+    phi = random_distinct(rng, n, nonzero=True)
+    mu = random_distinct(rng, n, nonzero=False)
+    if rng.random() < 0.5 and 0 not in mu:
+        mu = (F(0), *mu[1:])
+    beta = random_rational(rng)
+    return [FamilySpec("rime-quantum", n, beta=beta, phi=phi),
+            FamilySpec("rime-quantum", n, beta=beta, phi=(F(0), *phi[1:])),
+            FamilySpec("rime-unitary", n, mu=mu),
+            FamilySpec("classical-rime", n, phi=phi),
+            FamilySpec("classical-unitary", n, mu=mu)]
+
+
+def _normal_form_entry(spec):
+    # the memo entry of the normal form of spec's weights, under this module's constructors
+    import rimealg.verify as verify
+
+    return verify._companion_reports((_NORMAL_FORM[spec.family], spec.n), (
+        verify.classical_rime_r, verify.classical_unitary_r0, verify.classical_cg_r,
+        verify.boundary_b, verify.x_matrix))
+
+
+def test_weighted_suites_equal_the_direct_route_with_cold_and_warm_memo():
+    # every report of a phi or mu suite equals the public check on r itself plus
+    # describe(spec): from a cold memo, which fills the normal form's entry, from
+    # one whose normal-form entry a classical-cg or boundary suite filled, in
+    # full or by one check, and from its own warm entry
+    import rimealg.verify as verify
+
+    rng = random.Random("transported")
+    for n in range(1, 7):
+        for spec in _weighted_specs(rng, n):
+            verify._companion_reports.cache_clear()
+            cold = run_suite(spec)
+            assert cold == _public_suite(spec, cold), spec
+            assert all(rep.passed for rep in cold), spec
+            taken = [rep.name for rep in cold if rep.name in _COMPANION_NAMES]
+            assert list(_normal_form_entry(spec)) == taken, spec
+            for warm_names in (None, ["cybe"]):
+                verify._companion_reports.cache_clear()
+                run_suite(FamilySpec(_NORMAL_FORM[spec.family], n), warm_names)
+                assert run_suite(spec) == cold, (spec, warm_names)
+                assert run_suite(spec) == cold, (spec, warm_names)
+    # a classical-rime suite at a phi holding 0 raises as its r does
+    spec = FamilySpec("classical-rime", 3, phi=(0, 1, 2))
+    for route in (lambda: run_suite(spec), lambda: check_cybe(classical_rime_r(PhiVector(spec.phi)))):
+        with pytest.raises(ValueError, match="needs a strict phi"):
+            route()
+
+
+_MEMO_CONSTRUCTORS = ("classical_rime_r", "classical_unitary_r0", "classical_cg_r", "boundary_b",
+                      "x_matrix")
+
+
+@pytest.mark.parametrize("constructor", _MEMO_CONSTRUCTORS)
+@pytest.mark.parametrize("inside", [True, False])
+def test_suites_equal_the_direct_route_with_a_constructor_off_by_one_coefficient(
+        monkeypatch, constructor, inside):
+    # with one memo-key constructor's output shifted at one coefficient, inside or
+    # outside the rime pattern, every suite's reports equal the direct route's,
+    # witness and max_residual included, from a memo warmed before the shift and
+    # from a cold one; the shift makes some report fail
+    import rimealg.verify as verify
+
+    original = getattr(verify, constructor)
+    shift_rng = random.Random(f"off-by-one-{constructor}-{inside}")
+
+    def shifted(*args):
+        op = original(*args)
+        state = shift_rng.getstate()
+        bad = None
+        while bad is None or bad.arity == 1 and bad.det() == 0:  # X must stay invertible
+            if op.arity == 2:
+                bad = _shifted_at(shift_rng, op, inside)
+            else:
+                i, j = shift_rng.randrange(op.n), shift_rng.randrange(op.n)
+                bad = _tampered(op, i, j, op.dense_rows()[i][j] + random_rational(shift_rng, True))
+        shift_rng.setstate(state)  # the suite and the direct route see the same copy
+        return bad
+
+    rng = random.Random(f"off-by-one-specs-{constructor}-{inside}")
+    specs = [spec for n in (2, 3, 4) for spec in _seeded_specs(rng, n)]
+    for spec in specs:
+        run_suite(spec)  # warm, with the true constructor
+    monkeypatch.setattr(verify, constructor, shifted)
+    failed = 0
+    for spec in specs:
+        for _ in ("warm", "cold"):
+            reports = run_suite(spec)
+            assert reports == _public_suite(spec, reports), spec
+            failed += sum(not rep.passed for rep in reports)
+            verify._companion_reports.cache_clear()
+    assert failed
+
+
+def test_a_failing_normal_form_report_is_never_taken_over():
+    # a FAIL planted in the normal form's entry is read and left alone: r's own
+    # tables run, and every report still equals the direct route's
+    import rimealg.verify as verify
+
+    rng = random.Random("planted-fail")
+    for n in (2, 3, 4):
+        for spec in _weighted_specs(rng, n):
+            verify._companion_reports.cache_clear()
+            entry = _normal_form_entry(spec)
+            planted = {name: verify.VerificationReport(name, False, F(1), ((1, 1, 1), (1, 1, 1), F(1)),
+                                                       {"planted": "yes"})
+                       for name in _COMPANION_NAMES}
+            entry.update(planted)
+            reports = run_suite(spec)
+            assert reports == _public_suite(spec, reports), spec
+            assert all(rep.passed for rep in reports), spec
+            assert entry == planted, spec
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_singular_basis_makes_each_companion_check_raise(monkeypatch, n):
+    # each companion check, run with equivalence-classical in either order, first
+    # takes that report, which raises on a singular X, from a memo warmed with
+    # the true X and from a cold one; run alone, it reports on r itself
+    import rimealg.verify as verify
+
+    phi, mu = tuple(range(n, 0, -1)), tuple(range(n))
+    specs = [FamilySpec("rime-quantum", n, beta=F(-7, 3), phi=phi),
+             FamilySpec("rime-unitary", n, mu=mu),
+             FamilySpec("classical-rime", n, phi=phi), FamilySpec("classical-unitary", n, mu=mu)]
+    for spec in specs:
+        run_suite(spec)
+    for singular in _singular_bases(n):
+        monkeypatch.setattr(verify, "x_matrix", lambda weights, x=singular: x)
+        for spec in specs:
+            for name in (name for name in verify._SUITES[spec.family] if name in _COMPANION_NAMES):
+                for _ in ("warm", "cold"):
+                    for names in ([name, "equivalence-classical"], ["equivalence-classical", name]):
+                        with pytest.raises(ValueError, match="^matrix is singular, cannot invert$"):
+                            run_suite(spec, names)
+                    alone = run_suite(spec, [name])
+                    assert alone == _public_suite(spec, alone) and alone[0].passed, (spec, name)
+                    verify._companion_reports.cache_clear()
+
+
+def test_a_check_alone_takes_over_a_remembered_equivalence_only(monkeypatch):
+    # a companion check requested without equivalence-classical sums r's own
+    # table on a cold entry, and takes the normal form's report once r's entry
+    # holds the equivalence; either way its report is the direct route's
+    import rimealg.verify as verify
+
+    sums = []
+    chain_sum = verify._chain_sum
+    monkeypatch.setattr(verify, "_chain_sum", lambda *args: sums.append(args[1:3]) or chain_sum(*args))
+    spec = FamilySpec("classical-unitary", 3, mu=(0, 1, -2))
+    entry = _normal_form_entry(spec)
+    # each sum recorded as (arity, D): r's denominators make D = 6, boundary_b's D = 1
+    first = run_suite(spec, ["nilpotent"])
+    assert (sums, entry) == ([(2, 6)], {})
+    sums.clear()
+    run_suite(spec, ["equivalence-classical"])
+    run_suite(spec, ["cybe"])
+    assert (sums, list(entry)) == ([(2, 6), (3, 1)], ["cybe"])
+    assert run_suite(spec, ["nilpotent", "cybe"]) == first + run_suite(spec, ["cybe"])
+    for rep in first + run_suite(spec, ["cybe"]):
+        assert [rep] == _public_suite(spec, [rep])
+
