@@ -457,50 +457,70 @@ def _scaled_rows(*ops: Operator) -> tuple[int, list[list[dict[int, int]]]]:
                for op_rows in rows]
 
 
-def _chain_sum(n: int, arity: int, d: int, terms) -> Operator:
-    """The exact operator sum of c A1 A2 ... Aj over ``terms``, one integer pass per row.
+def _pairs(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each int row ``{column: value}`` as a tuple of its (column, value) pairs, for _chain_sum."""
+    return tuple(tuple(row.items()) for row in rows)
+
+
+def _chain_sum(n: int, arity: int, d: int, terms) -> tuple[int, dict[int, dict[int, int]]]:
+    """The exact sum of c A1 A2 ... Aj over ``terms`` as (S, rows): its int rows over one scale S.
 
     Each term is (c, factors): a rational c and a sequence of j factors, each
-    given as the int rows of D Ai for one common scale D = ``d`` (see
-    _scaled_rows).  With E the lcm of the denominators of the c's and k the
-    most factors in a term, the scaled identity
+    given as the rows of D Ai for one common scale D = ``d`` (see
+    _scaled_rows), every row a tuple of (column, int) pairs (see _pairs).
+    With E the lcm of the denominators of the c's and k the most factors in
+    a term, the scaled identity
 
         E D^k (sum of c A1 ... Aj) = sum of (E c D^(k-j)) (D A1) ... (D Aj)
 
-    has integer terms only, and the sum is its right side over E D^k.  Row i
-    of a product is folded left to right, and the int multiplier E c D^(k-j)
-    scales the last fold, which adds straight into the sum.  A term of fewer
-    than two factors is padded with the identity on the left, so one with
-    no factors reads as c I.  A Fraction is built only for the nonzero
-    entries of the sum: none when it vanishes.
+    has integer terms only, and S = E D^k.  Row i of a product is folded
+    left to right, and the int multiplier E c D^(k-j) scales the last fold,
+    which adds straight into a dense accumulator of the row's columns: one
+    list, replaced only after a nonzero row, so a zero row costs one
+    comparison with a list of zeros.  A term of fewer than two factors is
+    padded with the identity on the left, so one with no factors reads as
+    c I.  ``rows`` maps each nonzero row offset, ascending, to its nonzero
+    entries ``{column: int}``, ascending; an identity that holds gives no
+    rows.  No Fraction is made here: the reports make one for the largest
+    entry and one for the witness, and _from_scaled makes the Operator
+    where a caller needs one.
     """
     e = lcm(*(c.denominator for c, _ in terms))
     k = max(len(factors) for _, factors in terms)
     size = n**arity
-    eye = [{i: 1} for i in range(size)] if any(len(fs) < 2 for _, fs in terms) else None
+    eye = tuple(((i, 1),) for i in range(size)) if any(len(fs) < 2 for _, fs in terms) else None
     # (int multiplier, factors padded to two or more) per term
     padded = [(c.numerator * (e // c.denominator) * d ** (k - len(factors)),
                (eye,) * (2 - len(factors)) + tuple(factors)) for c, factors in terms]
     plan = [(c, fs[0], fs[1:-1], fs[-1]) for c, fs in padded]
-    scale = e * d**k
-    out = []
+    rows = {}
+    zeros = [0] * size
+    acc = zeros.copy()
     for i in range(size):
-        acc = {}
         for c, first, middle, last in plan:
             row = first[i]
             for f in middle:
                 nxt = {}
-                for x, v in row.items():
-                    if v:
-                        for j, w in f[x].items():
-                            nxt[j] = nxt.get(j, 0) + v * w
-                row = nxt
-            for x, v in row.items():
-                if v:
-                    v *= c
-                    for j, w in last[x].items():
-                        acc[j] = acc.get(j, 0) + v * w
-        out.append({j: Fraction(v, scale) for j, v in acc.items() if v})
+                for x, v in row:
+                    for j, w in f[x]:
+                        nxt[j] = nxt.get(j, 0) + v * w
+                row = nxt.items()
+            for x, v in row:
+                v *= c
+                for j, w in last[x]:
+                    acc[j] += v * w
+        # a row that sums to zero leaves the accumulator all zeros for the next row
+        if acc != zeros:
+            rows[i] = {j: v for j, v in enumerate(acc) if v}
+            acc = zeros.copy()
+    return e * d**k, rows
+
+
+def _from_scaled(n: int, arity: int, scale: int, rows) -> Operator:
+    """The Operator of a _chain_sum result: each int entry over ``scale``, as a Fraction."""
+    out = [{} for _ in range(n**arity)]
+    for i, row in rows.items():
+        out[i] = {j: Fraction(v, scale) for j, v in row.items()}
     return Operator._wrap(n, arity, tuple(out))
 
 
@@ -532,8 +552,9 @@ def conjugate_pair(a: Operator, x: Operator) -> Operator:
     n = a.n
     d, (xs, rows, inv) = _scaled_rows(x, a, x.inverse())
     xs, inv = Operator._wrap(n, 1, xs), Operator._wrap(n, 1, inv)
-    chain = (_slot(xs, 1)._rows, _slot(xs, 2)._rows, rows, _slot(inv, 1)._rows, _slot(inv, 2)._rows)
-    return _chain_sum(n, 2, d, [(1, chain)])
+    chain = [_pairs(rows) for rows in (_slot(xs, 1)._rows, _slot(xs, 2)._rows, rows,
+                                       _slot(inv, 1)._rows, _slot(inv, 2)._rows)]
+    return _from_scaled(n, 2, *_chain_sum(n, 2, d, [(1, chain)]))
 
 
 def inverse(x: Operator) -> Operator:

@@ -16,7 +16,7 @@ lexicographically first nonzero residual entry as a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Union
@@ -24,6 +24,8 @@ from typing import Callable, Optional, Union
 from .core import (
     Operator,
     _chain_sum,
+    _from_scaled,
+    _pairs,
     _require_space,
     _scaled_rows,
     _slot,
@@ -31,6 +33,7 @@ from .core import (
     as_rational,
     embed,
     flip21,
+    multi_index,
 )
 from .families import (
     FAMILY_TAGS,
@@ -113,21 +116,6 @@ class StructureClass:
     data: Optional[GeneralRimeData]
 
 
-def _verdict(name: str, parts, metadata=None) -> VerificationReport:
-    """Combine named residual operators into one report."""
-    meta = dict(metadata or {})
-    max_residual = _ZERO
-    witness = None
-    for part_name, res in parts:
-        m = res.max_abs()
-        max_residual = max(max_residual, m)
-        if m and witness is None:
-            witness = res.first_nonzero()
-            if len(parts) > 1:
-                meta["failed_part"] = part_name
-    return VerificationReport(name, max_residual == 0, max_residual, witness, meta)
-
-
 # -- every identity, as a table of chain terms over named operands -----------------
 
 # A table is a tuple of terms (c, factors), and its residual is the sum of
@@ -191,9 +179,14 @@ class _Identities:
     core._scaled_rows).  Every other factor is made from those rows once, at
     first use, by reindexing only: the legs through embed, the flip through
     flip21, the slots through core._slot and D P from the flip's offsets, so
-    no entry is converted again.  Each table is one chain sum in ints (see
-    core._chain_sum) on the space of its first factor, which every factor
-    must act on, so no product of Fractions is made.
+    no entry is converted again; each factor's rows are turned into the
+    (column, int) pairs the kernel folds over once too (see core._pairs).
+    Each table is one chain sum in ints (see core._chain_sum) on the space
+    of its first factor, which every factor must act on, kept as its int
+    rows over one scale.  A report makes one Fraction for the largest entry
+    of each failing part and one for the witness, none when the check
+    passes; ``residual`` makes the whole Operator for the callers that
+    want one.
     """
 
     def __init__(self, **operands: Operator):
@@ -202,6 +195,7 @@ class _Identities:
         self._d, scaled = _scaled_rows(*operands.values())
         self._factors = {key: Operator._wrap(op.n, op.arity, rows)
                          for (key, op), rows in zip(operands.items(), scaled)}
+        self._pairs = {}
         self._sums = {}
 
     def _factor(self, name) -> Operator:
@@ -215,26 +209,52 @@ class _Identities:
                                  _slot(op, int(place)) if place in ("1", "2") else embed(op, int(place)))
         return factors[name]
 
-    def residual(self, table, **bound) -> Operator:
-        """The sum of ``table``, its named coefficients read from ``bound``."""
+    def _sum(self, table, **bound) -> tuple[int, int, dict[int, dict[int, int]]]:
+        """(arity, S, rows) of ``table``'s sum (see core._chain_sum), coefficients read from ``bound``."""
         table = tuple((_bind(c, bound), names) for c, names in table)
         result = self._sums.get(table)
         if result is None:
-            terms = [(c, [self._factor(name) for name in names]) for c, names in table]
-            first = next(fs[0] for _, fs in terms if fs)
-            n, arity = first.n, first.arity
-            for f in (f for _, fs in terms for f in fs):
+            factors = {name: self._factor(name) for _, names in table for name in names}
+            first = next(iter(factors.values()))
+            n, arity, pairs = first.n, first.arity, self._pairs
+            for name, f in factors.items():
                 _require_space(n, arity, f, "chain sum")
-            terms = [(c, [f._rows for f in fs]) for c, fs in terms]
-            result = self._sums[table] = _chain_sum(n, arity, self._d, terms)
+                if name not in pairs:
+                    pairs[name] = _pairs(f._rows)
+            terms = [(c, [pairs[name] for name in names]) for c, names in table]
+            result = self._sums[table] = (arity, *_chain_sum(n, arity, self._d, terms))
         return result
 
+    def residual(self, table, **bound) -> Operator:
+        """The sum of ``table`` as an Operator, its named coefficients read from ``bound``."""
+        return _from_scaled(self.n, *self._sum(table, **bound))
+
     def report(self, check: str, meta=None, **bound) -> VerificationReport:
-        """The report of ``check``, a key of _CHECKS; ``meta`` defaults to n or the acybe variant."""
+        """The report of ``check``, a key of _CHECKS; ``meta`` defaults to n or the acybe variant.
+
+        Each part's largest entry is a Fraction over that part's own scale,
+        so parts of different scales (D^2 and D in acybe and tilde) compare
+        exactly.  The witness is the lowest column of the first nonzero row
+        of the first part that fails, whose name goes to ``failed_part``
+        when the check has more than one part.
+        """
         name, parts, variant = _CHECKS[check]
         if meta is None:
             meta = {"n": self.n} if variant is None else {"variant": variant}
-        return _verdict(name, [(part, self.residual(table, **bound)) for part, table in parts], meta)
+        n, max_residual, witness = self.n, _ZERO, None
+        for part, table in parts:
+            arity, scale, rows = self._sum(table, **bound)
+            if rows:
+                top = max(abs(v) for row in rows.values() for v in row.values())
+                max_residual = max(max_residual, Fraction(top, scale))
+                if witness is None:
+                    i = min(rows)
+                    j = min(rows[i])
+                    value = Fraction(rows[i][j], scale)
+                    witness = (multi_index(i, n, arity), multi_index(j, n, arity), value)
+                    if len(parts) > 1:
+                        meta["failed_part"] = part
+        return VerificationReport(name, witness is None, max_residual, witness, meta)
 
 
 # -- quantum checks -------------------------------------------------------
@@ -576,7 +596,7 @@ def _operator_checks(rhat, r, beta, family) -> dict[str, Callable[[], Verificati
 
     def acybe() -> VerificationReport:
         engine = identities(r)
-        skew = family in _SKEW_FAMILIES or (family is None and engine.residual(_SKEW).is_zero())
+        skew = family in _SKEW_FAMILIES or (family is None and not engine._sum(_SKEW)[2])
         return engine.report("homogeneous-acybe" if skew else "nonhomogeneous-acybe")
 
     return {
@@ -771,4 +791,5 @@ def run_suite(spec: FamilySpec, names=None) -> list[VerificationReport]:
     checks = _suite_checks(spec, names)
     fam = describe(spec)
     reports = [check() for _, check in checks]
-    return [replace(rep, metadata={**fam, **rep.metadata}) for rep in reports]
+    return [VerificationReport(rep.name, rep.passed, rep.max_residual, rep.witness, {**fam, **rep.metadata})
+            for rep in reports]

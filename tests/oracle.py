@@ -1,11 +1,12 @@
 """Oracle helpers that only the tests use.
 
 Matrix units, the wedge product, the generators Z^i_j, the transpose, the
-characteristic polynomial and the sum of a table of chain terms, each a
-plain function over the public :class:`~rimealg.core.Operator` API (items,
-``@``, ``+``, ``kron``, ``embed``, ``flip21``, ``permutation``).  The tests build expected values from
-them the way the paper writes its formulas; no check of the package calls
-them.
+characteristic polynomial, the sum of a table of chain terms and the report
+of named residuals, each a plain function over the public
+:class:`~rimealg.core.Operator` API (items, ``@``, ``+``, ``kron``,
+``embed``, ``flip21``, ``permutation``, ``max_abs``, ``first_nonzero``).
+The tests build expected values from them the way the paper writes its
+formulas; no check of the package calls them.
 
 The ``*_items`` functions build each family as a list of
 ``(row, column, value)`` terms summed by ``Operator.from_items``, with
@@ -19,6 +20,7 @@ from itertools import combinations
 from math import prod
 
 from rimealg.core import Operator, embed, flip21, identity, kron, permutation
+from rimealg.verify import VerificationReport
 
 
 def matrix_unit(i: int, j: int, n: int) -> Operator:
@@ -100,6 +102,28 @@ def chain_table(operands: dict, table, **bound) -> Operator:
             term = term @ factor(name)
         total = total + coefficient(c) * term
     return total
+
+
+def verdict(name: str, parts, metadata=None) -> VerificationReport:
+    """The report of named residual operators, in Fractions throughout.
+
+    ``parts`` is a list of (part name, residual Operator).  max_residual is
+    the largest absolute entry over every part, the witness the first
+    nonzero entry (row-major, ascending columns) of the first part that is
+    not zero, and with more than one part that part's name is recorded as
+    ``failed_part``.
+    """
+    meta = dict(metadata or {})
+    max_residual = Fraction(0)
+    witness = None
+    for part_name, res in parts:
+        m = res.max_abs()
+        max_residual = max(max_residual, m)
+        if m and witness is None:
+            witness = res.first_nonzero()
+            if len(parts) > 1:
+                meta["failed_part"] = part_name
+    return VerificationReport(name, max_residual == 0, max_residual, witness, meta)
 
 
 # -- item-list constructors ----------------------------------------------------------

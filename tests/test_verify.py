@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_distinct, random_rational
-from oracle import chain_table, charpoly, matrix_unit
+from oracle import chain_table, charpoly, matrix_unit, verdict
 from rimealg.core import (
     Operator,
     conjugate_pair,
@@ -58,7 +58,6 @@ from rimealg.verify import (
     classify_structure,
     hecke_multiplicities,
     StructureClass,
-    _verdict,
     run_checks,
     run_suite,
 )
@@ -200,7 +199,7 @@ def test_cybe_splitting_identity_on_arbitrary_operators(r):
 def test_cybe_report_equals_splitting_report(r):
     # the report, witness included, must be the one the splitting A'(r) - A(r) gives
     a, a_prime = _assoc_oracle(r)
-    split = _verdict("cybe", [("cybe", a_prime - a)], {"n": r.n})
+    split = verdict("cybe", [("cybe", a_prime - a)], {"n": r.n})
     rep = check_cybe(r)
     assert rep == split
 
@@ -284,7 +283,7 @@ def test_tilde_report_equals_shifted_form_oracle(r):
         ("A(rt) = I/4", _assoc_oracle(rt)[0] - F(1, 4) * identity(n, 3)),
         ("rt + rt21 = P", rt + flip21(rt) - permutation(n)),
     ]
-    assert check_tilde_relations(r) == _verdict("tilde", parts, {"n": n})
+    assert check_tilde_relations(r) == verdict("tilde", parts, {"n": n})
 
 
 def test_braid_identities(rng):
@@ -336,11 +335,11 @@ def test_exponential_reports_equal_the_two_part_reports(r):
     if parts[0][1].is_zero():
         law = (eye + F(1, 2) * r) @ (eye + F(1, 3) * r) - (eye + F(2, 3) * r)
         parts.append(("semigroup law", law))
-    assert check_idempotent_exponential(r) == _verdict("idempotent", parts, {"n": r.n})
+    assert check_idempotent_exponential(r) == verdict("idempotent", parts, {"n": r.n})
     parts = [("r^2 = 0", r @ r)]
     if parts[0][1].is_zero():
         parts.append(("(I + r)(I - r) = I", (eye + r) @ (eye - r) - eye))
-    assert check_nilpotent_exponential(r) == _verdict("nilpotent", parts, {"n": r.n})
+    assert check_nilpotent_exponential(r) == verdict("nilpotent", parts, {"n": r.n})
 
 
 # -- the quadratic checks against their operator expressions ---------------------
@@ -349,13 +348,13 @@ QUADRATIC_BETAS = st.sampled_from([F(0), F(1), F(2), F(1, 3), F(-7, 2)])
 
 
 def _assert_quadratic_reports_match(op, beta):
-    # each report, witness and max_residual included, equals _verdict over the
+    # each report, witness and max_residual included, equals verdict over the
     # residual built from operators with @, * and -
     eye = identity(op.n, 2)
     expected = [
-        _verdict("hecke", [("hecke", op @ op - beta * op - (1 - beta) * eye)], {"beta": str(beta)}),
-        _verdict("idempotent", [("r^2 = -r", op @ op + op)], {"n": op.n}),
-        _verdict("nilpotent", [("r^2 = 0", op @ op)], {"n": op.n}),
+        verdict("hecke", [("hecke", op @ op - beta * op - (1 - beta) * eye)], {"beta": str(beta)}),
+        verdict("idempotent", [("r^2 = -r", op @ op + op)], {"n": op.n}),
+        verdict("nilpotent", [("r^2 = 0", op @ op)], {"n": op.n}),
     ]
     reports = [check_hecke(op, beta), check_idempotent_exponential(op),
                check_nilpotent_exponential(op)]
@@ -413,7 +412,7 @@ def test_quadratic_checks_scale_by_the_lcm_of_distinct_prime_denominators():
 
 def _assert_arity3_reports_match(op):
     # assoc_A and assoc_Aprime equal their @ expressions, and each report,
-    # witness, max_residual and failed_part included, equals _verdict over the
+    # witness, max_residual and failed_part included, equals verdict over the
     # residuals built from the embedded legs with @, + and -; tilde's are
     # built on rt = r + I/2 itself
     n = op.n
@@ -426,16 +425,16 @@ def _assert_arity3_reports_match(op):
     pair = op + flip21(op)
     rt = op + F(1, 2) * identity(n, 2)
     expected = [
-        _verdict("ybe", [("ybe", braid)], {"n": n}),
-        _verdict("braid", [("r12 r23 r12 = r23 r12 r23", braid),
+        verdict("ybe", [("ybe", braid)], {"n": n}),
+        verdict("braid", [("r12 r23 r12 = r23 r12 r23", braid),
                            ("r12 r13 r23 = r23 r13 r12", r12 @ r13 @ r23 - r23 @ r13 @ r12)],
                  {"n": n}),
-        _verdict("cybe", [("cybe", cybe)], {"n": n}),
-        _verdict("acybe", [("A(r) = -r13", a + r13),
+        verdict("cybe", [("cybe", cybe)], {"n": n}),
+        verdict("acybe", [("A(r) = -r13", a + r13),
                            ("r + r21 = P - I", pair - (permutation(n) - identity(n, 2)))],
                  {"variant": "non-homogeneous"}),
-        _verdict("acybe", [("A(r) = 0", a), ("r + r21 = 0", pair)], {"variant": "homogeneous"}),
-        _verdict("tilde", [("A(rt) = I/4", _assoc_oracle(rt)[0] - F(1, 4) * identity(n, 3)),
+        verdict("acybe", [("A(r) = 0", a), ("r + r21 = 0", pair)], {"variant": "homogeneous"}),
+        verdict("tilde", [("A(rt) = I/4", _assoc_oracle(rt)[0] - F(1, 4) * identity(n, 3)),
                            ("rt + rt21 = P", rt + flip21(rt) - permutation(n))],
                  {"n": n}),
     ]
@@ -575,18 +574,23 @@ def _identity_table_cases(rng):
 
 
 def _record_residuals(monkeypatch):
-    # every (operands, table, bound coefficients, residual) that an _Identities sums
+    # every (operands, table, bound coefficients, residual) that an _Identities
+    # sums, the residual built as an Operator from the int rows over their scale,
+    # which hold no zero row and no zero entry
     import rimealg.verify as verify
 
     summed = []
-    residual = verify._Identities.residual
+    int_sum = verify._Identities._sum
 
     def recording(self, table, **bound):
-        result = residual(self, table, **bound)
-        summed.append((self.operands, table, bound, result))
+        result = arity, scale, rows = int_sum(self, table, **bound)
+        assert all(row and all(row.values()) for row in rows.values())
+        n = self.n
+        dense = [[F(rows.get(i, {}).get(j, 0), scale) for j in range(n**arity)] for i in range(n**arity)]
+        summed.append((self.operands, table, bound, Operator(n, arity, dense)))
         return result
 
-    monkeypatch.setattr(verify._Identities, "residual", recording)
+    monkeypatch.setattr(verify._Identities, "_sum", recording)
     return summed
 
 
@@ -679,6 +683,122 @@ def test_two_operand_tables_match_their_operator_oracle(monkeypatch):
     assert tables == {verify._QUANTIZATION, verify._CONJUGATION}
 
 
+# operators whose two-part reports fail in the later part only: e12 (x) e12 for
+# the homogeneous acybe, -I for the non-homogeneous acybe and tilde, and one that
+# solves the YBE but not r12 r13 r23 = r23 r13 r12; then two at D = 2 whose
+# later part (r + r21 ..., summed at scale D) holds the larger maximum, while the
+# first part (summed at D^2) holds the larger int
+_LATER_PART_CASES = (
+    Operator.from_items(2, 2, [((1, 1), (2, 2), 1)]),
+    -identity(2, 2),
+    Operator.from_items(2, 2, [((1, 2), (1, 2), 2), ((2, 2), (1, 1), 2)]),
+    Operator.from_items(2, 2, [((2, 2), (1, 1), F(3, 2)), ((2, 2), (1, 2), F(3, 2)), ((2, 1), (1, 1), -1)]),
+    Operator.from_items(2, 2, [((2, 1), (1, 1), F(3, 2)), ((2, 1), (1, 2), 1), ((1, 1), (2, 2), F(3, 2))]),
+)
+
+
+def _engine_cases(rng):
+    # (check, operands, bound) for every _CHECKS entry: the single-operator checks on
+    # the identity-table cases and the later-part cases, quantization and both
+    # equivalences on the two-operand cases
+    for op in (*_identity_table_cases(rng), *_LATER_PART_CASES):
+        names = ["idempotent", "nilpotent"]
+        if op.arity == 2:
+            names += ["ybe", "cybe", "nonhomogeneous-acybe", "homogeneous-acybe", "tilde", "braid"]
+        for name in names:
+            yield name, {"r": op}, {}
+        for beta in (0, F(1, 3), F(-7, 3), 2):
+            yield "hecke", {"r": op}, {"beta": beta}
+    for n in (1, 2, 3):
+        for kind, case in _two_operand_cases(rng, n):
+            if kind == "quantization":
+                rhat, beta, r = case
+                yield "quantization", {"R": rhat, "r": r}, {"c": beta or 1}
+            else:
+                a, x, t = case
+                for name in ("equivalence-quantum", "equivalence-classical"):
+                    yield name, {"X": x, "a": a, "t": t}, {}
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_engine_reports_match_the_fraction_oracle(monkeypatch, reverse):
+    # every report the engine reads from its int rows (max_residual, witness and
+    # failed_part included) equals oracle.verdict over the residual operators
+    # summed with @ in Fractions; with ``reverse`` the kernel's rows and entries
+    # come in descending order, so the report does not lean on the kernel's order
+    import rimealg.verify as verify
+
+    if reverse:
+        chain_sum = verify._chain_sum
+
+        def descending(*args):
+            scale, rows = chain_sum(*args)
+            return scale, {i: dict(reversed(rows[i].items())) for i in reversed(rows)}
+
+        monkeypatch.setattr(verify, "_chain_sum", descending)
+    rng = random.Random("engine-reports")
+    checks, later_only, later_larger = set(), set(), set()
+    for check, operands, bound in _engine_cases(rng):
+        name, parts, variant = verify._CHECKS[check]
+        n = next(iter(operands.values())).n
+        meta = {"n": n} if variant is None else {"variant": variant}
+        residuals = [(part, chain_table(operands, table, **bound)) for part, table in parts]
+        engine = verify._Identities(**operands)
+        assert engine.report(check, **bound) == verdict(name, residuals, meta), (check, operands, bound)
+        checks.add(check)
+        if len(parts) == 2:
+            (_, first), (_, later) = residuals
+            if first.is_zero() and not later.is_zero():
+                later_only.add(check)
+            if 0 < first.max_abs() < later.max_abs():
+                (_, s1, rows1), (_, s2, rows2) = (engine._sum(table, **bound) for _, table in parts)
+                top1, top2 = (max(abs(v) for row in rows.values() for v in row.values())
+                              for rows in (rows1, rows2))
+                if s1 != s2 and top1 > top2:
+                    later_larger.add(check)
+    assert checks == set(verify._CHECKS)
+    assert later_only == {"nonhomogeneous-acybe", "homogeneous-acybe", "tilde", "braid"}
+    assert later_larger == {"nonhomogeneous-acybe", "homogeneous-acybe", "tilde"}
+
+
+def test_no_check_converts_a_whole_residual(monkeypatch):
+    # the reports read the kernel's int rows, so with the int -> Fraction Operator
+    # conversion refused every public check and every family suite still reports,
+    # passing and failing inputs alike
+    import rimealg.core as core
+    import rimealg.verify as verify
+
+    def refuse(*args):
+        raise AssertionError("a check converted a whole residual")
+
+    monkeypatch.setattr(core, "_from_scaled", refuse)
+    monkeypatch.setattr(verify, "_from_scaled", refuse)
+    verify._companion_reports.cache_clear()  # cold: every companion check runs
+    rng = random.Random("no-conversion")
+    for n in (2, 3, 4):
+        for spec in _seeded_specs(rng, n):
+            assert all(rep.passed for rep in run_suite(spec)), spec
+        phi, mu, beta = random_phi(rng, n), random_mu(rng, n), F(-7, 3)
+        rhat, r = rime_from_beta(beta_from_phi(beta, phi)), classical_rime_r(phi)
+        assert check_ybe(rhat).passed and check_hecke(rhat, beta).passed
+        assert check_quantization(rhat, beta, r).passed
+        assert all(check(r).passed for check in (check_cybe, check_nonhomogeneous_acybe, check_tilde_relations,
+                                                 check_braid_identities, check_idempotent_exponential))
+        for bad in (_shifted_at(rng, rhat, True), _shifted_at(rng, r, False)):
+            if bad is None:
+                continue
+            names = ["ybe", "cybe", "acybe", "tilde", "braid", "idempotent", "nilpotent", "hecke"]
+            reports = run_checks(bad, names, beta=lambda: beta)  # untagged: acybe reads r + r21
+            reports += [check(bad) for check in (check_homogeneous_acybe, check_nonhomogeneous_acybe)]
+            reports.append(check_quantization(bad, beta, r))
+            assert not all(rep.passed for rep in reports), bad
+            assert all(rep.passed or rep.witness for rep in reports)
+        assert check_equivalence_quantum(phi, beta).passed
+        assert check_equivalence_classical(phi).passed and check_equivalence_classical(mu).passed
+        assert check_beta_constancy(beta_from_phi(beta, phi)).passed
+    verify._companion_reports.cache_clear()
+
+
 # -- bridges --------------------------------------------------------------------
 
 
@@ -703,7 +823,7 @@ def _quantization_oracle(rhat, beta, r):
     beta = F(beta)
     coeff = beta if beta else F(1)
     residual = permutation(rhat.n) @ rhat - identity(rhat.n, 2) - coeff * r
-    return _verdict("quantization", [("P Rhat = I + beta r", residual)], {"beta": str(beta)})
+    return verdict("quantization", [("P Rhat = I + beta r", residual)], {"beta": str(beta)})
 
 
 @given(st.data(), st.integers(2, 4), QUADRATIC_BETAS)
