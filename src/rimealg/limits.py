@@ -1,27 +1,24 @@
-"""Floating-point demonstrations of the limit and exponential statements.
+"""Floating-point demonstration of the unitary limit of the coefficient grid.
 
-Everything exact lives in :mod:`rimealg.verify`; this module covers the two
-statements that are analytic rather than algebraic: the degeneration of the
-coefficient grid beta_ij toward its skew-symmetric limit as beta -> 0, and
-the exponential formulas that the idempotent/nilpotent relations integrate
-to.  Rationals are cast to double precision entry by entry, so the reported
-deviations are reproducible.
+Everything exact lives in :mod:`rimealg.verify`, the exponential laws that
+the idempotent/nilpotent relations integrate to among them.  This module
+covers the one statement that is read through floats: the degeneration of
+the coefficient grid beta_ij toward its skew-symmetric limit as beta -> 0.
+Each deviation is computed exactly and cast to double precision once, so
+the reported curve is reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, isfinite, isnan, log, nan
-from numbers import Integral
+from math import isfinite, log
 from statistics import linear_regression
 from typing import Iterable, Sequence
 
-from .core import Operator
 from .families import MuVector, PhiVector, beta_from_phi, unitary_beta
-from .verify import check_idempotent_exponential, check_nilpotent_exponential
 
-__all__ = ["LimitCurve", "unitary_limit_curve", "exp_formula_check"]
+__all__ = ["LimitCurve", "unitary_limit_curve"]
 
 
 def _check_betas(betas: Sequence[float]) -> None:
@@ -89,55 +86,3 @@ def unitary_limit_curve(mu: MuVector, betas: Iterable[float]) -> LimitCurve:
     return LimitCurve(tuple(float(b) for b in betas), tuple(deviations),
                       _fit_slope(betas, deviations))
 
-
-def exp_formula_check(r: Operator, h: float, terms: int) -> float:
-    """Max deviation of the truncated series exp(h*r) from its closed form.
-
-    The input must satisfy r^2 = -r (closed form I + (1 - e^(-h)) r) or
-    r^2 = 0 (closed form I + h*r; at h = 1 this is the familiar I + r).
-    Both relations are verified exactly before any float enters.  A
-    non-finite h, one at which e^(-h) overflows, or a number of terms that
-    is not a non-negative int raises ValueError; a series that overflows at
-    finite h reads nan.
-    """
-    if r.arity != 2:
-        raise ValueError("exp_formula_check expects an arity-2 operator")
-    if not isfinite(h):
-        raise ValueError(f"h must be finite, got {h}")
-    if not isinstance(terms, Integral) or isinstance(terms, bool):
-        raise ValueError(f"terms must be an int, got {terms!r}")
-    if terms < 0:
-        raise ValueError(f"terms must be non-negative, got {terms}")
-    if check_idempotent_exponential(r).passed:
-        try:
-            coeff = 1.0 - exp(-h)
-        except OverflowError:
-            raise ValueError(f"e^(-h) overflows a float at h = {h}") from None
-    elif check_nilpotent_exponential(r).passed:
-        coeff = h
-    else:
-        raise ValueError("operator is neither idempotent (r^2 = -r) nor nilpotent (r^2 = 0)")
-    # term rows keep ascending columns: every product entry sums its terms in the
-    # order of a dense row-by-column product, however r's rows were built
-    rf = [{c: float(v) for c, v in row.items()} for row in r.rows]
-    term = [{i: 1.0} for i in range(len(rf))]
-    acc = [{i: 1.0} for i in range(len(rf))]
-    for k in range(1, terms + 1):
-        scale = h / k
-        nxt = []
-        for trow, arow in zip(term, acc):
-            prod = {}
-            for m, tv in trow.items():
-                for j, rv in rf[m].items():
-                    prod[j] = prod.get(j, 0.0) + tv * rv
-            nxt.append({j: prod[j] * scale for j in sorted(prod)})
-            for j, v in nxt[-1].items():
-                arow[j] = arow.get(j, 0.0) + v
-        term = nxt
-    # the closed form is I + coeff*r; a cell stored in neither acc nor r deviates by 0
-    deviations = [
-        abs(arow.get(j, 0.0) - ((1.0 if i == j else 0.0) + coeff * rrow.get(j, 0.0)))
-        for i, (arow, rrow) in enumerate(zip(acc, rf))
-        for j in arow.keys() | rrow.keys()
-    ]
-    return nan if any(map(isnan, deviations)) else max(deviations)

@@ -29,7 +29,7 @@ from rimealg.families import (
     unitary_beta,
     x_matrix,
 )
-from rimealg.limits import exp_formula_check, unitary_limit_curve
+from rimealg.limits import unitary_limit_curve
 from rimealg.verify import (
     assoc_A,
     assoc_Aprime,
@@ -231,16 +231,20 @@ def test_criterion_09_float_limits(capsys):
             failures.append(f"deviation at beta=1e-4 for mu={mu_set}")
         if abs(curve.slope - 1.0) > 0.1:
             failures.append(f"log-log slope {curve.slope:.3f} for mu={mu_set}")
-    dev_r = exp_formula_check(classical_rime_r(PhiVector((2, 1))), 0.5, 30)
-    if dev_r > 1e-10:
-        failures.append(f"series deviation {dev_r:.2e} (idempotent case)")
-    dev_r0 = exp_formula_check(classical_unitary_r0(MuVector((0, 1))), 0.5, 30)
-    if dev_r0 > 1e-10:
-        failures.append(f"series deviation {dev_r0:.2e} (nilpotent case)")
+    # the exponential laws, exactly: r^2 = -r gives the semigroup law of I + t r,
+    # and r0^2 = 0 makes I - r0 the inverse of I + r0
+    r = classical_rime_r(PhiVector((2, 1)))
+    eye = identity(r.n, 2)
+    for t, s in ((F(1, 4), F(1, 2)), (F(1, 2), F(1)), (F(-3), F(2, 3))):
+        if (eye + t * r) @ (eye + s * r) != eye + (t + s - t * s) * r:
+            failures.append(f"semigroup law at t={t}, s={s}")
+    r0 = classical_unitary_r0(MuVector((0, 1)))
+    if (eye + r0) @ (eye - r0) != eye:
+        failures.append("inverse law (I + r0)(I - r0) = I")
     elapsed = time.perf_counter() - start
     if elapsed > 5:
         failures.append(f"runtime {elapsed:.2f}s exceeds the 5s budget")
-    _emit(capsys, 9, f"float limit curve and exponential series ({elapsed:.2f}s)", failures)
+    _emit(capsys, 9, f"limit curve and exact exponential laws ({elapsed:.2f}s)", failures)
 
 
 def _doc_specs():

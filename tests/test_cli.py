@@ -650,7 +650,7 @@ def test_package_reexports_exactly_each_module_all():
     modules = (core, families, limits, verify)
     names = [*(name for m in modules for name in m.__all__), "__version__"]
     assert sorted(rimealg.__all__) == sorted(names)
-    assert len(set(names)) == len(names) == 56
+    assert len(set(names)) == len(names) == 55
     for m in modules:
         for name in m.__all__:
             assert getattr(rimealg, name) is getattr(m, name)
@@ -660,15 +660,13 @@ def test_package_reexports_exactly_each_module_all():
 
 
 def test_package_runs_without_numpy(tmp_path):
-    # with every "import numpy" failing, the CLI, the float series and all five demos run
+    # with every "import numpy" failing, the CLI, the report and all five demos run
     import rimealg
 
     code = textwrap.dedent("""
         import contextlib, io, runpy, sys
         sys.modules["numpy"] = None
         from rimealg.cli import main
-        from rimealg.families import MuVector, PhiVector, classical_rime_r, classical_unitary_r0
-        from rimealg.limits import exp_formula_check
 
         doc, demos = sys.argv[1], sys.argv[2:]
         with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -680,16 +678,14 @@ def test_package_runs_without_numpy(tmp_path):
             codes.append(main(["report", "--n-max", "3", "--seeds", "1"]))
             for demo in demos:
                 runpy.run_path(demo, run_name="__main__")
-        devs = [exp_formula_check(classical_rime_r(PhiVector((2, 1))), 0.5, 30),
-                exp_formula_check(classical_unitary_r0(MuVector((0, 1))), 0.5, 30)]
-        print(codes, len(demos), max(devs) <= 1e-12)
+        print(codes, len(demos))
     """)
     src = str(Path(rimealg.__file__).resolve().parents[1])
     demos = sorted(str(p) for p in (Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "doc.json"), *demos],
                          env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
-    assert out == "[0, 0, 0] 5 True\n"
+    assert out == "[0, 0, 0] 5\n"
 
 
 def test_patched_command_is_honoured_after_first_call(monkeypatch, capsys):
