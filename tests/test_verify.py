@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_distinct, random_rational
-from oracle import chain_table, charpoly, matrix_unit, verdict
+from oracle import chain_table, charpoly, matrix_unit, transpose, verdict
 from rimealg.core import (
     Operator,
     conjugate_pair,
@@ -308,6 +308,116 @@ def test_nilpotent_exponential(rng):
         assert check_nilpotent_exponential(boundary_b(n)).passed
     rep = check_nilpotent_exponential(permutation(2) - identity(2, 2))
     assert not rep.passed
+
+
+# -- the exponential of r, exactly ------------------------------------------------
+
+EXP_STEPS = (F(1, 2), F(-3), F(7, 5))
+
+
+def _partial_sums(r, h, terms):
+    """Yield sum_{k <= N} (h r)^k / k! for N = 0 .. terms, one exact term at a time."""
+    term = identity(r.n, 2)
+    acc = term
+    yield acc
+    for k in range(1, terms + 1):
+        term = (F(1, k) * h) * (term @ r)
+        acc = acc + term
+        yield acc
+
+
+@pytest.mark.parametrize("phi", [(2, 1), (3, 2, 1), (5, -1, 2), (F(7, 2), 4, 1, -3)],
+                         ids=["2-1", "3-2-1", "5--1-2", "7/2-4-1--3"])
+def test_exponential_partial_sums_of_an_idempotent(phi):
+    # r^2 = -r makes r^k = (-1)^(k-1) r, so each partial sum of exp(h r) is
+    # I + c_N r with c_N = -sum_{1 <= k <= N} (-h)^k / k!, the truncation of 1 - e^(-h)
+    r = classical_rime_r(PhiVector(tuple(F(p) for p in phi)))
+    assert not r.is_zero()
+    assert check_idempotent_exponential(r).passed
+    assert not check_nilpotent_exponential(r).passed
+    eye = identity(r.n, 2)
+    for h in EXP_STEPS:
+        c, power = F(0), F(1)
+        for k, partial in enumerate(_partial_sums(r, h, 8)):
+            if k:
+                power *= -h / k
+                c -= power
+            assert partial == eye + c * r
+        for t in EXP_STEPS:
+            assert (eye + h * r) @ (eye + t * r) == eye + (h + t - h * t) * r
+
+
+@pytest.mark.parametrize("r0", [
+    classical_unitary_r0(MuVector((0, 1))),
+    classical_unitary_r0(MuVector((0, 1, 3))),
+    classical_unitary_r0(MuVector((-2, 0, 1, 3))),
+    classical_unitary_r0(MuVector((F(1, 2), 5, -3))),
+    boundary_b(2),
+    boundary_b(3),
+], ids=["mu-0-1", "mu-0-1-3", "mu--2-0-1-3", "mu-1/2-5--3", "boundary-2", "boundary-3"])
+def test_exponential_series_of_a_nilpotent_stops_at_the_linear_term(r0):
+    # r0^2 = 0: every partial sum of exp(h r0) past the first is I + h r0, and
+    # exp(-r0) = I - r0 inverts it
+    assert not r0.is_zero()
+    assert check_nilpotent_exponential(r0).passed
+    assert not check_idempotent_exponential(r0).passed
+    eye = identity(r0.n, 2)
+    for h in EXP_STEPS:
+        partials = list(_partial_sums(r0, h, 6))
+        assert partials[0] == eye
+        assert all(p == eye + h * r0 for p in partials[1:])
+        assert (eye + h * r0) @ (eye - h * r0) == eye
+    assert (eye + r0) @ (eye - r0) == eye
+
+
+def _conjugated(rng):
+    """r = M D M^-1 for M = L L^T, L unit lower triangular: -(projector) or a square-zero D."""
+    n = rng.choice((1, 2, 3))
+    size = n * n
+
+    def small():
+        return F(rng.randint(-9, 9), rng.randint(1, 7))
+
+    low = Operator(n, 2, [[1 if i == j else small() if i > j else 0 for j in range(size)]
+                          for i in range(size)])
+    m = low @ transpose(low)
+    nilpotent = rng.random() < 0.5
+    if nilpotent:  # only the last column is nonzero, and not on the diagonal
+        d = [[small() if j == size - 1 > i else 0 for j in range(size)] for i in range(size)]
+    else:
+        rank = rng.randint(0, size)
+        d = [[-1 if i == j < rank else 0 for j in range(size)] for i in range(size)]
+    return m @ Operator(n, 2, d) @ m.inverse(), nilpotent
+
+
+def test_exponential_laws_on_conjugated_operators(rng):
+    # dense operators with mixed denominators, similar to an idempotent or a nilpotent
+    for _ in range(30):
+        r, nilpotent = _conjugated(rng)
+        eye = identity(r.n, 2)
+        if nilpotent:
+            assert check_nilpotent_exponential(r).passed
+            assert (eye + r) @ (eye - r) == eye
+        else:
+            assert check_idempotent_exponential(r).passed
+            t, s = rng.choice(EXP_STEPS), rng.choice(EXP_STEPS)
+            assert (eye + t * r) @ (eye + s * r) == eye + (t + s - t * s) * r
+
+
+def test_exponential_checks_reject_a_shifted_entry():
+    # a shifted entry breaks r^2 = -r (r^2 = 0); the report, witness included,
+    # is verdict over that relation's residual
+    r = classical_rime_r(PhiVector((3, 2, 1)))
+    r0 = classical_unitary_r0(MuVector((0, 1, 3)))
+    for op, check, name, part, square in (
+            (r, check_idempotent_exponential, "idempotent", "r^2 = -r", lambda a: a @ a + a),
+            (r0, check_nilpotent_exponential, "nilpotent", "r^2 = 0", lambda a: a @ a)):
+        bad = Operator.from_items(op.n, 2, [*op.nonzero_items(), ((1, 2), (2, 1), F(1, 3))])
+        assert bad != op
+        rep = check(bad)
+        assert not rep.passed
+        assert rep.witness is not None
+        assert rep == verdict(name, [(part, square(bad))], {"n": bad.n})
 
 
 # arbitrary operators next to known idempotents (r^2 = -r) and nilpotents (r^2 = 0)
