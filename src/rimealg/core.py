@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Set
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from numbers import Integral
 from operator import add, sub
@@ -97,6 +98,12 @@ def multi_index(lin: int, n: int, arity: int) -> tuple[int, ...]:
         lin, rem = divmod(lin, n)
         out.append(rem + 1)
     return tuple(reversed(out))
+
+
+@lru_cache(maxsize=16)
+def _multi_indices(n: int, arity: int) -> tuple[tuple[int, ...], ...]:
+    """multi_index of every offset of V^(tensor arity), by offset, for the spaces used last."""
+    return tuple(multi_index(lin, n, arity) for lin in range(n**arity))
 
 
 def _integer(value, what: str) -> int:
@@ -241,10 +248,10 @@ class Operator:
     def nonzero_items(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
         """Yield (row_multi, col_multi, value) for every nonzero entry, row-major
         with ascending columns."""
-        n, k = self.n, self.arity
+        index = _multi_indices(self.n, self.arity)
         for r, row in enumerate(self._rows):
             for c in sorted(row):
-                yield multi_index(r, n, k), multi_index(c, n, k), row[c]
+                yield index[r], index[c], row[c]
 
     def first_nonzero(self):
         """Lexicographically first nonzero entry, or None if the operator is zero."""

@@ -466,16 +466,15 @@ def classify_structure(m: Operator) -> StructureClass:
     subset of {i, j}: at most the four offsets of (i, j), (j, i), (i, i) and
     (j, j).  The pattern is rime when every row keeps to them, ice when
     additionally no row with i != j uses (i, i) or (j, j), and strict rime
-    when the extracted alpha_ij and gamma_ij are nonzero for every i != j.
+    when the extracted alpha_ij and gamma_ij are nonzero for every i != j
+    (see _pattern_tag).  ``data`` is extracted for rime-pattern input only.
     """
     if m.arity != 2:
         raise ValueError("classification applies to arity-2 operators")
-    n = m.n
-    rows = m.rows
-    for i in range(n):
-        for j in range(n):
-            if not rows[i * n + j].keys() <= {i * n + j, j * n + i, i * (n + 1), j * (n + 1)}:
-                return StructureClass("none", None)
+    tag = _pattern_tag(m)
+    if tag == "none":
+        return StructureClass("none", None)
+    n, rows = m.n, m._rows
 
     def grid(col, keep_diagonal=False):
         # entry at row (i, j), column offset col(i, j); zero at i = j unless kept
@@ -485,14 +484,33 @@ def classify_structure(m: Operator) -> StructureClass:
             for i in range(n)
         )
 
-    alpha = grid(lambda i, j: j * n + i, keep_diagonal=True)
-    gamma = grid(lambda i, j: i * (n + 1))
-    gamma_prime = grid(lambda i, j: j * (n + 1))
-    data = GeneralRimeData(n, alpha, grid(lambda i, j: i * n + j), gamma, gamma_prime)
-    if not any(map(any, gamma)) and not any(map(any, gamma_prime)):
-        return StructureClass("ice", data)
-    strict = all(alpha[i][j] and gamma[i][j] for i in range(n) for j in range(n) if i != j)
-    return StructureClass("strict-rime" if strict else "rime", data)
+    return StructureClass(tag, GeneralRimeData(
+        n, grid(lambda i, j: j * n + i, keep_diagonal=True), grid(lambda i, j: i * n + j),
+        grid(lambda i, j: i * (n + 1)), grid(lambda i, j: j * (n + 1))))
+
+
+def _pattern_tag(m: Operator) -> str:
+    """classify_structure's tag of an arity-2 operator, read from its row keys in one pass.
+
+    Since no zero is stored, an entry is nonzero exactly when its column is
+    a key of its row: alpha_ij sits at (j, i), gamma_ij at (i, i) and
+    gamma'_ij at (j, j) of row (i, j).
+    """
+    n, rows = m.n, m._rows
+    ice = strict = True
+    for i in range(n):
+        ii = i * (n + 1)
+        for j in range(n):
+            keys, ji, jj = rows[i * n + j].keys(), j * n + i, j * (n + 1)
+            if not keys <= {i * n + j, ji, ii, jj}:
+                return "none"
+            if i != j:
+                gamma = ii in keys
+                if gamma or jj in keys:
+                    ice = False
+                if not (gamma and ji in keys):
+                    strict = False
+    return "ice" if ice else "strict-rime" if strict else "rime"
 
 
 def check_beta_constancy(p: RimeParams) -> VerificationReport:
@@ -509,7 +527,7 @@ def check_beta_constancy(p: RimeParams) -> VerificationReport:
 
 _IDEMPOTENT = ("cybe", "acybe", "tilde", "idempotent", "braid")
 _NILPOTENT = ("cybe", "acybe", "nilpotent")
-# each family's suite in order, before the applicability rules of _suite_checks
+# each family's suite in order, before the applicability rules of _applicable
 _SUITES = {
     "rime-quantum": ("beta-constancy", "ybe", "hecke", "multiplicities", "classify",
                      "equivalence-quantum", "quantization", *_IDEMPOTENT, "equivalence-classical"),
@@ -521,6 +539,9 @@ _SUITES = {
     "classical-unitary": (*_NILPOTENT, "equivalence-classical"),
     "boundary": _NILPOTENT,
 }
+# the checks of a suite's classical operator, whose reports the suites share
+_COMPANIONS = frozenset(("cybe", "acybe", "tilde", "idempotent", "nilpotent", "braid",
+                         "equivalence-classical"))
 
 
 def _multiplicity_report(rhat: Operator, beta) -> VerificationReport:
@@ -539,8 +560,11 @@ def _multiplicity_report(rhat: Operator, beta) -> VerificationReport:
     return VerificationReport("multiplicities", observed == expected, deviation, None, meta)
 
 
-def _classification_report(m: Operator, expected: str) -> VerificationReport:
-    observed = classify_structure(m).tag
+def _classification_report(m: Operator, expected: Optional[str]) -> VerificationReport:
+    """The observed tag against ``expected``; without one (a document) it is reported alone and passes."""
+    observed = _pattern_tag(m)
+    if expected is None:
+        return VerificationReport("classify", True, _ZERO, None, {"observed": observed})
     meta = {"expected": expected, "observed": observed}
     passed = observed == expected
     return VerificationReport("classify", passed, _ZERO if passed else _ONE, None, meta)
@@ -568,46 +592,145 @@ def _recall(memo: dict, key, make: Callable):
     return memo[key]
 
 
-def _once(make: Callable) -> Callable:
-    """A zero-argument callable returning make(), which runs at its first call only.
+class _Operands:
+    """What the checks of one call read, each operand made at its first use and kept.
 
-    It does what functools.cache does for a function of no arguments, but
-    makes no wrapper: making one costs more than a memo-hit suite's checks.
+    This one holds a single operator, made by ``make`` when a check first
+    reads it, as both Rhat and r: a document's operator in run_checks, or
+    the normal form whose reports a suite takes over.  ``beta`` is a
+    zero-argument callable that only hecke and multiplicities call;
+    ``family`` is the tag the operator was built from, or None.  Its checks
+    read no memo.
     """
-    memo = {}
-    return lambda: _recall(memo, None, make)
+
+    expected = None  # classify reports the observed class alone
+
+    def __init__(self, make: Callable[[], Operator], beta: Callable, family: Optional[str]):
+        self._make, self.beta, self.family = make, beta, family
+        self._made, self._engines = {}, {}
+
+    def rhat(self) -> Operator:
+        return _recall(self._made, "op", self._make)
+
+    r = rhat
+
+    def engine(self, op: Operator) -> _Identities:
+        """The one _Identities of ``op``, so the checks of an operator share its scale, legs and sums."""
+        return _recall(self._engines, id(op), lambda: _Identities(r=op))
+
+    def run(self, name: str) -> VerificationReport:
+        return _CHECK_TABLE[name](self)
 
 
-def _operator_checks(rhat, r, beta, family) -> dict[str, Callable[[], VerificationReport]]:
-    """Name -> not-yet-run check for the checks that need only an operator.
+class _SuiteOperands(_Operands):
+    """The operands of one suite: its spec, weights, RimeParams, beta and r's memo entry.
 
-    ``rhat``, ``r`` and ``beta`` are zero-argument callables that only a
-    running check calls: ybe, hecke, multiplicities and classify read
-    rhat(), the others r().  Each distinct callable gets one _Identities,
-    made when its first check runs, so the checks on one operator share its
-    scale, legs and residuals; a document passes its one operator as both.
-    acybe takes the family's variant, or for an untagged operator
-    (``family`` None) the homogeneous one exactly when r + r21 = 0.
+    Rhat, r, X of the weights and the normal form X carries onto r are each
+    made at first use.  ``entry`` is r's memo entry when the caller looked
+    it up already, else None and looked up at the first check of r; ``key``
+    is its (recipe, constructors).
     """
-    engines = {}
 
-    def identities(source) -> _Identities:
-        return _recall(engines, source, lambda: _Identities(r=source()))
+    def __init__(self, spec: FamilySpec, phi, mu, params, beta, names, key, entry):
+        self.spec, self.phi, self.mu, self.params, self.beta = spec, phi, mu, params, lambda: beta
+        self.family, self.names, self._key, self._entry = spec.family, names, key, entry
+        self.weights = phi if mu is None else mu  # None for cg, classical-cg and boundary
+        self._made, self._engines = {}, {}
+        if self.family == "cg":
+            self.expected = "ice" if (spec.n <= 2 or spec.q2inv == 1) else "none"
+        elif params is not None:
+            self.expected = _expected_rime_class(params)
 
-    def acybe() -> VerificationReport:
-        engine = identities(r)
-        skew = family in _SKEW_FAMILIES or (family is None and not engine._sum(_SKEW)[2])
-        return engine.report("homogeneous-acybe" if skew else "nonhomogeneous-acybe")
+    def rhat(self) -> Operator:
+        return _recall(self._made, "rhat", self._quantum)
 
-    return {
-        "ybe": lambda: identities(rhat).report("ybe"),
-        "hecke": lambda: _hecke(identities(rhat), beta()),
-        "multiplicities": lambda: _multiplicity_report(rhat(), beta()),
-        "classify": lambda: VerificationReport(
-            "classify", True, _ZERO, None, {"observed": classify_structure(rhat()).tag}),
-        **{name: acybe if name == "acybe" else (lambda name=name: identities(r).report(name))
-           for name in ("cybe", "acybe", "tilde", "idempotent", "nilpotent", "braid")},
-    }
+    def _quantum(self) -> Operator:
+        return build(self.spec) if self.params is None else rime_from_beta(self.params)
+
+    def r(self) -> Operator:
+        return _recall(self._made, "r", self._classical)
+
+    def _classical(self) -> Operator:  # the family's classical operator, or Rhat's companion
+        if self.phi is not None:
+            return classical_rime_r(self.phi)
+        if self.mu is not None:
+            return classical_unitary_r0(self.mu)
+        return boundary_b(self.spec.n) if self.family == "boundary" else classical_cg_r(self.spec.n)
+
+    def x(self) -> Operator:  # X of the weights
+        return _recall(self._made, "x",
+                       lambda: x_matrix(self.phi if self.mu is None else PhiVector(self.mu.mu)))
+
+    def nf(self) -> Operator:  # the classical normal form X carries onto r
+        return _recall(self._made, "nf", lambda: _normal_form(self.weights))
+
+    def entry(self) -> dict[str, VerificationReport]:
+        if self._entry is None:
+            self._entry = _companion_reports(*self._key)
+        return self._entry
+
+    def run(self, name: str) -> VerificationReport:
+        """The report of ``name``; a check of r reads and fills r's memo entry (see _companion)."""
+        if name in _COMPANIONS:
+            return _recall(self.entry(), name, lambda: self._companion(name))
+        return _CHECK_TABLE[name](self)
+
+    def _companion(self, name: str) -> VerificationReport:
+        """r's report of ``name``, taken over from the normal form where the equivalence allows.
+
+        Only where this suite runs r's equivalence anyway, or r's entry holds
+        its report: a check run alone on a cold entry then costs what it did.
+        A passing equivalence lets the check take the normal form's report
+        from the normal form's own entry, which one engine on the normal form
+        fills when it is empty, and keep it if it passes (see run_suite for
+        why it is r's).  Otherwise r's own table runs, so a failing report
+        always carries r's own witness and max_residual.
+        """
+        memo, eq = self.entry(), "equivalence-classical"
+        if name != eq and (eq in self.names or eq in memo) and \
+                _recall(memo, eq, lambda: _CHECK_TABLE[eq](self)).passed:
+            nf_memo, nf = _recall(self._made, "normal form", self._normal_form_operands)
+            report = _recall(nf_memo, name, lambda: nf.run(name))
+            if report.passed:
+                return report
+        return _CHECK_TABLE[name](self)
+
+    def _normal_form_operands(self) -> tuple[dict[str, VerificationReport], _Operands]:
+        # the normal form's memo entry, and the operands of its checks
+        nf_tag = "classical-cg" if self.mu is None else "boundary"
+        return (_companion_reports((nf_tag, self.spec.n), self._key[1]),
+                _Operands(self.nf, _no_beta, nf_tag))
+
+
+def _acybe(o: _Operands) -> VerificationReport:
+    """acybe on r: the family's variant, or untagged the homogeneous one exactly when r + r21 = 0."""
+    engine = o.engine(o.r())
+    skew = o.family in _SKEW_FAMILIES or (o.family is None and not engine._sum(_SKEW)[2])
+    return engine.report("homogeneous-acybe" if skew else "nonhomogeneous-acybe")
+
+
+def _of_r(check: str) -> Callable[[_Operands], VerificationReport]:
+    return lambda o: o.engine(o.r()).report(check)
+
+
+# every check by name, as a function of the operands of one call; ybe, hecke,
+# multiplicities and classify read Rhat, the others r
+_CHECK_TABLE = {
+    "ybe": lambda o: o.engine(o.rhat()).report("ybe"),
+    "hecke": lambda o: _hecke(o.engine(o.rhat()), o.beta()),
+    "multiplicities": lambda o: _multiplicity_report(o.rhat(), o.beta()),
+    "classify": lambda o: _classification_report(o.rhat(), o.expected),
+    **{name: _of_r(name) for name in ("cybe", "tilde", "idempotent", "nilpotent", "braid")},
+    "acybe": _acybe,
+    "beta-constancy": lambda o: check_beta_constancy(o.params),
+    "equivalence-quantum": lambda o: _equivalence(o.phi, o.x(), _normal_form(o.phi, o.beta()), o.rhat(),
+                                                  o.beta()),
+    "quantization": lambda o: check_quantization(o.rhat(), o.beta(), o.r()),
+    "equivalence-classical": lambda o: _equivalence(o.weights, o.x(), o.nf(), o.r()),
+}
+# the checks that need only an operator, which run_checks offers a document
+_OPERATOR_CHECKS = ("ybe", "hecke", "multiplicities", "classify", "cybe", "acybe", "tilde", "idempotent",
+                    "nilpotent", "braid")
 
 
 def run_checks(op: Operator, names, beta=_no_beta, family=None) -> list[VerificationReport]:
@@ -618,28 +741,23 @@ def run_checks(op: Operator, names, beta=_no_beta, family=None) -> list[Verifica
     multiplicities runs; multiplicities at beta = 2, where no multiplicity
     is defined, raises ValueError.  ``family`` is the tag ``op`` was built
     from, or None, else ValueError.  ``classify`` reports the observed tag
-    and always passes.
+    and always passes.  Every check of ``op`` shares one _Identities.
     """
     if family is not None and family not in FAMILY_TAGS:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILY_TAGS}")
     names = tuple(names)  # read twice below, so an iterator is taken once
-    rhat = r = (lambda: op)  # one callable: every check of op shares one _Identities
-    table = _operator_checks(rhat, r, beta, family)
     for name in names:
-        if name not in table:
-            raise ValueError(f"unknown check {name!r}; document input supports {', '.join(table)}")
+        if name not in _OPERATOR_CHECKS:
+            raise ValueError(f"unknown check {name!r}; document input supports {', '.join(_OPERATOR_CHECKS)}")
     if op.arity != 2:
         raise ValueError(f"every check needs an arity-2 operator, got arity {op.arity}")
-    return [table[name]() for name in names]
-
-
-# the checks of a suite's classical operator, whose reports the suites share
-_COMPANIONS = ("cybe", "acybe", "tilde", "idempotent", "nilpotent", "braid", "equivalence-classical")
+    operands = _Operands(lambda: op, beta, family)
+    return [operands.run(name) for name in names]
 
 
 @lru_cache(maxsize=16)
 def _companion_reports(recipe, constructors) -> dict[str, VerificationReport]:
-    """Check name -> report of the classical operator made from ``recipe``; filled by _suite_checks.
+    """Check name -> report of the classical operator made from ``recipe``; filled by run_suite.
 
     ``recipe`` is the operator's PhiVector, its MuVector, or (tag, n) for
     classical-cg and boundary, and it fixes every field of those reports:
@@ -650,40 +768,15 @@ def _companion_reports(recipe, constructors) -> dict[str, VerificationReport]:
     reports only, no operator or engine.  The (classical-cg, n) and
     (boundary, n) entries also serve every phi and every mu of that n: a
     suite of a weight vector reads them for the passing reports it takes
-    over from its normal form (see _suite_checks), and fills them when
-    they are empty.
+    over from its normal form (see _SuiteOperands._companion), and fills
+    them when they are empty.
     """
     return {}
 
 
-def _suite_checks(spec: FamilySpec, names=None) -> list[tuple[str, Callable[[], VerificationReport]]]:
-    """The named checks, by default the family's applicable ones, as (name, not-yet-run check) pairs.
-
-    A name outside the applicable checks raises ValueError, listing them.
-
-    The checks of r, the classical operator, read and fill r's memo entry
-    (see _companion_reports).  When r comes from a phi or a mu and the
-    suite runs equivalence-classical, or r's entry holds its report, a
-    companion check first takes that report.  If it passed, the check
-    takes the report of the normal form, the operand a of that
-    equivalence, from the normal form's own entry, which one engine on the
-    normal form fills when it is empty; it keeps that report if it passes
-    (see run_suite for why it is r's).  Otherwise it runs r's own table,
-    so a failing report always carries r's own witness and max_residual.
-    A check requested without the equivalence, on a cold entry, runs r's
-    own table too, so it costs what it did before.
-    """
+def _applicable(spec: FamilySpec, phi: Optional[PhiVector], beta) -> tuple[str, ...]:
+    """The family's suite in order, less the checks that do not apply to ``spec``."""
     tag = spec.family
-    phi = PhiVector(spec.phi) if spec.phi is not None else None
-    mu = MuVector(spec.mu) if spec.mu is not None else None
-    params = beta = expected = None
-    if tag == "cg":
-        beta = _ONE - spec.q2inv
-        expected = "ice" if (spec.n <= 2 or spec.q2inv == 1) else "none"
-    elif tag in ("rime-quantum", "rime-unitary"):
-        params = beta_from_phi(spec.beta, phi) if phi is not None else unitary_beta(mu)
-        beta = params.beta
-        expected = _expected_rime_class(params)
     skip = set()
     if beta == 2:  # coincident eigenvalues: multiplicities undefined
         skip.add("multiplicities")
@@ -693,63 +786,7 @@ def _suite_checks(spec: FamilySpec, names=None) -> list[tuple[str, Callable[[], 
         skip.update(("quantization", *_IDEMPOTENT, "equivalence-classical"))
     if (tag == "rime-quantum" and beta == 0) or (tag == "cg" and (spec.p != 1 or spec.q2inv == 1)):
         skip.add("quantization")
-    available = [name for name in _SUITES[tag] if name not in skip]
-    names = available if names is None else tuple(names)
-    missing = [name for name in names if name not in available]
-    if missing:
-        raise ValueError(
-            f"check(s) {','.join(missing)} not applicable to family {tag!r}; "
-            f"available: {','.join(available)}"
-        )
-
-    rhat = _once(lambda: build(spec) if params is None else rime_from_beta(params))
-    weights = phi if mu is None else mu  # None for cg, classical-cg and boundary
-
-    @_once
-    def r() -> Operator:  # the family's classical operator, or Rhat's companion
-        if phi is not None:
-            return classical_rime_r(phi)
-        if mu is not None:
-            return classical_unitary_r0(mu)
-        return boundary_b(spec.n) if tag == "boundary" else classical_cg_r(spec.n)
-
-    x = _once(lambda: x_matrix(phi if mu is None else PhiVector(mu.mu)))  # X of the weights
-    nf = _once(lambda: _normal_form(weights))  # the classical normal form X carries onto r
-
-    table = _operator_checks(rhat, r, lambda: beta, tag)
-    table.update({
-        "beta-constancy": lambda: check_beta_constancy(params),
-        "classify": lambda: _classification_report(rhat(), expected),
-        "equivalence-quantum": lambda: _equivalence(phi, x(), _normal_form(phi, beta), rhat(), beta),
-        "quantization": lambda: check_quantization(rhat(), beta, r()),
-        "equivalence-classical": lambda: _equivalence(weights, x(), nf(), r()),
-    })
-    # r's checks go through the memo of its recipe: a hit builds no operator, X or engine
-    recipe = weights if weights is not None else (tag, spec.n)
-    constructors = (classical_rime_r, classical_unitary_r0, classical_cg_r, boundary_b, x_matrix)
-    reports = _once(lambda: _companion_reports(recipe, constructors))
-
-    @_once
-    def normal_form_checks():  # the normal form's memo entry, and its checks on one engine
-        nf_tag = "classical-cg" if mu is None else "boundary"
-        return (_companion_reports((nf_tag, spec.n), constructors),
-                _operator_checks(nf, nf, _no_beta, nf_tag))
-
-    def companion(name) -> VerificationReport:
-        # only where this suite runs r's equivalence anyway, or an earlier one did:
-        # a check run alone then costs what it did
-        memo, eq = reports(), "equivalence-classical"
-        if name != eq and (eq in names or eq in memo) and _recall(memo, eq, table[eq]).passed:
-            nf_memo, checks = normal_form_checks()
-            report = _recall(nf_memo, name, checks[name])
-            if report.passed:
-                return report
-        return table[name]()
-
-    def remembered(name):
-        return lambda: _recall(reports(), name, lambda: companion(name))
-
-    return [(name, remembered(name) if name in _COMPANIONS else table[name]) for name in names]
+    return tuple(name for name in _SUITES[tag] if name not in skip)
 
 
 def run_suite(spec: FamilySpec, names=None) -> list[VerificationReport]:
@@ -774,7 +811,9 @@ def run_suite(spec: FamilySpec, names=None) -> list[VerificationReport]:
     nilpotent, braid, equivalence-classical) read and fill a memo of at
     most 16 recipes (see _companion_reports), so a suite that shares its
     phi, its mu, or a parameterless operator with an earlier one returns
-    that suite's reports without computing them again.
+    that suite's reports without computing them again.  When every
+    requested check is one of them and r's entry holds them all, the suite
+    returns them from that one lookup, before any operand is made.
 
     The companions of a phi or a mu (every one of those checks but
     equivalence-classical) are verified once per normal form, classical_cg_r
@@ -788,8 +827,38 @@ def run_suite(spec: FamilySpec, names=None) -> list[VerificationReport]:
     and when the suite neither runs nor remembers the equivalence, so a
     failure is always reported on r itself.
     """
-    checks = _suite_checks(spec, names)
+    tag = spec.family
+    phi = PhiVector(spec.phi) if spec.phi is not None else None
+    mu = MuVector(spec.mu) if spec.mu is not None else None
+    params = beta = None
+    if tag == "cg":
+        beta = _ONE - spec.q2inv
+    elif tag in ("rime-quantum", "rime-unitary"):
+        params = beta_from_phi(spec.beta, phi) if phi is not None else unitary_beta(mu)
+        beta = params.beta
+    available = _applicable(spec, phi, beta)
+    names = available if names is None else tuple(names)
+    missing = [name for name in names if name not in available]
+    if missing:
+        raise ValueError(
+            f"check(s) {','.join(missing)} not applicable to family {tag!r}; "
+            f"available: {','.join(available)}"
+        )
+    # r's memo key: a replaced constructor makes a new entry
+    weights = phi if mu is None else mu
+    key = (weights if weights is not None else (tag, spec.n),
+           (classical_rime_r, classical_unitary_r0, classical_cg_r, boundary_b, x_matrix))
+    entry = None
+    if names and _COMPANIONS.issuperset(names):  # r's checks only: look r up first, as the first check would
+        entry = _companion_reports(*key)
+        if all(map(entry.__contains__, names)):
+            return _with_family(spec, [entry[name] for name in names])
+    operands = _SuiteOperands(spec, phi, mu, params, beta, names, key, entry)
+    return _with_family(spec, [operands.run(name) for name in names])
+
+
+def _with_family(spec: FamilySpec, reports) -> list[VerificationReport]:
+    """Each report with describe(spec) merged into a fresh copy of its metadata."""
     fam = describe(spec)
-    reports = [check() for _, check in checks]
     return [VerificationReport(rep.name, rep.passed, rep.max_residual, rep.witness, {**fam, **rep.metadata})
             for rep in reports]

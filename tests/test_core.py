@@ -1,8 +1,10 @@
 """Exact operator algebra: indexing, arithmetic, tensor plumbing, linear algebra."""
 
+import random
 import sys
 from fractions import Fraction
 from math import gcd
+from types import GeneratorType
 
 import pytest
 from hypothesis import assume, given
@@ -464,6 +466,31 @@ def test_nonzero_scan_helpers():
     assert zero(2, 2).is_zero()
     assert zero(2, 2).first_nonzero() is None
     assert zero(2, 2).max_abs() == 0
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_nonzero_items_match_the_per_entry_multi_index_form(n, arity):
+    # the cached multi-index table gives what two multi_index calls per entry
+    # gave: the same triples in the same order, row-major with ascending
+    # columns, on dense, sparse, zero and identity operators, and lazily
+    rng = random.Random(f"nonzero-items-{n}-{arity}")
+    size = n**arity
+
+    def per_entry(op):
+        return [(multi_index(r, n, arity), multi_index(c, n, arity), op.rows[r][c])
+                for r in range(size) for c in sorted(op.rows[r])]
+
+    ops = [zero(n, arity), identity(n, arity)]
+    for density in (1.0, 0.3, 0.05):
+        ops.append(Operator(n, arity, [
+            [F(rng.randint(-5, 5), rng.randint(1, 3)) if rng.random() < density else 0
+             for _ in range(size)] for _ in range(size)]))
+    for op in ops:
+        items = op.nonzero_items()
+        assert isinstance(items, GeneratorType)
+        assert list(items) == per_entry(op)
+        assert op.first_nonzero() == next(iter(per_entry(op)), None)
 
 
 def test_entry_accepts_plain_ints_at_arity_one():

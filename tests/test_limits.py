@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from rimealg.families import MuVector
+from rimealg.core import identity
+from rimealg.families import MuVector, PhiVector, classical_rime_r
 from rimealg.limits import LimitCurve, unitary_limit_curve
 
 
@@ -96,11 +97,14 @@ def test_unitary_limit_detects_weight_collision():
         unitary_limit_curve(MuVector((0, -64)), (0.015625,))
 
 
-def test_renormalization_semigroup_law_in_float():
-    def beta(h):
-        return 1.0 - math.exp(-h)
-
+def test_renormalization_semigroup_law_on_the_classical_rime_r():
+    # exp(h r) = I + b(h) r with b(h) = 1 - e^(-h) for r^2 = -r: at the exact values
+    # of the floats b(h1), b(h2) the two flows compose as I + (b1 + b2 - b1 b2) r, and
+    # that coefficient is b(h1 + h2) up to float rounding
+    r = classical_rime_r(PhiVector((2, 1)))
+    eye = identity(r.n, 2)
     for h1, h2 in ((0.5, 0.25), (1.0, 2.0), (0.1, 0.9)):
-        lhs = beta(h1 + h2)
-        rhs = beta(h1) + beta(h2) - beta(h1) * beta(h2)
-        assert abs(lhs - rhs) <= 1e-12
+        b1, b2 = Fraction(1 - math.exp(-h1)), Fraction(1 - math.exp(-h2))
+        b12 = b1 + b2 - b1 * b2
+        assert (eye + b1 * r) @ (eye + b2 * r) == eye + b12 * r
+        assert abs(float(b12) - (1 - math.exp(-(h1 + h2)))) <= 1e-12

@@ -1307,6 +1307,66 @@ def test_classify_inverts_rime_general(data, n):
     assert classify_structure(rime_general(d)).data == d
 
 
+def _grid_tag(m):
+    # the tag as classify_structure stated it before it read row keys only: every
+    # row inside its rime pattern, then the gamma, gamma' and alpha grids as Fractions
+    n, rows = m.n, m.rows
+    if any(not rows[i * n + j].keys() <= {i * n + j, j * n + i, i * (n + 1), j * (n + 1)}
+           for i in range(n) for j in range(n)):
+        return "none"
+
+    def grid(col, keep_diagonal=False):
+        return tuple(tuple(rows[i * n + j].get(col(i, j), F(0)) if keep_diagonal or i != j else F(0)
+                           for j in range(n)) for i in range(n))
+
+    alpha = grid(lambda i, j: j * n + i, keep_diagonal=True)
+    gamma = grid(lambda i, j: i * (n + 1))
+    gamma_prime = grid(lambda i, j: j * (n + 1))
+    if not any(map(any, gamma)) and not any(map(any, gamma_prime)):
+        return "ice"
+    strict = all(alpha[i][j] and gamma[i][j] for i in range(n) for j in range(n) if i != j)
+    return "strict-rime" if strict else "rime"
+
+
+def test_pattern_tag_matches_the_grid_definition():
+    # the one-pass tag equals the grid one on valid family operators, copies shifted
+    # inside and outside the rime pattern, ice, zero and n = 1 operators, and
+    # classify_structure reports it, with data exactly for rime-pattern input
+    import rimealg.verify as verify
+
+    rng = random.Random("pattern-tag")
+    seen = set()
+    for n in range(1, 5):
+        ops = [zero(n, 2), identity(n, 2), permutation(n)]
+        for spec in _seeded_specs(rng, n):
+            ops.append(build(spec))
+        ops.append(rime_from_beta(beta_from_phi(random_rational(rng), PhiVector((0, *range(1, n))))))
+
+        def grid(diagonal, zeros):
+            # a coefficient grid, each entry zero with probability ``zeros``
+            return [[random_rational(rng) if (diagonal or i != j) and rng.random() >= zeros else F(0)
+                     for j in range(n)] for i in range(n)]
+
+        z = grid(False, 1)
+        ops.append(rime_general(GeneralRimeData(n, grid(True, 0), z, z, z)))  # ice
+        for zeros in (0, 0.2, 0.5):  # rime, with gamma and gamma' nonzero apart
+            ops.append(rime_general(GeneralRimeData(n, *(grid(d, zeros) for d in (True, False, False, False)))))
+        for op in list(ops):
+            for inside in (True, False):
+                for _ in range(3):
+                    shifted = _shifted_at(rng, op, inside)
+                    if shifted is not None:
+                        ops.append(shifted)
+        for op in ops:
+            tag = verify._pattern_tag(op)
+            assert tag == _grid_tag(op), op.dense_rows()
+            result = classify_structure(op)
+            assert result.tag == tag and (result.data is None) == (tag == "none")
+            assert run_checks(op, ["classify"])[0].metadata == {"observed": tag}
+            seen.add(tag)
+    assert seen == {"none", "ice", "rime", "strict-rime"}
+
+
 # -- parameter re-checks --------------------------------------------------------------
 
 
@@ -1849,6 +1909,102 @@ def test_warm_classical_suite_builds_and_sums_nothing(monkeypatch):
                 calls.clear(), sums.clear()
                 assert run_suite(spec) == cold
                 assert (calls, sums) == ({}, []), spec
+
+
+def _selections(rng, names):
+    # the full suite by default and by name, a subset, a permutation and repeats
+    subset = rng.sample(names, rng.randint(1, len(names)))
+    return [None, names, subset, names[::-1], rng.sample(names, len(names)),
+            names + names[:2], [rng.choice(names)] * 3]
+
+
+def test_every_family_gives_equal_reports_on_a_cold_and_a_warm_memo():
+    # for all seven families at n = 1..4, each selection reports the same from a
+    # cold memo, from the memo it warmed itself, and from one a full suite warmed
+    import rimealg.verify as verify
+
+    rng = random.Random("cold-warm-every-family")
+    hits = 0
+    for n in range(1, 5):
+        for spec in _seeded_specs(rng, n):
+            for names in _selections(rng, _suite_names(spec)):
+                verify._companion_reports.cache_clear()
+                cold = run_suite(spec, names)
+                before = verify._companion_reports.cache_info().hits
+                assert run_suite(spec, names) == cold, (spec, names)
+                hits += verify._companion_reports.cache_info().hits - before
+                verify._companion_reports.cache_clear()
+                run_suite(spec)
+                assert run_suite(spec, names) == cold, (spec, names)
+    assert hits
+
+
+def test_each_report_carries_a_fresh_metadata_dict():
+    # mutating a returned metadata dict changes neither a later call nor the memo
+    # entry, on the memo-hit route and the cold one, for a repeated name too
+    import rimealg.verify as verify
+
+    rng = random.Random("fresh-metadata")
+    for n in (2, 3):
+        for spec in _seeded_specs(rng, n):
+            verify._companion_reports.cache_clear()
+            for _ in ("cold", "warm"):
+                names = _suite_names(spec)
+                reports = run_suite(spec, names + names[:1])
+                expected = [replace(rep, metadata=dict(rep.metadata)) for rep in reports]
+                entry = {name: replace(rep, metadata=dict(rep.metadata))
+                         for name, rep in _memo_entry(spec).items()}
+                assert reports[0].metadata is not reports[-1].metadata
+                for rep in reports:
+                    rep.metadata["family"] = "tampered"
+                    rep.metadata["extra"] = "1"
+                assert run_suite(spec, names + names[:1]) == expected, spec
+                assert _memo_entry(spec) == entry, spec
+
+
+def _memo_entry(spec):
+    # r's memo entry of spec, under this module's constructors (a lookup of its own)
+    import rimealg.verify as verify
+
+    if spec.phi is not None:
+        recipe = PhiVector(spec.phi)
+    else:
+        recipe = MuVector(spec.mu) if spec.mu is not None else (spec.family, spec.n)
+    return verify._companion_reports(recipe, (
+        verify.classical_rime_r, verify.classical_unitary_r0, verify.classical_cg_r,
+        verify.boundary_b, verify.x_matrix))
+
+
+def test_memo_hit_suite_makes_no_engine_and_no_operator(monkeypatch):
+    # a warm classical suite, and a warm quantum suite asking for r's checks only,
+    # return the same reports with _Identities and _SuiteOperands raising and
+    # Operator._wrap counting: no operands, engine, operator, X or normal form is
+    # made; the constructors are not patched, since they are part of the memo key
+    import rimealg.verify as verify
+
+    rng = random.Random("memo-hit-builds-nothing")
+    cases = []
+    for n in (1, 2, 3, 4):
+        for spec in _seeded_specs(rng, n):
+            names = [name for name in _suite_names(spec) if name in verify._COMPANIONS]
+            if names:
+                run_suite(spec)
+                cases.append((spec, None if spec.family in _CLASSICAL_FAMILIES else names))
+    warm = [(spec, names, run_suite(spec, names)) for spec, names in cases]
+
+    def made(*args, **kwargs):
+        raise AssertionError("operands or an engine were made")
+
+    wraps = []
+    wrap = Operator._wrap
+    monkeypatch.setattr(verify, "_Identities", made)
+    monkeypatch.setattr(verify, "_SuiteOperands", made)
+    monkeypatch.setattr(Operator, "_wrap", classmethod(lambda cls, *args: wraps.append(args[:2]) or wrap(*args)))
+    for spec, names, reports in warm:
+        assert run_suite(spec, names) == reports, spec
+        if names:
+            assert run_suite(spec, names[::-1] * 2) == reports[::-1] * 2, spec
+    assert wraps == []
 
 
 def test_memo_holds_at_most_16_recipes():
