@@ -418,42 +418,97 @@ def embed(r: Operator, legs) -> Operator:
     ``legs`` is the int 12, 13 or 23 or the same digits as an exact string;
     the remaining factor carries the identity.  For legs 13 the identity
     sits in the middle slot.  Like :func:`flip21`, every leg only reindexes
-    r's rows; no entry is computed.  Any other tag, a float, a bool or a
-    string such as ``" 13 "`` or ``"012"`` among them, raises ValueError.
+    r's rows by its placement table (see _placement); no entry is computed.
+    Any other tag, a float, a bool or a string such as ``" 13 "`` or
+    ``"012"`` among them, raises ValueError.
     """
-    if r.arity != 2:
-        raise ValueError("embed expects an arity-2 operator")
-    n = r.n
+    _placed_arity(r.arity, "12")  # an operand of another arity raises before a bad tag
     tag = {str(t): t for t in LEGS}.get(legs) if isinstance(legs, str) else legs
-    p = None
-    if isinstance(tag, Integral) and not isinstance(tag, bool):
-        p = {12: 1, 13: n, 23: n * n}.get(int(tag))  # place value of the free slot
-    if p is None:
+    if not (isinstance(tag, Integral) and not isinstance(tag, bool) and int(tag) in LEGS):
         raise ValueError(f"invalid leg tag {legs!r}; expected one of {LEGS}")
-    # place[a][x]: the arity-3 offset of pair offset x = (i, j) with a in the free slot
-    place = [[(x // p * n + a) * p + x % p for x in range(n * n)] for a in range(n)]
-    rows = [None] * n**3
-    for x, row in enumerate(r._rows):
-        for to in place:
-            rows[to[x]] = {to[c]: v for c, v in row.items()}
-    return Operator._wrap(n, 3, tuple(rows))
+    return _reindexed(r, str(int(tag)))
 
 
-def _swap_offsets(n: int) -> list[int]:
+def _swap_offsets(n: int) -> tuple[int, ...]:
     """The pair offset of (j, i) at the pair offset of (i, j): the flip P as an involution."""
-    return [j * n + i for i in range(n) for j in range(n)]
+    return tuple(j * n + i for i in range(n) for j in range(n))
+
+
+# each placement: the arity of the operand it takes, the arity it makes, and
+# who raises for an operand of another arity
+_PLACEMENTS = {
+    "12": (2, 3, "embed"),
+    "13": (2, 3, "embed"),
+    "23": (2, 3, "embed"),
+    "21": (2, 2, "flip21"),
+    "1": (1, 2, "a slot placement"),
+    "2": (1, 2, "a slot placement"),
+}
+
+
+def _placed_arity(arity: int, place: str) -> int:
+    """The arity ``place`` makes of an operand of ``arity``; ValueError if it takes another."""
+    takes, makes, what = _PLACEMENTS[place]
+    if arity != takes:
+        raise ValueError(f"{what} expects an arity-{takes} operator")
+    return makes
+
+
+@lru_cache(maxsize=64)
+def _placement(n: int, place: str) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The placement table of ``place`` on V, dim V = n: one (s, cols) per placed row, by offset.
+
+    Placed row t is the operand's row s with each column c moved to
+    cols[c]; no entry changes.  ``place`` is a leg 12, 13 or 23 of an
+    arity-2 operand on V (x) V (x) V, with the identity on the free slot;
+    its flip 21, r21 = P r P; or the slot 1 (m (x) I) or 2 (I (x) m) of an
+    arity-1 operand on V (x) V.  "P" places the one-entry row {0: c} as
+    c P.  Tables of one place share their cols tuples.
+    """
+    if place == "P":
+        return tuple((0, (s,)) for s in _swap_offsets(n))
+    if place == "21":
+        swap = _swap_offsets(n)
+        return tuple((s, swap) for s in swap)
+    if place == "1":  # row (i, j) of m (x) I is row i of m, column k moved to (k, j)
+        cols = [tuple(k * n + j for k in range(n)) for j in range(n)]
+        return tuple((i, cols[j]) for i in range(n) for j in range(n))
+    if place == "2":  # row (i, j) of I (x) m is row j of m, column k moved to (i, k)
+        cols = [tuple(i * n + k for k in range(n)) for i in range(n)]
+        return tuple((j, cols[i]) for i in range(n) for j in range(n))
+    p = {"12": 1, "13": n, "23": n * n}[place]  # place value of the free slot
+    # moved[a][x]: the arity-3 offset of pair offset x = (i, j) with a in the free slot
+    moved = [tuple((x // p * n + a) * p + x % p for x in range(n * n)) for a in range(n)]
+    table = [None] * n**3
+    for cols in moved:
+        for x, t in enumerate(cols):
+            table[t] = (x, cols)
+    return tuple(table)
+
+
+def _reindexed(op: Operator, place: str) -> Operator:
+    """``op`` placed by ``place`` (see _placement) as an Operator."""
+    arity, rows = _placed_arity(op.arity, place), op._rows
+    return Operator._wrap(op.n, arity, tuple({cols[c]: v for c, v in rows[s].items()}
+                                            for s, cols in _placement(op.n, place)))
+
+
+def _placed(rows, n: int, place: str) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The int ``rows`` of an operand on V placed by ``place``, as kernel pair rows (see _pairs).
+
+    The caller checks the operand's arity (see _placed_arity).
+    """
+    # list comprehensions: faster than generators here, on the hot path of every arity-3 check
+    return tuple([tuple([(cols[c], v) for c, v in rows[s].items()]) for s, cols in _placement(n, place)])
 
 
 def flip21(r: Operator) -> Operator:
-    """Conjugate an arity-2 operator by the flip: r21 = P r P."""
-    if r.arity != 2:
-        raise ValueError("flip21 expects an arity-2 operator")
-    n = r.n
-    # (r21)^{(i,j)}_{(k,l)} = r^{(j,i)}_{(l,k)}: swap the two factors on both
-    # sides by reindexing, no arithmetic needed.
-    swap = _swap_offsets(n)
-    rows = tuple({swap[c]: v for c, v in r._rows[swap[x]].items()} for x in range(n * n))
-    return Operator._wrap(n, 2, rows)
+    """Conjugate an arity-2 operator by the flip: r21 = P r P.
+
+    (r21)^{(i,j)}_{(k,l)} = r^{(j,i)}_{(l,k)}: both factors are swapped on
+    both sides by reindexing (see _placement), no arithmetic needed.
+    """
+    return _reindexed(r, "21")
 
 
 def _scaled_rows(*ops: Operator) -> tuple[int, list[list[dict[int, int]]]]:
@@ -474,37 +529,60 @@ def _chain_sum(n: int, arity: int, d: int, terms) -> tuple[int, dict[int, dict[i
 
     Each term is (c, factors): a rational c and a sequence of j factors, each
     given as the rows of D Ai for one common scale D = ``d`` (see
-    _scaled_rows), every row a tuple of (column, int) pairs (see _pairs).
-    With E the lcm of the denominators of the c's and k the most factors in
-    a term, the scaled identity
+    _scaled_rows), every row a tuple of (column, int) pairs (see _pairs and
+    _placed).  With E the lcm of the denominators of the c's and k the most
+    factors in a term, the scaled identity
 
         E D^k (sum of c A1 ... Aj) = sum of (E c D^(k-j)) (D A1) ... (D Aj)
 
-    has integer terms only, and S = E D^k.  Row i of a product is folded
-    left to right, and the int multiplier E c D^(k-j) scales the last fold,
-    which adds straight into a dense accumulator of the row's columns: one
-    list, replaced only after a nonzero row, so a zero row costs one
-    comparison with a list of zeros.  A term of fewer than two factors is
-    padded with the identity on the left, so one with no factors reads as
-    c I.  ``rows`` maps each nonzero row offset, ascending, to its nonzero
-    entries ``{column: int}``, ascending; an identity that holds gives no
-    rows.  No Fraction is made here: the reports make one for the largest
-    entry and one for the witness, and _from_scaled makes the Operator
-    where a caller needs one.
+    has integer terms only, and S = E D^k.  The terms are split by length
+    once per call, and row i of each is added, times its int multiplier
+    E c D^(k-j), straight into a dense accumulator of the row's columns: a
+    term of no factors adds on the diagonal, one of one factor adds A1's
+    row, and one of two folds A1's row through A2 once.  A longer term folds
+    its row through its leading factors into a dict, then fuses the last two
+    folds, y through A(j-1) and on through Aj, when A(j-1) is rime-sparse:
+    at most four entries a row on average, the rime row bound |{i, j}^2|.
+    Fusion repeats the last fold on every path that collides in A(j-1), so
+    any other A(j-1) is merged through the dict first.  The accumulator is
+    one list, replaced only after a nonzero row, so a zero row costs one
+    comparison with a list of zeros.  ``rows`` maps each nonzero row offset,
+    ascending, to its nonzero entries ``{column: int}``, ascending; an
+    identity that holds gives no rows.  No Fraction is made here: the
+    reports make one for the largest entry and one for the witness, and
+    _from_scaled makes the Operator where a caller needs one.
     """
     e = lcm(*(c.denominator for c, _ in terms))
     k = max(len(factors) for _, factors in terms)
+    diagonal, ones, twos, longer = 0, [], [], []
+    for c, factors in terms:
+        c = c.numerator * (e // c.denominator) * d ** (k - len(factors))
+        if not factors:
+            diagonal += c
+        elif len(factors) == 1:
+            ones.append((c, factors[0]))
+        elif len(factors) == 2:
+            twos.append((c, *factors))
+        else:
+            mid = factors[-2]
+            fused = sum(map(len, mid)) <= 4 * len(mid)
+            longer.append((c, factors[0], factors[1:-2] if fused else factors[1:-1],
+                           mid if fused else None, factors[-1]))
     size = n**arity
-    eye = tuple(((i, 1),) for i in range(size)) if any(len(fs) < 2 for _, fs in terms) else None
-    # (int multiplier, factors padded to two or more) per term
-    padded = [(c.numerator * (e // c.denominator) * d ** (k - len(factors)),
-               (eye,) * (2 - len(factors)) + tuple(factors)) for c, factors in terms]
-    plan = [(c, fs[0], fs[1:-1], fs[-1]) for c, fs in padded]
     rows = {}
     zeros = [0] * size
     acc = zeros.copy()
     for i in range(size):
-        for c, first, middle, last in plan:
+        acc[i] += diagonal
+        for c, f in ones:
+            for j, w in f[i]:
+                acc[j] += c * w
+        for c, first, last in twos:
+            for x, v in first[i]:
+                v *= c
+                for j, w in last[x]:
+                    acc[j] += v * w
+        for c, first, middle, mid, last in longer:
             row = first[i]
             for f in middle:
                 nxt = {}
@@ -512,10 +590,18 @@ def _chain_sum(n: int, arity: int, d: int, terms) -> tuple[int, dict[int, dict[i
                     for j, w in f[x]:
                         nxt[j] = nxt.get(j, 0) + v * w
                 row = nxt.items()
-            for x, v in row:
-                v *= c
-                for j, w in last[x]:
-                    acc[j] += v * w
+            if mid is None:
+                for x, v in row:
+                    v *= c
+                    for j, w in last[x]:
+                        acc[j] += v * w
+            else:
+                for x, v in row:
+                    v *= c
+                    for y, u in mid[x]:
+                        u *= v
+                        for j, w in last[y]:
+                            acc[j] += u * w
         # a row that sums to zero leaves the accumulator all zeros for the next row
         if acc != zeros:
             rows[i] = {j: v for j, v in enumerate(acc) if v}
@@ -533,20 +619,15 @@ def _from_scaled(n: int, arity: int, scale: int, rows) -> Operator:
 
 def _slot(m: Operator, slot: int) -> Operator:
     """m tensor I (slot 1) or I tensor m (slot 2) on V tensor V; like embed, it only reindexes m's rows."""
-    if m.arity != 1:
-        raise ValueError("a slot placement expects an arity-1 operator")
-    n, rows = m.n, m._rows
-    placed = (({k * n + j: v for k, v in rows[i].items()} if slot == 1 else
-               {i * n + k: v for k, v in rows[j].items()}) for i in range(n) for j in range(n))
-    return Operator._wrap(n, 2, tuple(placed))
+    return _reindexed(m, str(slot))
 
 
 def conjugate_pair(a: Operator, x: Operator) -> Operator:
     """Change of basis on both tensor factors: (X tensor X) a (X^-1 tensor X^-1).
 
     X tensor X = (X tensor I)(I tensor X), so the conjugate is one chain
-    term of five factors that each act on a single tensor slot (see _slot),
-    summed in ints by _chain_sum.  No n^2-by-n^2 Kronecker product is
+    term of five factors that each act on a single tensor slot (see
+    _placement), summed in ints by _chain_sum.  No n^2-by-n^2 Kronecker product is
     formed.  The equivalence checks state the same change of basis without
     X^-1; this is the one route that inverts X.
     """
@@ -558,9 +639,7 @@ def conjugate_pair(a: Operator, x: Operator) -> Operator:
         raise ValueError(f"dimension mismatch in conjugation: {a.n} vs {x.n}")
     n = a.n
     d, (xs, rows, inv) = _scaled_rows(x, a, x.inverse())
-    xs, inv = Operator._wrap(n, 1, xs), Operator._wrap(n, 1, inv)
-    chain = [_pairs(rows) for rows in (_slot(xs, 1)._rows, _slot(xs, 2)._rows, rows,
-                                       _slot(inv, 1)._rows, _slot(inv, 2)._rows)]
+    chain = [_placed(xs, n, "1"), _placed(xs, n, "2"), _pairs(rows), _placed(inv, n, "1"), _placed(inv, n, "2")]
     return _from_scaled(n, 2, *_chain_sum(n, 2, d, [(1, chain)]))
 
 

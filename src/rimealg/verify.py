@@ -16,6 +16,7 @@ lexicographically first nonzero residual entry as a witness.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -26,15 +27,16 @@ from .core import (
     _chain_sum,
     _from_scaled,
     _pairs,
+    _placed,
+    _placed_arity,
     _require_space,
     _scaled_rows,
-    _slot,
-    _swap_offsets,
     as_rational,
-    embed,
-    flip21,
     multi_index,
 )
+# embed is unused here, but perfbench/selftest.py checks that its tracer
+# patches rimealg.verify.embed
+from .core import embed  # noqa: F401
 from .families import (
     FAMILY_TAGS,
     FamilySpec,
@@ -166,6 +168,10 @@ _CHECKS = {
 _SKEW_FAMILIES = ("rime-unitary", "classical-unitary", "boundary")
 
 
+# a factor of a chain sum: its space and its kernel pair rows
+_Factor = namedtuple("_Factor", "n arity rows")
+
+
 def _bind(c, bound):
     """A table coefficient: a number, or a name read from ``bound``, negated by a leading "-"."""
     return (-bound[c[1:]] if c[0] == "-" else bound[c]) if isinstance(c, str) else c
@@ -176,38 +182,38 @@ class _Identities:
 
     The operands are scaled once, together, when the engine is made: D, the
     lcm of all their denominators, and the int rows of D times each (see
-    core._scaled_rows).  Every other factor is made from those rows once, at
-    first use, by reindexing only: the legs through embed, the flip through
-    flip21, the slots through core._slot and D P from the flip's offsets, so
-    no entry is converted again; each factor's rows are turned into the
-    (column, int) pairs the kernel folds over once too (see core._pairs).
-    Each table is one chain sum in ints (see core._chain_sum) on the space
-    of its first factor, which every factor must act on, kept as its int
-    rows over one scale.  A report makes one Fraction for the largest entry
-    of each failing part and one for the witness, none when the check
-    passes; ``residual`` makes the whole Operator for the callers that
-    want one.
+    core._scaled_rows).  Every factor is made from those rows once, at first
+    use, straight into the (column, int) pair rows the kernel folds over:
+    an operand as it is through core._pairs, and its legs, flip and slots,
+    and D P from the one-entry row {0: D}, through the cached placement
+    table of their place (see core._placed), so no entry is converted again
+    and no Operator is made.  Each table is one chain sum in ints (see
+    core._chain_sum) on the space of its first factor, which every factor
+    must act on, kept as its int rows over one scale.  A report makes one
+    Fraction for the largest entry of each failing part and one for the
+    witness, none when the check passes; ``residual`` makes the whole
+    Operator for the callers that want one.
     """
 
     def __init__(self, **operands: Operator):
         self.operands = operands
         self.n = next(iter(operands.values())).n
         self._d, scaled = _scaled_rows(*operands.values())
-        self._factors = {key: Operator._wrap(op.n, op.arity, rows)
-                         for (key, op), rows in zip(operands.items(), scaled)}
-        self._pairs = {}
+        self._scaled = {key: (op, rows) for (key, op), rows in zip(operands.items(), scaled)}
+        self._factors = {}
         self._sums = {}
 
-    def _factor(self, name) -> Operator:
-        factors, n = self._factors, self.n
-        if name not in factors:
+    def _factor(self, name) -> _Factor:
+        factor = self._factors.get(name)
+        if factor is None:
             if name == "P":
-                factors[name] = Operator._wrap(n, 2, tuple({s: self._d} for s in _swap_offsets(n)))
+                factor = _Factor(self.n, 2, _placed(({0: self._d},), self.n, "P"))
             else:
-                op, place = factors[name[0]], name[1:]
-                factors[name] = (flip21(op) if place == "21" else
-                                 _slot(op, int(place)) if place in ("1", "2") else embed(op, int(place)))
-        return factors[name]
+                (op, rows), place = self._scaled[name[0]], name[1:]
+                factor = (_Factor(op.n, op.arity, _pairs(rows)) if not place else
+                          _Factor(op.n, _placed_arity(op.arity, place), _placed(rows, op.n, place)))
+            self._factors[name] = factor
+        return factor
 
     def _sum(self, table, **bound) -> tuple[int, int, dict[int, dict[int, int]]]:
         """(arity, S, rows) of ``table``'s sum (see core._chain_sum), coefficients read from ``bound``."""
@@ -215,13 +221,10 @@ class _Identities:
         result = self._sums.get(table)
         if result is None:
             factors = {name: self._factor(name) for _, names in table for name in names}
-            first = next(iter(factors.values()))
-            n, arity, pairs = first.n, first.arity, self._pairs
-            for name, f in factors.items():
+            n, arity, _ = next(iter(factors.values()))
+            for f in factors.values():
                 _require_space(n, arity, f, "chain sum")
-                if name not in pairs:
-                    pairs[name] = _pairs(f._rows)
-            terms = [(c, [pairs[name] for name in names]) for c, names in table]
+            terms = [(c, [factors[name].rows for name in names]) for c, names in table]
             result = self._sums[table] = (arity, *_chain_sum(n, arity, self._d, terms))
         return result
 

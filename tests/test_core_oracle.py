@@ -4,9 +4,12 @@ The oracle below is plain row-by-column arithmetic on dense lists of
 Fractions and lives only here.  Operators are drawn sparse at n <= 3 and
 arity 1..3, from items that may cancel, in shuffled order, so row dicts see
 every insertion order.  After every operation the result must match the
-oracle and hold the storage invariant: no zero is ever stored.
+oracle and hold the storage invariant: no zero is ever stored.  The integer
+chain kernel and the placement tables that feed it are held against the
+same oracle.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,8 +19,15 @@ from hypothesis import strategies as st
 from rimealg.core import (
     LEGS,
     Operator,
+    _chain_sum,
+    _from_scaled,
+    _pairs,
+    _placed,
+    _scaled_rows,
+    _slot,
     embed,
     flip21,
+    identity,
     kron,
     linear_index,
     multi_index,
@@ -287,3 +297,167 @@ def test_permutation_equals_the_flip_from_items():
                                          for i in range(1, n + 1) for j in range(1, n + 1)))
         check(permutation(n), old.dense_rows(), n, 2)
         assert permutation(n) == old
+
+
+# -- the integer chain kernel ---------------------------------------------------------
+
+
+def _d_row_times(row, f):
+    """The dense row times the dense matrix f; a zero entry on either side adds nothing, so it is skipped."""
+    out = [F(0)] * len(row)
+    for k, x in enumerate(row):
+        if x:
+            for j, y in enumerate(f[k]):
+                if y:
+                    out[j] += x * y
+    return out
+
+
+def d_chain(terms, size):
+    """The sum of c A1 ... Aj over (c, dense factors), products taken row by column from I."""
+    total = d_zero(size)
+    for c, factors in terms:
+        term = [[F(int(i == j)) for j in range(size)] for i in range(size)]
+        for f in factors:
+            term = [_d_row_times(row, f) for row in term]
+        total = [[t + c * v for t, v in zip(trow, row)] for trow, row in zip(total, term)]
+    return total
+
+
+def _rime_pattern(rng, n):
+    """A random arity-2 operator in the rime pattern: row (i, j) only in the columns {i, j}^2."""
+    items = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for col in sorted({(i, j), (j, i), (i, i), (j, j)}):
+                if rng.random() < 0.8:
+                    items.append(((i, j), col, F(rng.randint(-9, 9), rng.choice((1, 2, 3)))))
+    return Operator.from_items(n, 2, items)
+
+
+def _dense_operator(rng, n, arity):
+    size = n**arity
+    return Operator(n, arity, [[F(rng.randint(-9, 9), rng.choice((1, 2, 5))) for _ in range(size)]
+                               for _ in range(size)])
+
+
+def _sparse_operator(rng, n, arity):
+    """Mostly empty rows, so products meet zero rows."""
+    size = n**arity
+    items = [(multi_index(rng.randrange(size), n, arity), multi_index(rng.randrange(size), n, arity),
+              F(rng.randint(1, 9), rng.choice((1, 3)))) for _ in range(max(1, size // 3))]
+    return Operator.from_items(n, arity, items)
+
+
+def _off_pattern(rng, n):
+    """A rime-pattern operator whose row (1, 2) holds its four pattern entries and a fifth at (3, 1) (n >= 3)."""
+    rows = [dict(row) for row in _rime_pattern(rng, n)._rows]
+    rows[1] = {c: F(rng.randint(1, 9), 7) for c in (1, n, 0, n + 1, 2 * n)}
+    return Operator._wrap(n, 2, tuple(rows))
+
+
+def _factor_pool(rng, n, arity):
+    """(kind, operator) pairs on V^(tensor arity): rime legs, off-pattern and dense rows, and zero rows."""
+    pool = [("sparse", _sparse_operator(rng, n, arity)), ("dense", _dense_operator(rng, n, arity))]
+    if arity == 1:
+        return pool
+    rimes = [("rime", _rime_pattern(rng, n))]
+    if n >= 3:
+        rimes.append(("off-pattern", _off_pattern(rng, n)))
+    if arity == 2:
+        return pool + rimes
+    pool = pool if n <= 3 else pool[:1]  # dense arity-3 factors at n = 4 are too slow for the oracle
+    return pool + [(kind, embed(r, rng.choice(LEGS))) for kind, r in rimes]
+
+
+def _coefficient(rng):
+    return F(rng.choice((-5, -3, -1, 1, 2, 4)), rng.choice((1, 2, 3, 5, 7)))
+
+
+def _kernel_cases(rng, n, arity):
+    """(kind of each factor, terms) over one pool: every length 0..5, cancelling terms and sums."""
+    pool = _factor_pool(rng, n, arity)
+    # on V^(tensor 3) a dense factor only sits in the middle of the last two
+    # folds, so the oracle's products stay small
+    others = [op for kind, op in pool if kind != "dense" or arity < 3]
+    for length in range(6):
+        for kind, op in pool:
+            # the factor in the middle of the last two folds is op, the rest drawn from the pool
+            ops = [rng.choice(others) for _ in range(length)]
+            if length >= 2:
+                ops[-2] = op
+            c = _coefficient(rng)
+            yield kind, [(c, ops), (_coefficient(rng), [rng.choice(others) for _ in range(rng.randrange(4))])]
+            # the same product twice with opposite signs: an all-zero sum
+            yield kind, [(c, ops), (-c, ops)]
+    # two products that differ in one factor's row: they cancel on every other row
+    a, b = (rng.choice(others) for _ in range(2))
+    shifted = b + Operator.from_items(n, arity, [(multi_index(0, n, arity), multi_index(0, n, arity), 1)])
+    yield "shift", [(F(1, 2), [a, b, a]), (F(-1, 2), [a, shifted, a])]
+
+
+def test_chain_sum_matches_the_dense_oracle():
+    rng = random.Random("chain-kernel")
+    guard_sides, zero_rows, zero_sums = set(), 0, 0
+    for n in range(1, 5):
+        for arity in (1, 2, 3):
+            size = n**arity
+            for kind, terms in _kernel_cases(rng, n, arity):
+                ops = [op for _, factors in terms for op in factors]
+                d, scaled = _scaled_rows(*ops) if ops else (1, [])
+                rows = iter(_pairs(op_rows) for op_rows in scaled)
+                int_terms = [(c, [next(rows) for _ in factors]) for c, factors in terms]
+                scale, out = _chain_sum(n, arity, d, int_terms)
+                want = d_chain([(c, [op.dense_rows() for op in factors]) for c, factors in terms], size)
+                assert _from_scaled(n, arity, scale, out).dense_rows() == want, (n, arity, kind)
+                # rows ascending, entries ascending, no zero stored
+                assert list(out) == sorted(out) and all(list(row) == sorted(row) for row in out.values())
+                assert all(v for row in out.values() for v in row.values())
+                zero_rows += 0 < len(out) < size
+                zero_sums += not out
+                for _, factors in terms:
+                    if len(factors) >= 3:
+                        mid = factors[-2]
+                        guard_sides.add((kind, sum(map(len, mid._rows)) <= 4 * mid.size))
+    # the last two folds were fused for rime legs and the off-pattern row, merged for dense rows
+    assert {("rime", True), ("off-pattern", True), ("dense", False)} <= guard_sides
+    assert zero_rows and zero_sums
+
+
+def test_chain_sum_scale_and_terms_of_no_factors():
+    # S = E D^k: a term of no factors is c I, whatever the other terms' lengths
+    n, d = 2, 6
+    rows = _pairs([{0: 3}, {}, {1: -2}, {3: 1}])
+    scale, out = _chain_sum(n, 2, d, [(F(1, 4), []), (F(-2, 3), [rows, rows])])
+    assert scale == 12 * d**2
+    a = Operator._wrap(n, 2, tuple({c: F(v, d) for c, v in row} for row in rows))
+    assert _from_scaled(n, 2, scale, out) == identity(n, 2) * F(1, 4) + (a @ a) * F(-2, 3)
+    assert _chain_sum(n, 1, d, [(F(1, 3), []), (F(-1, 3), [])]) == (3, {})
+
+
+# -- the placement tables -------------------------------------------------------------
+
+
+def test_placement_tables_match_the_operator_placements():
+    # the kernel rows each table makes equal the pairs of the Operator the
+    # public placement makes of the same int rows, and the Kronecker route
+    rng = random.Random("placement-tables")
+    for n in range(1, 6):
+        for _ in range(3):
+            rows2 = [{c: rng.randint(-9, 9) or 1 for c in rng.sample(range(n * n), rng.randint(0, n * n))}
+                     for _ in range(n * n)]
+            rows1 = [{c: rng.randint(-9, 9) or 1 for c in rng.sample(range(n), rng.randint(0, n))}
+                     for _ in range(n)]
+            r, m = Operator._wrap(n, 2, tuple(rows2)), Operator._wrap(n, 1, tuple(rows1))
+            for leg in LEGS:
+                assert _placed(rows2, n, str(leg)) == _pairs(embed(r, leg)._rows), (n, leg)
+            assert _placed(rows2, n, "21") == _pairs(flip21(r)._rows)
+            for slot in (1, 2):
+                assert _placed(rows1, n, str(slot)) == _pairs(_slot(m, slot)._rows)
+            d = rng.randint(1, 30)
+            assert _placed(({0: d},), n, "P") == _pairs((permutation(n) * d)._rows)
+            eye1 = identity(n)
+            assert _slot(m, 1) == kron(m, eye1) and _slot(m, 2) == kron(eye1, m)
+            assert embed(r, 12) == kron(r, eye1) and embed(r, 23) == kron(eye1, r)
+            assert embed(r, 13).dense_rows() == d_embed(r.dense_rows(), n, 13)
+            assert flip21(r).dense_rows() == d_flip21(r.dense_rows(), n)

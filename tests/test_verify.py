@@ -204,20 +204,31 @@ def test_cybe_report_equals_splitting_report(r):
     assert rep == split
 
 
+def _count_leg_placements(monkeypatch) -> list:
+    """The legs the engine places, as the ints 12, 13 and 23, in the order it places them."""
+    import rimealg.verify as verify
+
+    legs = []
+    placed = verify._placed
+
+    def counting_placed(rows, n, place):
+        if place in ("12", "13", "23"):
+            legs.append(int(place))
+        return placed(rows, n, place)
+
+    monkeypatch.setattr(verify, "_placed", counting_placed)
+    return legs
+
+
 def test_check_cybe_embeds_once_and_makes_no_operator_product(monkeypatch):
-    embeds = []
+    embeds = _count_leg_placements(monkeypatch)
     products = []
     matmul = Operator.__matmul__
-
-    def counting_embed(op, legs):
-        embeds.append(legs)
-        return embed(op, legs)
 
     def counting_matmul(a, b):
         products.append(a.arity)
         return matmul(a, b)
 
-    monkeypatch.setattr("rimealg.verify.embed", counting_embed)
     monkeypatch.setattr(Operator, "__matmul__", counting_matmul)
     assert check_cybe(classical_rime_r(PhiVector((3, 2, 1)))).passed
     assert sorted(embeds) == [12, 13, 23]
@@ -229,13 +240,7 @@ def test_check_cybe_embeds_once_and_makes_no_operator_product(monkeypatch):
                                    check_tilde_relations, check_braid_identities])
 def test_arity3_checks_embed_each_leg_once(check, monkeypatch):
     r = classical_rime_r(PhiVector((3, 2, 1)))
-    embeds = []
-
-    def counting_embed(op, legs):
-        embeds.append(legs)
-        return embed(op, legs)
-
-    monkeypatch.setattr("rimealg.verify.embed", counting_embed)
+    embeds = _count_leg_placements(monkeypatch)
     check(r)
     assert sorted(embeds) == [12, 13, 23]  # in the order the check's tables first use them
 
@@ -1667,20 +1672,16 @@ def test_run_suite_matches_public_checks(rng):
 
 
 def test_each_operator_takes_one_leg_pass(monkeypatch):
-    # per operator, each leg is embedded once, at its first use, and each table
+    # per operator, each leg is placed once, at its first use, and each table
     # is summed by one _chain_sum call, recorded as (arity, number of terms):
     # tilde and acybe share A(r) + r13 and r + r21 - (P - I), braid and ybe the
     # YBE; the quadratic checks, quantization and the equivalences sum their
     # own tables, and no check makes an Operator product
     import rimealg.verify as verify
 
-    embeds, sums, products = [], [], []
+    embeds, sums, products = _count_leg_placements(monkeypatch), [], []
     chain_sum = verify._chain_sum
     matmul = Operator.__matmul__
-
-    def counting_embed(op, legs):
-        embeds.append(legs)
-        return embed(op, legs)
 
     def counting_chain_sum(n, arity, d, terms):
         sums.append((arity, len(terms)))
@@ -1690,7 +1691,6 @@ def test_each_operator_takes_one_leg_pass(monkeypatch):
         products.append(a.arity)
         return matmul(a, b)
 
-    monkeypatch.setattr(verify, "embed", counting_embed)
     monkeypatch.setattr(verify, "_chain_sum", counting_chain_sum)
     monkeypatch.setattr(Operator, "__matmul__", counting_matmul)
     phi = (3, 2, 1)
