@@ -345,7 +345,9 @@ def check_braid_identities(r: Operator) -> VerificationReport:
 
     They hold whenever r^2 = -r and A(r) = A'(r) = -r13; those hypotheses
     are themselves verified by the idempotency and acybe checks run next to
-    this one in the suites.
+    this one in the suites.  For the second, the identity B2 of run_suite
+    at s = 1 writes r12 r13 r23 - r23 r13 r12 through A' + r13, A + r13 and
+    r^2 + r, which all vanish then.
     """
     return _Identities(r=r).report("braid")
 
@@ -545,6 +547,10 @@ _SUITES = {
 # the checks of a suite's classical operator, whose reports the suites share
 _COMPANIONS = frozenset(("cybe", "acybe", "tilde", "idempotent", "nilpotent", "braid",
                          "equivalence-classical"))
+# the checks whose passed reports decide a full quantum suite's ybe (see run_suite):
+# quantization, cybe, acybe and the square law, r^2 = -r for phi and r^2 = 0 for mu
+_YBE_PREMISES = {"rime-quantum": ("quantization", "cybe", "acybe", "idempotent"),
+                 "rime-unitary": ("quantization", "cybe", "acybe", "nilpotent")}
 
 
 def _multiplicity_report(rhat: Operator, beta) -> VerificationReport:
@@ -829,6 +835,24 @@ def run_suite(spec: FamilySpec, names=None) -> list[VerificationReport]:
     own tables still run when the equivalence fails, when a's report fails
     and when the suite neither runs nor remembers the equivalence, so a
     failure is always reported on r itself.
+
+    A rime-quantum or rime-unitary suite that requests ybe and all of its
+    premises (_YBE_PREMISES) decides ybe last, from their reports.  For
+    every arity-2 r and rationals c and s, with Y(Rhat) the YBE residual,
+    B2(r) = r12 r13 r23 - r23 r13 r12 and P13 = P12 P23 P12:
+
+    - if P Rhat = I + c r, then Y(Rhat) = -P13 (c^2 CYBE(r) + c^3 B2(r));
+    - B2(r) = r12 (A'(r) + s r13) - (A(r) + s r13) r12 - (r^2 + s r)12 r13
+      + r13 (r^2 + s r)12, where A' = A + CYBE.
+
+    Quantization gives the first with c = beta, or 1 for mu.  The
+    non-homogeneous acybe and r^2 = -r (phi) make A + r13 and r^2 + r
+    vanish, s = 1; the homogeneous acybe and r^2 = 0 (mu) do so at s = 0.
+    So when all four passed, Y(Rhat) = 0, and the suite's ybe is the pass
+    Rhat's table would give, without summing it.  Rhat's own table runs
+    whenever a premise is not requested (ybe alone, beta = 0, a phi holding
+    0) or fails, so a failing ybe always carries Rhat's own witness and
+    max_residual.
     """
     tag = spec.family
     phi = PhiVector(spec.phi) if spec.phi is not None else None
@@ -857,7 +881,14 @@ def run_suite(spec: FamilySpec, names=None) -> list[VerificationReport]:
         if all(map(entry.__contains__, names)):
             return _with_family(spec, [entry[name] for name in names])
     operands = _SuiteOperands(spec, phi, mu, params, beta, names, key, entry)
-    return _with_family(spec, [operands.run(name) for name in names])
+    premises = _YBE_PREMISES.get(tag)
+    if premises is None or "ybe" not in names or not all(map(names.__contains__, premises)):
+        return _with_family(spec, [operands.run(name) for name in names])
+    # ybe last, after its premises, so every other check runs in the requested order
+    reports = {name: operands.run(name) for name in dict.fromkeys(names) if name != "ybe"}
+    reports["ybe"] = (VerificationReport("ybe", True, _ZERO, None, {"n": spec.n})
+                      if all(reports[name].passed for name in premises) else operands.run("ybe"))
+    return _with_family(spec, [reports[name] for name in names])
 
 
 def _with_family(spec: FamilySpec, reports) -> list[VerificationReport]:

@@ -1676,7 +1676,8 @@ def test_each_operator_takes_one_leg_pass(monkeypatch):
     # is summed by one _chain_sum call, recorded as (arity, number of terms):
     # tilde and acybe share A(r) + r13 and r + r21 - (P - I), braid and ybe the
     # YBE; the quadratic checks, quantization and the equivalences sum their
-    # own tables, and no check makes an Operator product
+    # own tables, a full quantum suite decides ybe from its premises without
+    # Rhat's legs, and no check makes an Operator product
     import rimealg.verify as verify
 
     embeds, sums, products = _count_leg_placements(monkeypatch), [], []
@@ -1703,13 +1704,18 @@ def test_each_operator_takes_one_leg_pass(monkeypatch):
     embeds.clear(), sums.clear()
     verify._companion_reports.cache_clear()  # cold: r's checks run again
     run_suite(FamilySpec("rime-quantum", 3, beta=F(1, 2), phi=phi))
-    # Rhat's ybe and hecke, equivalence-quantum, quantization, then r's checks
-    rhat_tables = [(3, 2), (2, 4), (2, 2), (2, 3)]
-    assert (embeds, sums) == ([12, 23, 12, 13, 23], [*rhat_tables, *r_tables])
+    # Rhat's hecke, equivalence-quantum, quantization, then r's checks; ybe
+    # is decided from quantization, cybe, acybe and idempotent, so no leg of
+    # Rhat is placed and its YBE is not summed
+    rhat_tables = [(2, 4), (2, 2), (2, 3)]
+    assert (embeds, sums) == ([12, 13, 23], [*rhat_tables, *r_tables])
     embeds.clear(), sums.clear()
-    # warm: r's reports come from the memo, so only Rhat's tables are summed
+    # warm: r's reports come from the memo, so only Rhat's arity-2 tables are summed
     run_suite(FamilySpec("rime-quantum", 3, beta=F(-7, 3), phi=phi))
-    assert (embeds, sums) == ([12, 23], rhat_tables)
+    assert (embeds, sums) == ([], rhat_tables)
+    # ybe alone sums Rhat's own table
+    run_suite(FamilySpec("rime-quantum", 3, beta=F(-7, 3), phi=phi), ["ybe"])
+    assert (embeds, sums) == ([12, 23], [*rhat_tables, (3, 2)])
     embeds.clear(), sums.clear()
     run_suite(FamilySpec("classical-rime", 3, phi=phi))
     assert (embeds, sums) == ([], [])
@@ -2162,6 +2168,25 @@ def test_weighted_suites_equal_the_direct_route_with_cold_and_warm_memo():
             route()
 
 
+def _off_by_one(original, shift_rng, inside):
+    # original with its output shifted at one coefficient, inside or outside the
+    # rime pattern for an arity-2 output; an X stays invertible
+    def shifted(*args):
+        op = original(*args)
+        state = shift_rng.getstate()
+        bad = None
+        while bad is None or bad.arity == 1 and bad.det() == 0:  # X must stay invertible
+            if op.arity == 2:
+                bad = _shifted_at(shift_rng, op, inside)
+            else:
+                i, j = shift_rng.randrange(op.n), shift_rng.randrange(op.n)
+                bad = _tampered(op, i, j, op.dense_rows()[i][j] + random_rational(shift_rng, True))
+        shift_rng.setstate(state)  # the suite and the direct route see the same copy
+        return bad
+
+    return shifted
+
+
 _MEMO_CONSTRUCTORS = ("classical_rime_r", "classical_unitary_r0", "classical_cg_r", "boundary_b",
                       "x_matrix")
 
@@ -2176,22 +2201,8 @@ def test_suites_equal_the_direct_route_with_a_constructor_off_by_one_coefficient
     # from a cold one; the shift makes some report fail
     import rimealg.verify as verify
 
-    original = getattr(verify, constructor)
-    shift_rng = random.Random(f"off-by-one-{constructor}-{inside}")
-
-    def shifted(*args):
-        op = original(*args)
-        state = shift_rng.getstate()
-        bad = None
-        while bad is None or bad.arity == 1 and bad.det() == 0:  # X must stay invertible
-            if op.arity == 2:
-                bad = _shifted_at(shift_rng, op, inside)
-            else:
-                i, j = shift_rng.randrange(op.n), shift_rng.randrange(op.n)
-                bad = _tampered(op, i, j, op.dense_rows()[i][j] + random_rational(shift_rng, True))
-        shift_rng.setstate(state)  # the suite and the direct route see the same copy
-        return bad
-
+    shifted = _off_by_one(getattr(verify, constructor), random.Random(f"off-by-one-{constructor}-{inside}"),
+                          inside)
     rng = random.Random(f"off-by-one-specs-{constructor}-{inside}")
     specs = [spec for n in (2, 3, 4) for spec in _seeded_specs(rng, n)]
     for spec in specs:
@@ -2275,3 +2286,178 @@ def test_a_check_alone_takes_over_a_remembered_equivalence_only(monkeypatch):
     for rep in first + run_suite(spec, ["cybe"]):
         assert [rep] == _public_suite(spec, [rep])
 
+
+# -- a full quantum suite's ybe decided from its passed premises ---------------------
+
+
+def _legs(r):
+    return embed(r, 12), embed(r, 13), embed(r, 23)
+
+
+def _dense_arity2(rng, n):
+    size = n * n
+    return Operator(n, 2, [[random_rational(rng) for _ in range(size)] for _ in range(size)])
+
+
+def _dense_cases(seed, values):
+    # an arbitrary dense r at n = 1..3, two for each scalar value
+    rng = random.Random(seed)
+    return [(n, _dense_arity2(rng, n), v) for n in (1, 2, 3) for v in values for _ in range(2)]
+
+
+@pytest.mark.parametrize("n, r, c", _dense_cases("ybe-of-rhat", (F(0), F(1), F(-13, 3))))
+def test_quantized_ybe_residual_is_cybe_and_second_braid_of_r(n, r, c):
+    # if P Rhat = I + c r, then Y(Rhat) = -P13 (c^2 CYBE(r) + c^3 B2(r)), P13 = P12 P23 P12
+    p = permutation(n)
+    rhat = p @ (identity(n, 2) + c * r)
+    big12, big23 = embed(rhat, 12), embed(rhat, 23)
+    ybe = big12 @ big23 @ big12 - big23 @ big12 @ big23
+    r12, r13, r23 = _legs(r)
+    cybe = (r12 @ r13 - r23 @ r12 + r13 @ r23) - (r13 @ r12 - r12 @ r23 + r23 @ r13)
+    braid2 = r12 @ r13 @ r23 - r23 @ r13 @ r12
+    p13 = embed(p, 12) @ embed(p, 23) @ embed(p, 12)
+    assert ybe == -(p13 @ (c * c * cybe + c ** 3 * braid2))
+    # P13 reverses V (x) V (x) V
+    assert p13 == Operator.from_items(n, 3, [((i, j, k), (k, j, i), 1) for i in range(1, n + 1)
+                                               for j in range(1, n + 1) for k in range(1, n + 1)])
+
+
+@pytest.mark.parametrize("n, r, s", _dense_cases("second-braid", (0, 1)))
+def test_second_braid_from_acybe_and_the_square_law(n, r, s):
+    # B2(r) = r12 (A' + s r13) - (A + s r13) r12 - (r^2 + s r)12 r13 + r13 (r^2 + s r)12,
+    # with A' = A + CYBE, written through the oracle's tables
+    import rimealg.verify as verify
+
+    a = chain_table({"r": r}, verify._A)
+    cybe = chain_table({"r": r}, verify._CYBE)
+    r12, r13, r23 = _legs(r)
+    square = embed(r @ r + s * r, 12)
+    shifted_a = a + s * r13
+    assert chain_table({"r": r}, verify._A_PRIME) == a + cybe
+    assert r12 @ r13 @ r23 - r23 @ r13 @ r12 == \
+        r12 @ (shifted_a + cybe) - shifted_a @ r12 - square @ r13 + r13 @ square
+
+
+def _quantum_specs(rng, n):
+    phi = random_distinct(rng, n, nonzero=True)
+    return [FamilySpec("rime-quantum", n, beta=random_rational(rng, True), phi=phi),
+            FamilySpec("rime-unitary", n, mu=random_distinct(rng, n, nonzero=False))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_full_quantum_suites_place_no_leg_of_rhat(monkeypatch, n):
+    # cold, only the normal form's three legs are placed (r's reports are taken
+    # from it); warm, no leg at all: ybe is decided from its passed premises
+    import rimealg.verify as verify
+
+    embeds = _count_leg_placements(monkeypatch)
+    for spec in _quantum_specs(random.Random(f"no-rhat-legs-{n}"), n):
+        verify._companion_reports.cache_clear()
+        embeds.clear()
+        cold = run_suite(spec)
+        assert sorted(embeds) == [12, 13, 23], spec
+        embeds.clear()
+        assert run_suite(spec) == cold and embeds == [], spec
+        assert cold == _public_suite(spec, cold) and all(rep.passed for rep in cold), spec
+        ybe = next(rep for rep in cold if rep.name == "ybe")
+        assert ybe == replace(check_ybe(build(spec)), metadata={**describe(spec), "n": n})
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_quantum_suites_short_of_a_premise_sum_rhats_table(monkeypatch, n):
+    # ybe alone, with quantization only, less one premise, at beta = 0 and at a
+    # phi holding 0: Rhat's own legs 12 and 23 are placed, on a warm memo
+    import rimealg.verify as verify
+
+    rng = random.Random(f"rhat-table-{n}")
+    embeds = _count_leg_placements(monkeypatch)
+    quantum, unitary = _quantum_specs(rng, n)
+    runs = [(quantum, ["ybe"]), (quantum, ["ybe", "quantization"]), (unitary, ["ybe"]),
+            (unitary, ["quantization", "ybe", "cybe"])]
+    # the full suite less each premise, named here as the paper states them
+    for spec, square in ((quantum, "idempotent"), (unitary, "nilpotent")):
+        full = [rep.name for rep in run_suite(spec)]
+        runs += [(spec, [name for name in full if name != premise])
+                 for premise in ("quantization", "cybe", "acybe", square)]
+    runs += [(replace(quantum, beta=F(0)), None), (replace(quantum, phi=(F(0), *quantum.phi[1:])), None)]
+    for spec, names in runs:
+        run_suite(spec, names)  # warm r's memo entry
+        embeds.clear()
+        reports = run_suite(spec, names)
+        assert embeds == [12, 23], (spec, names)
+        assert reports == _public_suite(spec, reports), (spec, names)
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_quantum_suites_equal_the_direct_route_with_rime_from_beta_off_by_one(monkeypatch, inside):
+    # with Rhat shifted at one coefficient, inside or outside the rime pattern,
+    # quantization fails, so ybe sums Rhat's own table: every report, ybe's
+    # witness and max_residual included, equals the direct route's, from a memo
+    # warmed before the shift and from a cold one
+    import rimealg.families as families
+    import rimealg.verify as verify
+
+    shifted = _off_by_one(verify.rime_from_beta, random.Random(f"off-by-one-rhat-{inside}"), inside)
+    rng = random.Random(f"off-by-one-rhat-specs-{inside}")
+    specs = [spec for n in (2, 3, 4) for _ in range(3) for spec in _quantum_specs(rng, n)]
+    for spec in specs:
+        run_suite(spec)
+    monkeypatch.setattr(verify, "rime_from_beta", shifted)
+    monkeypatch.setattr(families, "rime_from_beta", shifted)
+    failed = 0
+    for spec in specs:
+        for _ in ("warm", "cold"):
+            reports = run_suite(spec)
+            assert reports == _public_suite(spec, reports), spec
+            by_name = {rep.name: rep for rep in reports}
+            assert not by_name["quantization"].passed, spec
+            assert by_name["ybe"] == replace(check_ybe(build(spec)), metadata={**describe(spec), "n": spec.n})
+            failed += not by_name["ybe"].passed
+            verify._companion_reports.cache_clear()
+    assert failed
+
+
+@pytest.mark.parametrize("valid", [True, False])
+def test_a_consistent_shift_lets_the_classical_reports_decide_ybe(monkeypatch, valid):
+    # Rhat' = P (I + c r') with r' the suite's classical operator, c = beta for
+    # phi and 1 for mu, so quantization passes.  r' of other weights passes every
+    # premise, and ybe is carried, a pass that check_ybe confirms; r' off by one
+    # fails a premise, and ybe sums Rhat's own table.  Either way every report
+    # equals the direct route's
+    import rimealg.families as families
+    import rimealg.verify as verify
+
+    rng = random.Random(f"consistent-shift-{valid}")
+    routes = []
+    for n in (2, 3, 4):
+        for spec in _quantum_specs(rng, n):
+            weighted = spec.phi is not None
+            constructor = "classical_rime_r" if weighted else "classical_unitary_r0"
+            if valid:
+                other = random_distinct(rng, n, nonzero=weighted)
+                r_prime = classical_rime_r(PhiVector(other)) if weighted else classical_unitary_r0(MuVector(other))
+                make_r = lambda weights, r_prime=r_prime: r_prime
+            else:
+                make_r = _off_by_one(getattr(verify, constructor), random.Random(f"r-prime-{spec}"),
+                                     rng.random() < 0.5)
+            weights = PhiVector(spec.phi) if weighted else MuVector(spec.mu)
+            rhat_prime = permutation(n) @ (identity(n, 2) + (spec.beta if weighted else 1) * make_r(weights))
+            monkeypatch.setattr(verify, constructor, make_r)
+            for module in (verify, families):
+                monkeypatch.setattr(module, "rime_from_beta", lambda params, rhat=rhat_prime: rhat)
+            embeds = _count_leg_placements(monkeypatch)
+            for memo in ("cold", "warm"):
+                embeds.clear()
+                reports = run_suite(spec)
+                by_name = {rep.name: rep for rep in reports}
+                premises = all(by_name[name].passed for name in verify._YBE_PREMISES[spec.family])
+                if memo == "warm":  # the reports of r' are remembered: only Rhat's own legs can be placed
+                    assert embeds == ([] if premises else [12, 23]), spec
+                assert by_name["quantization"].passed, spec
+                assert reports == _public_suite(spec, reports), spec
+                routes.append("carried" if premises else "own")
+            monkeypatch.undo()
+    if valid:
+        assert routes == ["carried"] * 12
+    else:
+        assert "own" in routes
