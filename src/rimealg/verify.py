@@ -260,6 +260,16 @@ class _Identities:
         return VerificationReport(name, witness is None, max_residual, witness, meta)
 
 
+class _Vanishing(_Identities):
+    """An engine on n whose tables are proved to vanish (see run_suite): it reports passes, summing none."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def _sum(self, table, **bound):
+        return 0, 1, {}
+
+
 # -- quantum checks -------------------------------------------------------
 
 
@@ -449,16 +459,18 @@ def _equivalence(weights: Union[PhiVector, MuVector], x: Operator, a: Operator, 
     """
     if not x.det():
         raise ValueError("matrix is singular, cannot invert")
+    return _conjugation(_Identities(X=x, a=a, t=target), weights, beta)
+
+
+def _conjugation(engine: _Identities, weights: Union[PhiVector, MuVector], beta=None) -> VerificationReport:
+    """``engine``'s equivalence report of ``weights``: the quantum one for a ``beta``, else the classical."""
     if beta is not None:
-        check = "equivalence-quantum"
-        meta = {"beta": str(beta), "phi": ",".join(map(str, weights.phi))}
+        check, meta = "equivalence-quantum", {"beta": str(beta), "phi": ",".join(map(str, weights.phi))}
     elif isinstance(weights, PhiVector):
-        check = "equivalence-classical"
-        meta = {"which": "rime", "phi": ",".join(map(str, weights.phi))}
+        check, meta = "equivalence-classical", {"which": "rime", "phi": ",".join(map(str, weights.phi))}
     else:
-        check = "equivalence-classical"
-        meta = {"which": "boundary", "mu": ",".join(map(str, weights.mu))}
-    return _Identities(X=x, a=a, t=target).report(check, meta)
+        check, meta = "equivalence-classical", {"which": "boundary", "mu": ",".join(map(str, weights.mu))}
+    return engine.report(check, meta)
 
 
 # -- structure ------------------------------------------------------------
@@ -547,10 +559,13 @@ _SUITES = {
 # the checks of a suite's classical operator, whose reports the suites share
 _COMPANIONS = frozenset(("cybe", "acybe", "tilde", "idempotent", "nilpotent", "braid",
                          "equivalence-classical"))
-# the checks whose passed reports decide a full quantum suite's ybe (see run_suite):
-# quantization, cybe, acybe and the square law, r^2 = -r for phi and r^2 = 0 for mu
-_YBE_PREMISES = {"rime-quantum": ("quantization", "cybe", "acybe", "idempotent"),
-                 "rime-unitary": ("quantization", "cybe", "acybe", "nilpotent")}
+# the checks a rime suite decides from the passed reports of their premises (see run_suite):
+# check -> family -> premises; the square law is r^2 = -r for phi, r^2 = 0 for mu
+_DERIVED = {"ybe": {"rime-quantum": ("quantization", "cybe", "acybe", "idempotent"),
+                    "rime-unitary": ("quantization", "cybe", "acybe", "nilpotent")},
+            "hecke": {"rime-quantum": ("quantization", "acybe", "idempotent"),
+                      "rime-unitary": ("quantization", "acybe", "nilpotent")},
+            "equivalence-quantum": {"rime-quantum": ("quantization", "equivalence-classical")}}
 
 
 def _multiplicity_report(rhat: Operator, beta) -> VerificationReport:
@@ -673,6 +688,9 @@ class _SuiteOperands(_Operands):
     def nf(self) -> Operator:  # the classical normal form X carries onto r
         return _recall(self._made, "nf", lambda: _normal_form(self.weights))
 
+    def cg(self) -> Operator:  # the quantum normal form X carries onto Rhat
+        return _recall(self._made, "cg", lambda: _normal_form(self.phi, self.beta()))
+
     def entry(self) -> dict[str, VerificationReport]:
         if self._entry is None:
             self._entry = _companion_reports(*self._key)
@@ -732,10 +750,15 @@ _CHECK_TABLE = {
     **{name: _of_r(name) for name in ("cybe", "tilde", "idempotent", "nilpotent", "braid")},
     "acybe": _acybe,
     "beta-constancy": lambda o: check_beta_constancy(o.params),
-    "equivalence-quantum": lambda o: _equivalence(o.phi, o.x(), _normal_form(o.phi, o.beta()), o.rhat(),
-                                                  o.beta()),
+    "equivalence-quantum": lambda o: _equivalence(o.phi, o.x(), o.cg(), o.rhat(), o.beta()),
     "quantization": lambda o: check_quantization(o.rhat(), o.beta(), o.r()),
     "equivalence-classical": lambda o: _equivalence(o.weights, o.x(), o.nf(), o.r()),
+}
+# the pass of each check of _DERIVED on a _Vanishing engine, through its table route's helper
+_PASSES = {
+    "ybe": lambda o, engine: engine.report("ybe"),
+    "hecke": lambda o, engine: _hecke(engine, o.beta()),
+    "equivalence-quantum": lambda o, engine: _conjugation(engine, o.phi, o.beta()),
 }
 # the checks that need only an operator, which run_checks offers a document
 _OPERATOR_CHECKS = ("ybe", "hecke", "multiplicities", "classify", "cybe", "acybe", "tilde", "idempotent",
@@ -836,23 +859,29 @@ def run_suite(spec: FamilySpec, names=None) -> list[VerificationReport]:
     and when the suite neither runs nor remembers the equivalence, so a
     failure is always reported on r itself.
 
-    A rime-quantum or rime-unitary suite that requests ybe and all of its
-    premises (_YBE_PREMISES) decides ybe last, from their reports.  For
-    every arity-2 r and rationals c and s, with Y(Rhat) the YBE residual,
-    B2(r) = r12 r13 r23 - r23 r13 r12 and P13 = P12 P23 P12:
+    A rime-quantum or rime-unitary suite that requests a check of _DERIVED
+    and all of its premises decides it last, from their reports.  For every
+    arity-2 r and rationals c, s and beta, with P Rhat = I + c r, Y and
+    H(Rhat) = Rhat^2 - beta Rhat + (beta - 1) I the YBE and Hecke
+    residuals, B2(r) = r12 r13 r23 - r23 r13 r12 and P13 = P12 P23 P12:
 
-    - if P Rhat = I + c r, then Y(Rhat) = -P13 (c^2 CYBE(r) + c^3 B2(r));
+    - Y(Rhat) = -P13 (c^2 CYBE(r) + c^3 B2(r));
     - B2(r) = r12 (A'(r) + s r13) - (A(r) + s r13) r12 - (r^2 + s r)12 r13
-      + r13 (r^2 + s r)12, where A' = A + CYBE.
+      + r13 (r^2 + s r)12, where A' = A + CYBE;
+    - H(Rhat) = beta S + beta^2 S r - beta^2 (r^2 + r) at c = beta, and
+      K + K r - r^2 at c = 1, beta = 0, with K = r + r21, S = K - P + I;
+    - if P CG = I + c a, (X (x) X) CG - Rhat (X (x) X) = c P ((X (x) X) a - r (X (x) X)).
 
-    Quantization gives the first with c = beta, or 1 for mu.  The
-    non-homogeneous acybe and r^2 = -r (phi) make A + r13 and r^2 + r
-    vanish, s = 1; the homogeneous acybe and r^2 = 0 (mu) do so at s = 0.
-    So when all four passed, Y(Rhat) = 0, and the suite's ybe is the pass
-    Rhat's table would give, without summing it.  Rhat's own table runs
-    whenever a premise is not requested (ybe alone, beta = 0, a phi holding
-    0) or fails, so a failing ybe always carries Rhat's own witness and
-    max_residual.
+    Quantization gives c = beta, or 1 for mu (whose beta is 0).  The
+    non-homogeneous acybe and r^2 = -r (phi) make A + r13, S and r^2 + r
+    vanish, s = 1; the homogeneous acybe and r^2 = 0 (mu) do so for A, K
+    and r^2, s = 0.  equivalence-classical makes (X (x) X) a = r (X (x) X)
+    for a = classical_cg_r, and the suite computes, without reporting it,
+    the normal form's own quantization P CG(1 - beta, 1) = I + beta a.
+    When all passed, the check's report is the pass its table would give,
+    and that table is not summed.  It runs whenever a premise is not
+    requested (the check alone, beta = 0, a phi holding 0) or fails, so a
+    failing report always carries its own witness and max_residual.
     """
     tag = spec.family
     phi = PhiVector(spec.phi) if spec.phi is not None else None
@@ -881,13 +910,14 @@ def run_suite(spec: FamilySpec, names=None) -> list[VerificationReport]:
         if all(map(entry.__contains__, names)):
             return _with_family(spec, [entry[name] for name in names])
     operands = _SuiteOperands(spec, phi, mu, params, beta, names, key, entry)
-    premises = _YBE_PREMISES.get(tag)
-    if premises is None or "ybe" not in names or not all(map(names.__contains__, premises)):
-        return _with_family(spec, [operands.run(name) for name in names])
-    # ybe last, after its premises, so every other check runs in the requested order
-    reports = {name: operands.run(name) for name in dict.fromkeys(names) if name != "ybe"}
-    reports["ybe"] = (VerificationReport("ybe", True, _ZERO, None, {"n": spec.n})
-                      if all(reports[name].passed for name in premises) else operands.run("ybe"))
+    derived = {name: _DERIVED[name][tag] for name in names
+               if tag in _DERIVED.get(name, ()) and set(_DERIVED[name][tag]) <= set(names)}
+    # the derived checks last, after their premises, so every other check runs in the requested order
+    reports = {name: operands.run(name) for name in dict.fromkeys(names) if name not in derived}
+    for name, premises in derived.items():  # equivalence-quantum also on the normal form's own quantization
+        passed = all(reports[premise].passed for premise in premises) and (
+            name != "equivalence-quantum" or check_quantization(operands.cg(), beta, operands.nf()).passed)
+        reports[name] = _PASSES[name](operands, _Vanishing(spec.n)) if passed else operands.run(name)
     return _with_family(spec, [reports[name] for name in names])
 
 

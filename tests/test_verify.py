@@ -1676,8 +1676,9 @@ def test_each_operator_takes_one_leg_pass(monkeypatch):
     # is summed by one _chain_sum call, recorded as (arity, number of terms):
     # tilde and acybe share A(r) + r13 and r + r21 - (P - I), braid and ybe the
     # YBE; the quadratic checks, quantization and the equivalences sum their
-    # own tables, a full quantum suite decides ybe from its premises without
-    # Rhat's legs, and no check makes an Operator product
+    # own tables, a full quantum suite decides ybe, hecke and equivalence-quantum
+    # from their premises without Rhat's tables, and no check makes an Operator
+    # product
     import rimealg.verify as verify
 
     embeds, sums, products = _count_leg_placements(monkeypatch), [], []
@@ -1704,19 +1705,24 @@ def test_each_operator_takes_one_leg_pass(monkeypatch):
     embeds.clear(), sums.clear()
     verify._companion_reports.cache_clear()  # cold: r's checks run again
     run_suite(FamilySpec("rime-quantum", 3, beta=F(1, 2), phi=phi))
-    # Rhat's hecke, equivalence-quantum, quantization, then r's checks; ybe
-    # is decided from quantization, cybe, acybe and idempotent, so no leg of
-    # Rhat is placed and its YBE is not summed
-    rhat_tables = [(2, 4), (2, 2), (2, 3)]
-    assert (embeds, sums) == ([12, 13, 23], [*rhat_tables, *r_tables])
+    # Rhat's quantization, then r's checks, then the normal form's own
+    # quantization; ybe, hecke and equivalence-quantum are decided from their
+    # premises, so no leg of Rhat is placed and neither its YBE, its Hecke
+    # table nor the (X (x) X) CG table is summed
+    quantization = (2, 3)
+    assert (embeds, sums) == ([12, 13, 23], [quantization, *r_tables, quantization])
     embeds.clear(), sums.clear()
-    # warm: r's reports come from the memo, so only Rhat's arity-2 tables are summed
+    # warm: r's reports come from the memo, so only the two quantizations are summed
     run_suite(FamilySpec("rime-quantum", 3, beta=F(-7, 3), phi=phi))
-    assert (embeds, sums) == ([], rhat_tables)
-    # ybe alone sums Rhat's own table
-    run_suite(FamilySpec("rime-quantum", 3, beta=F(-7, 3), phi=phi), ["ybe"])
-    assert (embeds, sums) == ([12, 23], [*rhat_tables, (3, 2)])
-    embeds.clear(), sums.clear()
+    assert (embeds, sums) == ([], [quantization, quantization])
+    sums.clear()
+    # alone, each sums its own table: ybe Rhat's YBE, hecke its Hecke table and
+    # equivalence-quantum (X (x) X) CG - Rhat (X (x) X)
+    for name, table, legs in (("ybe", (3, 2), [12, 23]), ("hecke", (2, 4), []),
+                              ("equivalence-quantum", (2, 2), [])):
+        run_suite(FamilySpec("rime-quantum", 3, beta=F(-7, 3), phi=phi), [name])
+        assert (embeds, sums) == (legs, [table]), name
+        embeds.clear(), sums.clear()
     run_suite(FamilySpec("classical-rime", 3, phi=phi))
     assert (embeds, sums) == ([], [])
     # another phi of the same n: its equivalence only, the normal form's reports are warm
@@ -1805,9 +1811,11 @@ def test_run_suite_builds_each_operator_once(monkeypatch):
                      "cremmer_gervais": 1, "classical_rime_r": 1, "classical_cg_r": 1,
                      "x_matrix": 1}
     calls.clear()
-    run_suite(spec)  # warm: r for quantization only, and no classical_cg_r
+    # warm: r for quantization, and CG with classical_cg_r for the normal form's
+    # own quantization, which equivalence-quantum is decided from; no X
+    run_suite(spec)
     assert calls == {"beta_from_phi": 1, "rime_from_beta": 1, "rime_general": 1,
-                     "cremmer_gervais": 1, "classical_rime_r": 1, "x_matrix": 1}
+                     "cremmer_gervais": 1, "classical_rime_r": 1, "classical_cg_r": 1}
     # a cold classical suite of weights builds its normal form once: the operand
     # of equivalence-classical is the operator whose reports r's checks take
     for spec, r_constructor, normal_form in (
@@ -2090,11 +2098,12 @@ def test_constructor_patched_after_warm_call_is_not_hidden(monkeypatch, construc
 
 def test_one_scale_per_operator(monkeypatch):
     # the quadratic checks share the engine of the other checks on their operator,
-    # so a document's checks scale it once; a cold quantum suite scales Rhat and
-    # the normal form classical_cg_r once each, and each check of two operators
-    # scales its own together: cg, X and Rhat for equivalence-quantum, Rhat and r
-    # for quantization, and classical_cg_r, X and r for equivalence-classical;
-    # r's own tables are not summed, so r is not scaled alone
+    # so a document's checks scale it once; a cold quantum suite scales the
+    # normal form classical_cg_r alone once, and each table of two operators
+    # scales its own together: Rhat and r for quantization, classical_cg_r, X
+    # and r for equivalence-classical, and CG and classical_cg_r for the normal
+    # form's own quantization; r's own tables are not summed, and Rhat's are
+    # decided from their premises, so neither is scaled alone
     import rimealg.verify as verify
 
     scaled = []
@@ -2105,7 +2114,7 @@ def test_one_scale_per_operator(monkeypatch):
     assert scaled == [1]
     scaled.clear()
     run_suite(FamilySpec("rime-quantum", 3, beta=F(1, 2), phi=(3, 2, 1)))
-    assert scaled == [1, 3, 2, 3, 1]
+    assert scaled == [2, 3, 1, 2]
 
 
 # -- r's reports taken over from its normal form -------------------------------------
@@ -2347,17 +2356,20 @@ def _quantum_specs(rng, n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_full_quantum_suites_place_no_leg_of_rhat(monkeypatch, n):
     # cold, only the normal form's three legs are placed (r's reports are taken
-    # from it); warm, no leg at all: ybe is decided from its passed premises
+    # from it); warm, no leg at all: ybe is decided from its passed premises.
+    # Cold and warm, hecke and equivalence-quantum are decided from theirs too:
+    # neither Rhat's Hecke table nor (X (x) X) CG - Rhat (X (x) X) is summed
     import rimealg.verify as verify
 
-    embeds = _count_leg_placements(monkeypatch)
+    embeds, sums = _count_leg_placements(monkeypatch), _record_sums(monkeypatch)
     for spec in _quantum_specs(random.Random(f"no-rhat-legs-{n}"), n):
         verify._companion_reports.cache_clear()
-        embeds.clear()
+        embeds.clear(), sums.clear()
         cold = run_suite(spec)
         assert sorted(embeds) == [12, 13, 23], spec
         embeds.clear()
         assert run_suite(spec) == cold and embeds == [], spec
+        assert _own_tables(sums, build(spec)) == set(), spec
         assert cold == _public_suite(spec, cold) and all(rep.passed for rep in cold), spec
         ybe = next(rep for rep in cold if rep.name == "ybe")
         assert ybe == replace(check_ybe(build(spec)), metadata={**describe(spec), "n": n})
@@ -2391,9 +2403,9 @@ def test_quantum_suites_short_of_a_premise_sum_rhats_table(monkeypatch, n):
 @pytest.mark.parametrize("inside", [True, False])
 def test_quantum_suites_equal_the_direct_route_with_rime_from_beta_off_by_one(monkeypatch, inside):
     # with Rhat shifted at one coefficient, inside or outside the rime pattern,
-    # quantization fails, so ybe sums Rhat's own table: every report, ybe's
-    # witness and max_residual included, equals the direct route's, from a memo
-    # warmed before the shift and from a cold one
+    # quantization fails, so ybe, hecke and equivalence-quantum sum their own
+    # tables: every report, witness and max_residual included, equals the direct
+    # route's, from a memo warmed before the shift and from a cold one
     import rimealg.families as families
     import rimealg.verify as verify
 
@@ -2404,7 +2416,7 @@ def test_quantum_suites_equal_the_direct_route_with_rime_from_beta_off_by_one(mo
         run_suite(spec)
     monkeypatch.setattr(verify, "rime_from_beta", shifted)
     monkeypatch.setattr(families, "rime_from_beta", shifted)
-    failed = 0
+    failed = failed_hecke = failed_equivalence = 0
     for spec in specs:
         for _ in ("warm", "cold"):
             reports = run_suite(spec)
@@ -2412,18 +2424,28 @@ def test_quantum_suites_equal_the_direct_route_with_rime_from_beta_off_by_one(mo
             by_name = {rep.name: rep for rep in reports}
             assert not by_name["quantization"].passed, spec
             assert by_name["ybe"] == replace(check_ybe(build(spec)), metadata={**describe(spec), "n": spec.n})
+            hecke = check_hecke(build(spec), spec.beta if spec.phi is not None else 0)
+            assert by_name["hecke"] == replace(hecke, metadata={**describe(spec), **hecke.metadata}), spec
+            if "equivalence-quantum" in by_name:
+                quantum = check_equivalence_quantum(PhiVector(spec.phi), spec.beta)
+                assert by_name["equivalence-quantum"] == \
+                    replace(quantum, metadata={**describe(spec), **quantum.metadata}), spec
+                failed_equivalence += not quantum.passed
             failed += not by_name["ybe"].passed
+            failed_hecke += not hecke.passed
             verify._companion_reports.cache_clear()
-    assert failed
+    assert failed and failed_hecke and failed_equivalence
 
 
 @pytest.mark.parametrize("valid", [True, False])
 def test_a_consistent_shift_lets_the_classical_reports_decide_ybe(monkeypatch, valid):
     # Rhat' = P (I + c r') with r' the suite's classical operator, c = beta for
     # phi and 1 for mu, so quantization passes.  r' of other weights passes every
-    # premise, and ybe is carried, a pass that check_ybe confirms; r' off by one
-    # fails a premise, and ybe sums Rhat's own table.  Either way every report
-    # equals the direct route's
+    # premise of ybe and hecke, and both are carried, passes that check_ybe and
+    # check_hecke on Rhat' confirm; r' off by one fails a premise, and ybe sums
+    # Rhat's own table.  Either way X does not carry the normal form onto r', so
+    # equivalence-classical fails and equivalence-quantum sums its own table,
+    # and fails.  Every report equals the direct route's
     import rimealg.families as families
     import rimealg.verify as verify
 
@@ -2445,19 +2467,190 @@ def test_a_consistent_shift_lets_the_classical_reports_decide_ybe(monkeypatch, v
             monkeypatch.setattr(verify, constructor, make_r)
             for module in (verify, families):
                 monkeypatch.setattr(module, "rime_from_beta", lambda params, rhat=rhat_prime: rhat)
-            embeds = _count_leg_placements(monkeypatch)
+            embeds, sums = _count_leg_placements(monkeypatch), _record_sums(monkeypatch)
             for memo in ("cold", "warm"):
-                embeds.clear()
+                embeds.clear(), sums.clear()
                 reports = run_suite(spec)
+                own = _own_tables(sums, rhat_prime)
                 by_name = {rep.name: rep for rep in reports}
-                premises = all(by_name[name].passed for name in verify._YBE_PREMISES[spec.family])
+                premises = all(by_name[name].passed for name in verify._DERIVED["ybe"][spec.family])
                 if memo == "warm":  # the reports of r' are remembered: only Rhat's own legs can be placed
                     assert embeds == ([] if premises else [12, 23]), spec
                 assert by_name["quantization"].passed, spec
                 assert reports == _public_suite(spec, reports), spec
                 routes.append("carried" if premises else "own")
+                hecke_premises = all(by_name[name].passed for name in verify._DERIVED["hecke"][spec.family])
+                assert ("hecke" in own) != hecke_premises, spec
+                if valid:  # carried, a pass that check_hecke on Rhat' confirms
+                    assert hecke_premises and by_name["hecke"].passed, spec
+                assert not by_name["equivalence-classical"].passed, spec
+                if weighted:  # equivalence-quantum falls back to its own table, and fails
+                    assert "equivalence-quantum" in own and not by_name["equivalence-quantum"].passed, spec
             monkeypatch.undo()
     if valid:
         assert routes == ["carried"] * 12
     else:
         assert "own" in routes
+
+
+# -- hecke and equivalence-quantum decided from their passed premises -----------------
+
+
+def _record_sums(monkeypatch) -> list:
+    """Each sum an engine is asked for, as (its operands by name, the factors of each term)."""
+    import rimealg.verify as verify
+
+    sums = []
+    original = verify._Identities._sum
+
+    def recording(self, table, **bound):
+        sums.append((self.operands, tuple(names for _, names in table)))
+        return original(self, table, **bound)
+
+    monkeypatch.setattr(verify._Identities, "_sum", recording)
+    return sums
+
+
+def _own_tables(sums, rhat):
+    # those of hecke and equivalence-quantum that summed their own table on rhat
+    import rimealg.verify as verify
+
+    hecke, conjugation = (tuple(names for _, names in t) for t in (verify._HECKE, verify._CONJUGATION))
+    own = set()
+    for operands, factors in sums:
+        if factors == hecke and operands["r"] == rhat:
+            own.add("hecke")
+        if factors == conjugation and operands["t"] == rhat:
+            own.add("equivalence-quantum")
+    return own
+
+
+def _dense_arity1(rng, n):
+    return Operator(n, 1, [[random_rational(rng) for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("n, r, c", _dense_cases("hecke-of-rhat", (F(0), F(1), F(-13, 3))))
+def test_quantized_hecke_residual_in_r(n, r, c):
+    # if P Rhat = I + c r, then for every beta
+    # H(Rhat) = c (r + r21) + c^2 r21 r - beta P - beta c P r + beta I
+    import rimealg.verify as verify
+
+    p, eye = permutation(n), identity(n, 2)
+    rhat = p @ (eye + c * r)
+    r21 = flip21(r)
+    for beta in (F(0), F(1), F(5, 2), c):
+        assert chain_table({"r": rhat}, verify._HECKE, beta=beta) == \
+            c * (r + r21) + c * c * (r21 @ r) - beta * p - beta * c * (p @ r) + beta * eye
+
+
+@pytest.mark.parametrize("n, r, beta", _dense_cases("hecke-of-phi", (F(1), F(2), F(-13, 3))))
+def test_hecke_at_c_beta_from_acybe_and_the_square_law(n, r, beta):
+    # c = beta: H(Rhat) = beta S + beta^2 S r - beta^2 (r^2 + r), with S = r + r21 - P + I,
+    # acybe's non-homogeneous second part, each table summed by the oracle
+    import rimealg.verify as verify
+
+    rhat = permutation(n) @ (identity(n, 2) + beta * r)
+    s = chain_table({"r": r}, verify._SHIFTED)
+    assert chain_table({"r": rhat}, verify._HECKE, beta=beta) == \
+        beta * s + beta * beta * (s @ r) - beta * beta * chain_table({"r": r}, verify._SQUARE_PLUS)
+
+
+@pytest.mark.parametrize("n, r, c", _dense_cases("hecke-of-mu", (F(1),)))
+def test_hecke_at_beta_0_from_acybe_and_the_square_law(n, r, c):
+    # c = 1, beta = 0: H(Rhat) = K + K r - r^2, with K = r + r21, acybe's homogeneous second part
+    import rimealg.verify as verify
+
+    rhat = permutation(n) @ (identity(n, 2) + c * r)
+    k = chain_table({"r": r}, verify._SKEW)
+    assert chain_table({"r": rhat}, verify._HECKE, beta=F(0)) == \
+        k + k @ r - chain_table({"r": r}, verify._SQUARE)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quantized_conjugation_residual_is_beta_p_times_the_classical_one(n):
+    # CG = P (I + beta a) and Rhat = P (I + beta r) give, for every X, singular or not,
+    # (X (x) X) CG - Rhat (X (x) X) = beta P ((X (x) X) a - r (X (x) X)), P commuting with X (x) X
+    import rimealg.verify as verify
+
+    rng = random.Random(f"quantized-conjugation-{n}")
+    p, eye = permutation(n), identity(n, 2)
+    singular = _dense_arity1(rng, n).dense_rows()
+    bases = [_dense_arity1(rng, n), _dense_arity1(rng, n), Operator(n, 1, [[0] * n] + singular[1:])]
+    assert bases[-1].det() == 0
+    for x in bases:
+        for beta in (F(0), F(1), F(-13, 3)):
+            r, a = _dense_arity2(rng, n), _dense_arity2(rng, n)
+            cg, rhat = p @ (eye + beta * a), p @ (eye + beta * r)
+            assert chain_table({"R": cg, "r": a}, verify._QUANTIZATION, c=beta) == zero(n, 2)
+            assert chain_table({"X": x, "a": cg, "t": rhat}, verify._CONJUGATION) == \
+                beta * (p @ chain_table({"X": x, "a": a, "t": r}, verify._CONJUGATION))
+
+
+def _derivable_specs(rng, n):
+    # a rime-quantum spec whose beta is neither 0 nor 1, so every check applies, and a rime-unitary one
+    beta = random_rational(rng, True)
+    while beta == 1:
+        beta = random_rational(rng, True)
+    return [FamilySpec("rime-quantum", n, beta=beta, phi=random_distinct(rng, n, nonzero=True)),
+            FamilySpec("rime-unitary", n, mu=random_distinct(rng, n, nonzero=False))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rime_suites_short_of_a_premise_sum_the_checks_own_table(monkeypatch, n):
+    # hecke or equivalence-quantum alone, a full suite less one premise of either,
+    # at beta = 0 and at a phi holding 0: each requested check whose premises are
+    # not all requested sums its own table, on a warm memo
+    rng = random.Random(f"own-table-{n}")
+    sums = _record_sums(monkeypatch)
+    quantum, unitary = _derivable_specs(rng, n)
+    both = {"hecke", "equivalence-quantum"}
+    runs = [(quantum, ["hecke"], {"hecke"}), (quantum, ["equivalence-quantum"], {"equivalence-quantum"}),
+            (quantum, ["quantization", "acybe", "hecke"], {"hecke"}), (unitary, ["hecke"], {"hecke"}),
+            (quantum, ["quantization", "equivalence-quantum"], {"equivalence-quantum"}),
+            (replace(quantum, beta=F(0)), None, both),
+            (replace(quantum, phi=(F(0), *quantum.phi[1:])), None, both)]
+    # the full suite less each premise, named here as the paper states them
+    for spec, square in ((quantum, "idempotent"), (unitary, "nilpotent")):
+        full = _suite_names(spec)
+        for premise, own in (("quantization", both), ("acybe", {"hecke"}), (square, {"hecke"}),
+                             ("equivalence-classical", {"equivalence-quantum"})):
+            if premise in full:
+                runs.append((spec, [name for name in full if name != premise], own & set(full)))
+    for spec, names, own in runs:
+        run_suite(spec, names)  # warm r's memo entry
+        sums.clear()
+        reports = run_suite(spec, names)
+        assert _own_tables(sums, build(spec)) == own, (spec, names)
+        assert reports == _public_suite(spec, reports), (spec, names)
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_a_cremmer_gervais_off_by_one_fails_the_normal_form_premise(monkeypatch, inside):
+    # with CG shifted at one coefficient, inside or outside the rime pattern, the
+    # normal form's own quantization P CG = I + beta classical_cg_r fails, so a
+    # full suite sums equivalence-quantum's own table although quantization and
+    # equivalence-classical passed: the report fails and equals the direct
+    # route's, witness and max_residual included, warm and cold
+    import rimealg.verify as verify
+
+    shifted = _off_by_one(verify.cremmer_gervais, random.Random(f"off-by-one-cg-{inside}"), inside)
+    rng = random.Random(f"off-by-one-cg-specs-{inside}")
+    specs = [_derivable_specs(rng, n)[0] for n in (2, 3, 4) for _ in range(3)]
+    for spec in specs:
+        run_suite(spec)
+    monkeypatch.setattr(verify, "cremmer_gervais", shifted)
+    sums = _record_sums(monkeypatch)
+    for spec in specs:
+        n, beta = spec.n, spec.beta
+        assert not check_quantization(verify.cremmer_gervais(n, 1 - beta, 1), beta, classical_cg_r(n)).passed
+        quantum = check_equivalence_quantum(PhiVector(spec.phi), beta)
+        for _ in ("warm", "cold"):
+            sums.clear()
+            reports = run_suite(spec)
+            assert _own_tables(sums, build(spec)) == {"equivalence-quantum"}, spec
+            assert reports == _public_suite(spec, reports), spec
+            by_name = {rep.name: rep for rep in reports}
+            assert [rep.name for rep in reports if not rep.passed] == ["equivalence-quantum"], spec
+            assert by_name["equivalence-quantum"] == \
+                replace(quantum, metadata={**describe(spec), **quantum.metadata}), spec
+            verify._companion_reports.cache_clear()
