@@ -322,7 +322,10 @@ class Operator:
     # -- linear-algebra helpers -------------------------------------------
 
     def trace(self) -> Fraction:
-        return sum((row.get(i, _ZERO) for i, row in enumerate(self._rows)), _ZERO)
+        """Sum of the diagonal, in ints over the lcm of its denominators."""
+        diagonal = [v for i, row in enumerate(self._rows) if (v := row.get(i))]
+        d = lcm(*(v.denominator for v in diagonal))
+        return Fraction(sum(v.numerator * (d // v.denominator) for v in diagonal), d)
 
     def det(self) -> Fraction:
         """Exact determinant: det(A) = det(D A) / D^size, with D A reduced by _eliminate."""

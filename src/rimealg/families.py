@@ -8,13 +8,20 @@ quantize, their Cremmer-Gervais normal forms, and the change-of-basis matrix
 X(phi) of elementary symmetric polynomials relating the two pictures.
 
 All parameters are exact rationals; every constructor writes the rows of
-an immutable :class:`~rimealg.core.Operator` directly, one entry at a time.
+an immutable :class:`~rimealg.core.Operator` directly.  Entries are
+computed in ints: a weight vector is scaled by the lcm L of its
+denominators (see _scaled), a scalar is read as its numerator and
+denominator, and each stored entry is made by one ``Fraction(num, den)``.
+The parameter-free normal forms classical_cg_r and boundary_b are built
+once per n and shared, like every Operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 from typing import Optional, Sequence
 
 from .core import Operator, _space, as_rational
@@ -43,13 +50,38 @@ __all__ = [
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
+_FRACTION_TYPE = {Fraction}
+
+
+def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(L, [L v for v in values]) in ints, for L the lcm of the values' denominators."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _grid(n: int, rows) -> tuple[tuple[Fraction, ...], ...]:
-    data = tuple(tuple(as_rational(v) for v in row) for row in rows)
+    # a tuple of Fractions, as the constructors pass, is kept as it is
+    data = tuple(row if row.__class__ is tuple and {*map(type, row)} == _FRACTION_TYPE
+                 else tuple(map(as_rational, row)) for row in rows)
     if len(data) != n or any(len(row) != n for row in data):
         raise ValueError(f"expected an {n}x{n} coefficient grid")
     return data
+
+
+def _broken_pair(grid, beta: Fraction) -> Optional[tuple[int, int]]:
+    """The first pair i < j (0-based, row-major) whose beta_ij + beta_ji is not beta, or None.
+
+    Each sum is compared by integer cross-multiplication: a/b + c/d = p/q
+    exactly when (a d + c b) q = p b d.
+    """
+    p, q = beta.numerator, beta.denominator
+    for i, row in enumerate(grid):
+        for j in range(i + 1, len(grid)):
+            x, y = row[j], grid[j][i]
+            b, d = x.denominator, y.denominator
+            if (x.numerator * d + y.numerator * b) * q != p * b * d:
+                return i, j
+    return None
 
 
 def _require_zero_diagonal(grid, name: str) -> None:
@@ -78,15 +110,13 @@ class RimeParams:
         object.__setattr__(self, "beta_offdiag", grid)
         object.__setattr__(self, "beta", as_rational(self.beta))
         _require_zero_diagonal(grid, "beta_offdiag")
-        if check:
-            for i in range(self.n):
-                for j in range(i + 1, self.n):
-                    s = grid[i][j] + grid[j][i]
-                    if s != self.beta:
-                        raise ValueError(
-                            f"beta_{i + 1}{j + 1} + beta_{j + 1}{i + 1} = {s} "
-                            f"differs from beta = {self.beta}"
-                        )
+        pair = _broken_pair(grid, self.beta) if check else None
+        if pair is not None:
+            i, j = pair
+            raise ValueError(
+                f"beta_{i + 1}{j + 1} + beta_{j + 1}{i + 1} = {grid[i][j] + grid[j][i]} "
+                f"differs from beta = {self.beta}"
+            )
 
     def entry(self, i: int, j: int) -> Fraction:
         """beta_ij, 1-based."""
@@ -245,26 +275,24 @@ def rime_general(d: GeneralRimeData) -> Operator:
 
 
 def beta_from_phi(beta, phi: PhiVector) -> RimeParams:
-    """beta_ij = beta * phi_i / (phi_i - phi_j); the pair sums then equal beta."""
+    """beta_ij = beta * phi_i / (phi_i - phi_j); the pair sums then equal beta.
+
+    With beta = p / q and w = L phi in ints, beta_ij = p w_i / (q (w_i - w_j)).
+    """
     beta = as_rational(beta)
-    values = phi.phi
-    n = phi.n
-    grid = [
-        [beta * values[i] / (values[i] - values[j]) if i != j else _ZERO for j in range(n)]
-        for i in range(n)
-    ]
-    return RimeParams(n, tuple(tuple(row) for row in grid), beta)
+    p, q = beta.numerator, beta.denominator
+    _, w = _scaled(phi.phi)
+    grid = tuple(tuple(Fraction(p * wi, q * (wi - wj)) if i != j else _ZERO for j, wj in enumerate(w))
+                 for i, wi in enumerate(w))
+    return RimeParams(phi.n, grid, beta)
 
 
 def unitary_beta(mu: MuVector) -> RimeParams:
-    """Skew-symmetric grid beta0_ij = 1 / (mu_i - mu_j); scalar beta = 0."""
-    values = mu.mu
-    n = mu.n
-    grid = [
-        [_ONE / (values[i] - values[j]) if i != j else _ZERO for j in range(n)]
-        for i in range(n)
-    ]
-    return RimeParams(n, tuple(tuple(row) for row in grid), _ZERO)
+    """Skew-symmetric grid beta0_ij = 1 / (mu_i - mu_j) = L / (w_i - w_j), w = L mu; scalar beta = 0."""
+    scale, w = _scaled(mu.mu)
+    grid = tuple(tuple(Fraction(scale, wi - wj) if i != j else _ZERO for j, wj in enumerate(w))
+                 for i, wi in enumerate(w))
+    return RimeParams(mu.n, grid, _ZERO)
 
 
 def rime_from_beta(p: RimeParams) -> Operator:
@@ -275,11 +303,13 @@ def rime_from_beta(p: RimeParams) -> Operator:
     (i, j) holds 1 - beta_ji on the transposition column (j, i), beta_ij on
     (i, j), -beta_ij on (i, i) and beta_ji on (j, j).
     """
-    n = p.n
     b = p.beta_offdiag
-    alpha = [[_ONE if i == j else _ONE - b[j][i] for j in range(n)] for i in range(n)]
-    gamma = [[-v for v in row] for row in b]
-    return rime_general(GeneralRimeData(n, alpha, b, gamma, list(zip(*b))))
+    transpose = tuple(zip(*b))
+    alpha = tuple(tuple(_ONE if i == j else Fraction(v.denominator - v.numerator, v.denominator)
+                        for j, v in enumerate(col)) for i, col in enumerate(transpose))
+    gamma = tuple(tuple(Fraction(-v.numerator, v.denominator) if i != j else _ZERO
+                        for j, v in enumerate(row)) for i, row in enumerate(b))
+    return rime_general(GeneralRimeData(p.n, alpha, b, gamma, transpose))
 
 
 def cremmer_gervais(n: int, q2inv, p) -> Operator:
@@ -300,25 +330,28 @@ def cremmer_gervais(n: int, q2inv, p) -> Operator:
     p = as_rational(p)
     if q2inv == 0 or p == 0:
         raise ValueError("cremmer_gervais needs nonzero q2inv and p")
-    coeff = _ONE - q2inv
-    # by the exponent m = i - j of the head and m = i - s of the terms, -n < m < n
-    powers = {m: p**m for m in range(1 - n, n)}
-    head = {m: q2inv * v if m > 0 else v for m, v in powers.items()}
-    term = {m: -coeff * v if m > 0 else coeff * v for m, v in powers.items()}
+    # by the exponent m = i - j of the head and m = i - s of the terms, -n < m < n;
+    # with p = a / b and q2inv = g / h in ints, p^m = a^m / b^m and 1 - q2inv = c / h
+    a, b = p.numerator, p.denominator
+    g, h = q2inv.numerator, q2inv.denominator
+    c = h - g
+    powers = {m: (a**m, b**m) if m > 0 else (b**-m, a**-m) for m in range(1 - n, n)}
+    head = {m: Fraction(g * u, h * v) if m > 0 else Fraction(u, v) for m, (u, v) in powers.items()}
+    term = {m: Fraction(-c * u if m > 0 else c * u, h * v) for m, (u, v) in powers.items()}
     rows = []
     for i in range(n):
         for j in range(n):
             row = {j * n + i: head[i - j]}
-            if coeff:
+            if c:
                 for s in range(i, j) if i < j else range(j + 1, i):
                     row[s * n + i + j - s] = term[i - s]
             rows.append(row)
     return Operator._wrap(n, 2, tuple(rows))
 
 
-def _elementary_all(values: Sequence[Fraction]) -> list[Fraction]:
+def _elementary_all(values: Sequence[int]) -> list[int]:
     """Coefficients e_0..e_m of prod (1 + t*v), i.e. all elementary symmetric polynomials."""
-    e = [_ONE] + [_ZERO] * len(values)
+    e = [1] + [0] * len(values)
     for v in values:
         for m in range(len(values), 0, -1):
             e[m] += v * e[m - 1]
@@ -334,34 +367,43 @@ def x_matrix(phi: PhiVector) -> Operator:
 
     Row k is prod_{i != k} (1 + t phi_i) = E(t) / (1 + t phi_k), with E the
     generating polynomial of e(phi), taken once: synthetic division gives
-    c_0 = 1 and c_j = e_j - phi_k c_(j-1), so X costs O(n^2).
+    c_0 = 1 and c_j = e_j - phi_k c_(j-1), so X costs O(n^2).  It runs in
+    ints on w = L phi: e_j(w) = L^j e_j(phi), and C_j = L^j c_j satisfies
+    C_j = e_j(w) - w_k C_(j-1), so X[k, j + 1] = C_j / L^j.
     """
-    e = _elementary_all(phi.phi)
+    scale, w = _scaled(phi.phi)
+    e = _elementary_all(w)
+    powers = [scale**j for j in range(phi.n)]
     rows = []
-    for v in phi.phi:
+    for v in w:
         row = {0: _ONE}
-        c = _ONE
+        c = 1
         for j in range(1, phi.n):
             c = e[j] - v * c
             if c:
-                row[j] = c
+                row[j] = Fraction(c, powers[j])
         rows.append(row)
     return Operator._wrap(phi.n, 1, tuple(rows))
 
 
-def _pair_rows(n: int, u, v) -> Operator:
-    """The arity-2 operator whose row (a, b), a != b, holds u_ab at (b, a),
-    -u_ab at (b, b), -v_ab at (a, a) and v_ab at (a, b), for n x n grids u
-    and v of nonzero entries; the diagonal rows are zero.  Both classical
-    rime r-matrices have this shape.
+def _pair_rows(w: Sequence[int], u: Sequence[int]) -> Operator:
+    """The arity-2 operator whose row (a, b), a != b, holds u_b / d at (b, a),
+    -u_b / d at (b, b), -u_a / d at (a, a) and u_a / d at (a, b), with
+    d = w_b - w_a, for distinct ints w and nonzero ints u; the diagonal rows
+    are zero.  Both classical rime r-matrices have this shape.
+
+    Row (b, a) holds the same four values, since d changes sign: each pair
+    a < b makes its four Fractions once for both rows.
     """
-    rows = tuple(
-        {b * n + a: u[a][b], b * (n + 1): -u[a][b], a * (n + 1): -v[a][b], a * n + b: v[a][b]}
-        if a != b else {}
-        for a in range(n)
-        for b in range(n)
-    )
-    return Operator._wrap(n, 2, rows)
+    n = len(w)
+    rows = [{} for _ in range(n * n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            d = w[b] - w[a]
+            ub, mub, ua, mua = Fraction(u[b], d), Fraction(-u[b], d), Fraction(u[a], d), Fraction(-u[a], d)
+            rows[a * n + b] = {b * n + a: ub, b * (n + 1): mub, a * (n + 1): mua, a * n + b: ua}
+            rows[b * n + a] = {a * n + b: mua, a * (n + 1): ua, b * (n + 1): ub, b * n + a: mub}
+    return Operator._wrap(n, 2, tuple(rows))
 
 
 def classical_rime_r(phi: PhiVector) -> Operator:
@@ -378,19 +420,23 @@ def classical_rime_r(phi: PhiVector) -> Operator:
     """
     if not phi.strict:
         raise ValueError("classical_rime_r needs a strict phi (no zero entries)")
-    values = phi.phi
-    n = phi.n
     # row (i, j): phi_j c at (j, i), -phi_j c at (j, j), -phi_i c at (i, i)
-    # and phi_i c at (i, j), with c = 1 / (phi_j - phi_i)
-    diff = [[values[j] - values[i] for j in range(n)] for i in range(n)]
-    u = [[values[j] / diff[i][j] if i != j else None for j in range(n)] for i in range(n)]
-    v = [[values[i] / diff[i][j] if i != j else None for j in range(n)] for i in range(n)]
-    return _pair_rows(n, u, v)
+    # and phi_i c at (i, j), with c = 1 / (phi_j - phi_i); so u = w = L phi
+    _, w = _scaled(phi.phi)
+    return _pair_rows(w, w)
 
 
 def classical_cg_r(n: int) -> Operator:
-    """Cremmer-Gervais normal form of the classical rime r-matrix."""
-    n, _ = _space(n, 2)
+    """Cremmer-Gervais normal form of the classical rime r-matrix.
+
+    It takes no parameter but n, so each n's operator is built once (for
+    the 16 n used last) and shared.
+    """
+    return _classical_cg_r(_space(n, 2)[0])
+
+
+@lru_cache(maxsize=16)
+def _classical_cg_r(n: int) -> Operator:
     rows = [{} for _ in range(n * n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -410,20 +456,24 @@ def classical_unitary_r0(mu: MuVector) -> Operator:
     one and the one satisfying P Rhat0 = I + r0 against the beta = 0
     solution rime_from_beta(unitary_beta(mu)).
     """
-    values = mu.mu
-    n = mu.n
-    # row (i, j): c at (j, i) and (i, j), -c at (j, j) and (i, i), with c = 1 / (mu_j - mu_i)
-    c = [[_ONE / (values[j] - values[i]) if i != j else None for j in range(n)] for i in range(n)]
-    return _pair_rows(n, c, c)
+    # row (i, j): c at (j, i) and (i, j), -c at (j, j) and (i, i), with
+    # c = 1 / (mu_j - mu_i) = L / (w_j - w_i) for w = L mu; so u = (L, ..., L)
+    scale, w = _scaled(mu.mu)
+    return _pair_rows(w, [scale] * mu.n)
 
 
 def boundary_b(n: int) -> Operator:
     """Boundary solution b = sum_{i<j} sum_{k=1}^{j-i} e^i_{i+k} ^ e^j_{j-k+1}.
 
     The orientation matches classical_unitary_r0: conjugating b by the
-    basis-change matrix of the mu weights reproduces r0 entrywise.
+    basis-change matrix of the mu weights reproduces r0 entrywise.  Like
+    classical_cg_r, each n's operator is built once and shared.
     """
-    n, _ = _space(n, 2)
+    return _boundary_b(_space(n, 2)[0])
+
+
+@lru_cache(maxsize=16)
+def _boundary_b(n: int) -> Operator:
     rows = [{} for _ in range(n * n)]
     for i in range(n):
         for j in range(i + 1, n):

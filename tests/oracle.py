@@ -165,6 +165,20 @@ def cremmer_gervais_items(n: int, q2inv, p) -> Operator:
     return Operator.from_items(n, 2, items)
 
 
+def beta_from_phi_grid(beta, phi) -> tuple[tuple[Fraction, ...], ...]:
+    """beta_ij = beta phi_i / (phi_i - phi_j) off the diagonal and 0 on it, in Fractions."""
+    values, n = phi.phi, phi.n
+    return tuple(tuple(Fraction(beta) * values[i] / (values[i] - values[j]) if i != j else Fraction(0)
+                       for j in range(n)) for i in range(n))
+
+
+def unitary_beta_grid(mu) -> tuple[tuple[Fraction, ...], ...]:
+    """beta0_ij = 1 / (mu_i - mu_j) off the diagonal and 0 on it, in Fractions."""
+    values, n = mu.mu, mu.n
+    return tuple(tuple(Fraction(1) / (values[i] - values[j]) if i != j else Fraction(0)
+                       for j in range(n)) for i in range(n))
+
+
 def x_matrix_items(phi) -> Operator:
     """X[k, j] = e_{j-1}(phi with phi_k omitted), each e_m summed over m-subsets."""
     values, n = phi.phi, phi.n

@@ -364,6 +364,19 @@ def test_trace_is_cyclic(a, b):
     assert (a @ b).trace() == (b @ a).trace()
 
 
+def test_trace_sums_wide_diagonals_exactly():
+    # the diagonal is summed in ints over the lcm of its denominators
+    rng = random.Random("wide-trace")
+    for size in (1, 3, 9):
+        dense = [[Fraction(rng.randint(-2**70, 2**70), rng.randint(1, 10**6)) if rng.random() < 0.7 else 0
+                  for _ in range(size)] for _ in range(size)]
+        t = Operator(size, 1, dense).trace()
+        assert type(t) is Fraction
+        assert t == sum((dense[i][i] for i in range(size)), Fraction(0))
+    assert Operator.zero(3, 1).trace() == 0 and type(Operator.zero(3, 1).trace()) is Fraction
+    assert Operator(2, 1, [[Fraction(1, 6), 0], [0, Fraction(-1, 6)]]).trace() == 0
+
+
 def test_string_rows_are_rejected():
     # a str is a sequence too: "12" must not be read as the cells 1, 2
     with pytest.raises(ValueError, match="got the string '12'"):

@@ -1,6 +1,7 @@
 """Matrix family constructors: frozen small cases plus structural properties."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_distinct, random_rational
 from oracle import (
+    beta_from_phi_grid,
     boundary_b_items,
     classical_cg_r_items,
     classical_rime_r_items,
@@ -17,6 +19,7 @@ from oracle import (
     matrix_unit,
     rime_general_items,
     transpose,
+    unitary_beta_grid,
     wedge,
     x_matrix_items,
     x_matrix_per_row,
@@ -657,3 +660,93 @@ def test_x_matrix_matches_per_row_products():
         if n >= 3:
             phi = PhiVector((F(41), F(-41), F(43)) + rest[3:])
             _assert_same_operator(x_matrix(phi), x_matrix_per_row(phi))
+
+
+# -- integer construction against plain-Fraction formulas at wide parameters ----------
+
+
+def _wide_rational(rng, nonzero=False):
+    # either sign, numerators past 2**64 or small, denominators up to 10**6
+    while True:
+        num = rng.randint(-2**70, 2**70) if rng.random() < 0.5 else rng.randint(-9, 9)
+        value = F(num, rng.randint(1, 10**6))
+        if value or not nonzero:
+            return value
+
+
+def _wide_vector(rng, n, zero_at=None):
+    values = []
+    while len(values) < n:
+        value = _wide_rational(rng, nonzero=True)
+        if value not in values:
+            values.append(value)
+    if zero_at is not None:
+        values[zero_at] = F(0)
+    return tuple(values)
+
+
+def test_beta_grids_match_fraction_formulas_at_wide_parameters():
+    rng = random.Random("wide-beta-grids")
+    for n in range(1, 9):
+        for zero_at in (None, n - 1, 0):
+            phi = PhiVector(_wide_vector(rng, n, zero_at))
+            mu = MuVector(_wide_vector(rng, n, zero_at))
+            for beta in (_wide_rational(rng), F(0), F(-7, 3)):
+                params = beta_from_phi(beta, phi)
+                assert params.beta_offdiag == beta_from_phi_grid(beta, phi)
+                assert params.beta == beta
+                assert all(type(v) is F for row in params.beta_offdiag for v in row)
+            params = unitary_beta(mu)
+            assert params.beta_offdiag == unitary_beta_grid(mu)
+            assert params.beta == 0
+            assert all(type(v) is F for row in params.beta_offdiag for v in row)
+
+
+def test_constructors_match_oracles_at_wide_parameters():
+    # every entry is made in ints over the lcm of the weights' denominators, which
+    # here runs past 2**64, and the weights hold negative entries and a zero
+    rng = random.Random("wide-constructors")
+    for n in range(1, 9):
+        _assert_same_operator(classical_cg_r(n), classical_cg_r_items(n))
+        _assert_same_operator(boundary_b(n), boundary_b_items(n))
+        for zero_at in (None, rng.randrange(n)):
+            phi = PhiVector(_wide_vector(rng, n, zero_at))
+            mu = MuVector(_wide_vector(rng, n, zero_at))
+            strict = PhiVector(_wide_vector(rng, n))
+            _assert_same_operator(x_matrix(phi), x_matrix_items(phi))
+            _assert_same_operator(classical_rime_r(strict), classical_rime_r_items(strict))
+            _assert_same_operator(classical_unitary_r0(mu), classical_unitary_r0_items(mu))
+            for params in (beta_from_phi(_wide_rational(rng), phi), unitary_beta(mu)):
+                grid = params.beta_offdiag
+                alpha = [[1 if i == j else 1 - grid[j][i] for j in range(n)] for i in range(n)]
+                gamma = [[-v for v in row] for row in grid]
+                canonical = GeneralRimeData(n, alpha, grid, gamma, list(zip(*grid)))
+                _assert_same_operator(rime_from_beta(params), rime_general_items(canonical))
+            for q2inv in (_wide_rational(rng, nonzero=True), F(1)):
+                p = _wide_rational(rng, nonzero=True)
+                _assert_same_operator(cremmer_gervais(n, q2inv, p), cremmer_gervais_items(n, q2inv, p))
+
+
+def test_broken_rime_params_name_the_first_broken_pair():
+    beta = F(5, 7)
+    big = F(2**70 + 1, 999_983)
+    # (1, 2) holds as 1/3 + 8/21; (1, 3) is off by 2**-65; (2, 3) is off too
+    grid = [[0, F(1, 3), big], [F(8, 21), 0, F(1, 2)], [beta - big + F(1, 2**65), F(1, 2), 0]]
+    s = grid[0][2] + grid[2][0]
+    message = f"beta_13 + beta_31 = {s} differs from beta = {beta}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RimeParams(3, grid, beta)
+    RimeParams(3, [[0, F(1, 3), big], [F(8, 21), 0, F(1, 2)], [beta - big, F(3, 14), 0]], beta)
+
+
+def test_normal_forms_are_made_once_per_validated_dimension():
+    for taker, oracle in ((classical_cg_r, classical_cg_r_items), (boundary_b, boundary_b_items)):
+        for n in (1, 2, 3):
+            first = taker(n)
+            assert taker(n) is first
+            _assert_same_operator(taker(n), oracle(n))
+        # n = 1 is warm, and True == 1.0 == 1 with equal hashes: each still raises
+        for n, error, message in _BAD_SPACE + [(1.0, TypeError, "must be an integer")]:
+            with pytest.raises(error, match=message or "dimension must be positive"):
+                taker(n)
+        assert taker(3) is taker(3)

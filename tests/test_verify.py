@@ -58,6 +58,7 @@ from rimealg.verify import (
     classify_structure,
     hecke_multiplicities,
     StructureClass,
+    VerificationReport,
     run_checks,
     run_suite,
 )
@@ -1382,6 +1383,15 @@ def test_beta_constancy():
     rep = check_beta_constancy(broken)
     assert not rep.passed
     assert rep.witness == ((1, 2), (2, 1), F(-1))
+    # only the pair sums of a failing grid are taken as Fractions: the witness is the
+    # first nonzero deviation, here 2**-65, and max_residual the largest, 2/7
+    beta, big = F(5, 7), F(2**70 + 1, 999_983)
+    grid = [[0, F(1, 3), big], [F(8, 21), 0, F(1, 2)], [beta - big + F(1, 2**65), F(1, 2), 0]]
+    rep = check_beta_constancy(RimeParams(3, grid, beta, check=False))
+    assert rep == VerificationReport("beta-constancy", False, F(2, 7), ((1, 3), (3, 1), F(1, 2**65)),
+                                     {"beta": "5/7"})
+    assert check_beta_constancy(beta_from_phi(beta, PhiVector((big, 0, -big)))) == VerificationReport(
+        "beta-constancy", True, F(0), None, {"beta": "5/7"})
 
 
 # -- characteristic polynomial invariance ------------------------------------------------
@@ -1968,7 +1978,7 @@ def test_each_report_carries_a_fresh_metadata_dict():
                 expected = [replace(rep, metadata=dict(rep.metadata)) for rep in reports]
                 entry = {name: replace(rep, metadata=dict(rep.metadata))
                          for name, rep in _memo_entry(spec).items()}
-                assert reports[0].metadata is not reports[-1].metadata
+                assert len({id(rep.metadata) for rep in reports}) == len(reports)
                 for rep in reports:
                     rep.metadata["family"] = "tampered"
                     rep.metadata["extra"] = "1"
