@@ -302,6 +302,10 @@ def rime_from_beta(p: RimeParams) -> Operator:
     beta_ij as given, gamma_ij = -beta_ij and gamma'_ij = beta_ji: row
     (i, j) holds 1 - beta_ji on the transposition column (j, i), beta_ij on
     (i, j), -beta_ij on (i, i) and beta_ji on (j, j).
+
+    The four grids are n x n tuples of Fractions with zero diagonals by
+    construction from the validated grid of ``p``, so the GeneralRimeData
+    that carries them skips its __post_init__ (one object.__new__).
     """
     b = p.beta_offdiag
     transpose = tuple(zip(*b))
@@ -309,7 +313,9 @@ def rime_from_beta(p: RimeParams) -> Operator:
                         for j, v in enumerate(col)) for i, col in enumerate(transpose))
     gamma = tuple(tuple(Fraction(-v.numerator, v.denominator) if i != j else _ZERO
                         for j, v in enumerate(row)) for i, row in enumerate(b))
-    return rime_general(GeneralRimeData(p.n, alpha, b, gamma, transpose))
+    data = object.__new__(GeneralRimeData)
+    data.__dict__.update(n=p.n, alpha=alpha, beta=b, gamma=gamma, gamma_prime=transpose)
+    return rime_general(data)
 
 
 def cremmer_gervais(n: int, q2inv, p) -> Operator:

@@ -145,6 +145,8 @@ _HECKE = ((1, ("r", "r")), ("-beta", ("r",)), ("beta", ()), (-1, ()))
 _QUANTIZATION = ((1, ("P", "R")), (-1, ()), ("-c", ("r",)))
 # (X (x) X) a - t (X (x) X): X carries a onto t, stated without X^-1
 _CONJUGATION = ((1, ("X1", "X2", "a")), (-1, ("t", "X1", "X2")))
+# P R (X (x) I) - (I (x) X)(I + c a): the twisted quantization, stated without X^-1
+_TWISTED = ((1, ("P", "R", "X1")), (-1, ("X2",)), ("-c", ("X2", "a")))
 
 # each check: its report name, its parts as (part name, table), and the acybe
 # variant it reports; a check without a variant reports n, unless its caller
@@ -566,13 +568,20 @@ _SUITES = {
 # the checks of a suite's classical operator, whose reports the suites share
 _COMPANIONS = frozenset(("cybe", "acybe", "tilde", "idempotent", "nilpotent", "braid",
                          "equivalence-classical"))
-# the checks a rime suite decides from the passed reports of their premises (see run_suite):
-# check -> family -> premises; the square law is r^2 = -r for phi, r^2 = 0 for mu
+# the checks a suite decides from their premises (see run_suite): check -> family -> premises.
+# A premise is a check of the family's suite, which must be requested and pass; a (tag, check)
+# pair, whose passing report the (tag, n) memo entry must hold already; or a fact of _FACTS,
+# which the suite computes and never reports.  The square law is r^2 = -r for phi, r^2 = 0 for mu
 _DERIVED = {"ybe": {"rime-quantum": ("quantization", "cybe", "acybe", "idempotent"),
-                    "rime-unitary": ("quantization", "cybe", "acybe", "nilpotent")},
+                    "rime-unitary": ("quantization", "cybe", "acybe", "nilpotent"),
+                    "cg": (("classical-cg", "cybe"), ("classical-cg", "acybe"),
+                           ("classical-cg", "idempotent"), "weight-preserving", "twisted quantization")},
             "hecke": {"rime-quantum": ("quantization", "acybe", "idempotent"),
-                      "rime-unitary": ("quantization", "acybe", "nilpotent")},
-            "equivalence-quantum": {"rime-quantum": ("quantization", "equivalence-classical")}}
+                      "rime-unitary": ("quantization", "acybe", "nilpotent"),
+                      "cg": (("classical-cg", "acybe"), ("classical-cg", "idempotent"),
+                             "twisted quantization")},
+            "equivalence-quantum": {"rime-quantum": ("quantization", "equivalence-classical",
+                                                     "normal form quantization")}}
 
 
 def _multiplicity_report(rhat: Operator, beta) -> VerificationReport:
@@ -703,6 +712,20 @@ class _SuiteOperands(_Operands):
             self._entry = _companion_reports(*self._key)
         return self._entry
 
+    def holds(self, premise, reports: dict[str, VerificationReport]) -> bool:
+        """Whether ``premise`` of _DERIVED holds; ``reports`` holds the suite's requested checks.
+
+        A memo entry's report is only read: a cold entry fails the premise
+        and is not filled.  A fact is computed once per suite.
+        """
+        if premise in reports:
+            return reports[premise].passed
+        if isinstance(premise, tuple):
+            tag, check = premise
+            report = _companion_reports((tag, self.spec.n), self._key[1]).get(check)
+            return report is not None and report.passed
+        return _recall(self._made, premise, lambda: _FACTS[premise](self))
+
     def run(self, name: str) -> VerificationReport:
         """The report of ``name``; a check of r reads and fills r's memo entry (see _companion)."""
         if name in _COMPANIONS:
@@ -766,6 +789,33 @@ _PASSES = {
     "ybe": lambda o, engine: engine.report("ybe"),
     "hecke": lambda o, engine: _hecke(engine, o.beta()),
     "equivalence-quantum": lambda o, engine: _conjugation(engine, o.phi, o.beta()),
+}
+
+
+def _twist(n: int, p: Fraction) -> Operator:
+    """D = diag(p, p^2, ..., p^n), for a nonzero p."""
+    return Operator._wrap(n, 1, tuple({i: p ** (i + 1)} for i in range(n)))
+
+
+def _weight_preserving(m: Operator) -> bool:
+    """Whether every stored column (k, l) of row (i, j) has k + l = i + j: m commutes with D (x) D."""
+    n = m.n
+    return all(c // n + c % n == i // n + i % n for i, row in enumerate(m._rows) for c in row)
+
+
+def _vanishes(table, c, **operands: Operator) -> bool:
+    """Whether ``table`` sums to zero on ``operands``, its coefficient c bound to ``c``."""
+    return not _Identities(**operands)._sum(table, c=c)[2]
+
+
+# the premises of _DERIVED that no check reports, as functions of a suite's operands
+_FACTS = {
+    # the normal form's own quantization P CG(1 - beta, 1) = I + beta a, a = classical_cg_r
+    "normal form quantization": lambda o: _vanishes(_QUANTIZATION, o.beta(), R=o.cg(), r=o.nf()),
+    # P CG(q, p) (D (x) I) = (I (x) D)(I + beta a), a = classical_cg_r, D = diag(p, ..., p^n)
+    "twisted quantization": lambda o: _vanishes(_TWISTED, o.beta(), R=o.rhat(), a=o.r(),
+                                                X=_twist(o.spec.n, o.spec.p)),
+    "weight-preserving": lambda o: _weight_preserving(o.rhat()),
 }
 # the checks that need only an operator, which run_checks offers a document
 _OPERATOR_CHECKS = ("ybe", "hecke", "multiplicities", "classify", "cybe", "acybe", "tilde", "idempotent",
@@ -866,9 +916,10 @@ def run_suite(spec: FamilySpec, names=None) -> list[VerificationReport]:
     and when the suite neither runs nor remembers the equivalence, so a
     failure is always reported on r itself.
 
-    A rime-quantum or rime-unitary suite that requests a check of _DERIVED
-    and all of its premises decides it last, from their reports.  For every
-    arity-2 r and rationals c, s and beta, with P Rhat = I + c r, Y and
+    A suite decides a check of _DERIVED last, from its premises, when it
+    requests every premise that is a check of its suite (a cg suite, whose
+    premises are none, must request its whole suite).  For every arity-2 r
+    and rationals c, s and beta, with P Rhat = I + c r, Y and
     H(Rhat) = Rhat^2 - beta Rhat + (beta - 1) I the YBE and Hecke
     residuals, B2(r) = r12 r13 r23 - r23 r13 r12 and P13 = P12 P23 P12:
 
@@ -885,10 +936,26 @@ def run_suite(spec: FamilySpec, names=None) -> list[VerificationReport]:
     and r^2, s = 0.  equivalence-classical makes (X (x) X) a = r (X (x) X)
     for a = classical_cg_r, and the suite computes, without reporting it,
     the normal form's own quantization P CG(1 - beta, 1) = I + beta a.
-    When all passed, the check's report is the pass its table would give,
+
+    A cg suite quantizes CG(q, p) at every p through a twist.  With
+    D = diag(p, p^2, ..., p^n), F = D (x) I, a = classical_cg_r and
+    beta = 1 - q^-2, the table P CG (D (x) I) = (I (x) D)(I + beta a), which
+    the suite computes without reporting it, gives P R1 = I + beta a for
+    R1 = F^-1 CG F.  The (classical-cg, n) memo entry, read and never filled
+    here, must hold passing cybe, acybe and idempotent reports of a, so
+    Y(R1) = H(R1) = 0 by the identities above at c = beta.  For every
+    invertible diagonal D and arity-2 R, with R1 = F^-1 R F:
+
+    - H(R) = F H(R1) F^-1;
+    - Y(R) = W Y(R1) W^-1 with W = D^2 (x) D (x) I, when R commutes with
+      D (x) D: ybe also needs every stored column (k, l) of row (i, j) of
+      CG to have k + l = i + j.
+
+    When all hold, the check's report is the pass its table would give,
     and that table is not summed.  It runs whenever a premise is not
-    requested (the check alone, beta = 0, a phi holding 0) or fails, so a
-    failing report always carries its own witness and max_residual.
+    requested (the check alone, beta = 0, a phi holding 0), is not in the
+    memo (a cold cg suite) or fails, so a failing report always carries
+    its own witness and max_residual.
     """
     tag = spec.family
     phi = PhiVector(spec.phi) if spec.phi is not None else None
@@ -917,13 +984,14 @@ def run_suite(spec: FamilySpec, names=None) -> list[VerificationReport]:
         if all(map(entry.__contains__, names)):
             return _with_family(spec, [entry[name] for name in names])
     operands = _SuiteOperands(spec, phi, mu, params, beta, names, key, entry)
-    derived = {name: _DERIVED[name][tag] for name in names
-               if tag in _DERIVED.get(name, ()) and set(_DERIVED[name][tag]) <= set(names)}
+    # a derived check needs its premises among the suite's checks requested, or, where it has
+    # none (cg), the whole suite
+    derived = {name: premises for name in names if (premises := _DERIVED.get(name, {}).get(tag))
+               and set([p for p in premises if p in _SUITES[tag]] or available) <= set(names)}
     # the derived checks last, after their premises, so every other check runs in the requested order
     reports = {name: operands.run(name) for name in dict.fromkeys(names) if name not in derived}
-    for name, premises in derived.items():  # equivalence-quantum also on the normal form's own quantization
-        passed = all(reports[premise].passed for premise in premises) and (
-            name != "equivalence-quantum" or check_quantization(operands.cg(), beta, operands.nf()).passed)
+    for name, premises in derived.items():
+        passed = all(operands.holds(premise, reports) for premise in premises)
         reports[name] = _PASSES[name](operands, _Vanishing(spec.n)) if passed else operands.run(name)
     return _with_family(spec, [reports[name] for name in names])
 

@@ -310,6 +310,35 @@ def test_rime_from_beta_frozen_matrix():
     assert rhat.dense_rows() == RIME_2
 
 
+def test_rime_from_beta_validates_no_grid_again(monkeypatch):
+    # a validated RimeParams, a relaxed one (check=False) among them, carries its grids
+    # into rime_general unchecked: no _grid or zero-diagonal test runs, rime_general is
+    # called once, and the operator equals the one built through the validated
+    # GeneralRimeData and the oracle's sum of terms
+    import rimealg.families as families
+
+    rng = random.Random("rime-from-beta-trusted")
+    cases = [beta_from_phi(random_rational(rng, True), PhiVector(random_distinct(rng, n, nonzero=True)))
+             for n in range(1, 6)]
+    cases += [unitary_beta(MuVector(random_distinct(rng, n, nonzero=False))) for n in range(1, 6)]
+    cases.append(RimeParams(3, ((0, 1, 2), (F(1, 3), 0, -4), (5, F(-7, 2), 0)), 1, check=False))
+    calls = []
+    for name in ("_grid", "_require_zero_diagonal", "rime_general"):
+        original = getattr(families, name)
+        monkeypatch.setattr(families, name, lambda *args, _name=name, _original=original:
+                            calls.append(_name) or _original(*args))
+    for params in cases:
+        calls.clear()
+        rhat = rime_from_beta(params)
+        assert calls == ["rime_general"], params
+        b = params.beta_offdiag
+        n = params.n
+        alpha = [[1 if i == j else 1 - b[j][i] for j in range(n)] for i in range(n)]
+        gamma = [[-b[i][j] for j in range(n)] for i in range(n)]
+        data = GeneralRimeData(n, alpha, b, gamma, tuple(zip(*b)))
+        assert rhat == rime_general(data) == rime_general_items(data), params
+
+
 @given(st.data(), small_rationals, st.integers(2, 4))
 def test_rime_zero_pattern(data, beta, n):
     phi = PhiVector(data.draw(distinct_vectors(n, nonzero=True)))

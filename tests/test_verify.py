@@ -2664,3 +2664,241 @@ def test_a_cremmer_gervais_off_by_one_fails_the_normal_form_premise(monkeypatch,
             assert by_name["equivalence-quantum"] == \
                 replace(quantum, metadata={**describe(spec), **quantum.metadata}), spec
             verify._companion_reports.cache_clear()
+
+
+# -- a cg suite's ybe and hecke decided through the twisted quantization --------------
+
+
+def _diagonal(n, p):
+    # D = diag(p, p^2, ..., p^n)
+    return Operator(n, 1, [[p ** (i + 1) if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def _ybe_residual(r):
+    big12, big23 = embed(r, 12), embed(r, 23)
+    return big12 @ big23 @ big12 - big23 @ big12 @ big23
+
+
+def _hecke_residual(r, beta):
+    return r @ r - beta * r + (beta - 1) * identity(r.n, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_twisted_quantization_of_cremmer_gervais(n):
+    # P CG(q, p) (D (x) I) = (I (x) D)(I + beta a) at every p, with D = diag(p, ..., p^n),
+    # a = classical_cg_r and beta = 1 - q^-2 exactly: as dense products, and as the
+    # table the suite sums, through the oracle and through the engine.  CG keeps the
+    # weight k + l = i + j, and the untwisted quantization holds at p = 1 only
+    import rimealg.verify as verify
+
+    a, eye = classical_cg_r(n), identity(n, 1)
+    for q2inv in (F(1), F(1, 2), F(-7, 3)):
+        for p in (F(1), F(-1), F(5, 2), F(-2, 5)):
+            cg, beta, d = cremmer_gervais(n, q2inv, p), 1 - q2inv, _diagonal(n, p)
+            assert permutation(n) @ cg @ kron(d, eye) == kron(eye, d) @ (identity(n, 2) + beta * a)
+            operands = {"R": cg, "a": a, "X": d}
+            assert verify._twist(n, p) == d
+            assert chain_table(operands, verify._TWISTED, c=beta) == zero(n, 2)
+            assert verify._Identities(**operands).residual(verify._TWISTED, c=beta) == zero(n, 2)
+            assert verify._vanishes(verify._TWISTED, beta, **operands)
+            assert verify._weight_preserving(cg)
+            assert chain_table({"R": cg, "r": a}, verify._QUANTIZATION, c=beta).is_zero() == (p == 1)
+            # CG shifted off the weight (row (1, 2), column (1, 1)) or inside it (column (1, 2)):
+            # the engine's residual is the oracle's, and it is not zero
+            for col in (0, 1):
+                bad = {**operands, "R": _tampered(cg, 1, col, cg.dense_rows()[1][col] + F(1, 3))}
+                residual = verify._Identities(**bad).residual(verify._TWISTED, c=beta)
+                assert residual == chain_table(bad, verify._TWISTED, c=beta) and not residual.is_zero()
+
+
+def _weighted(rng, n, off_weight=False):
+    # a random arity-2 operator whose entries keep k + l = i + j, with one entry off
+    # that weight (row (1, 2), column (1, 1)) when ``off_weight``
+    size = n * n
+    rows = [[random_rational(rng) if row // n + row % n == col // n + col % n and rng.random() < 0.8 else 0
+             for col in range(size)] for row in range(size)]
+    if off_weight:
+        rows[1][0] = random_rational(rng, True)
+    return Operator(n, 2, rows)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_twisting_by_a_diagonal_conjugates_the_ybe_and_hecke_residuals(n):
+    # with F = D (x) I and W = D^2 (x) D (x) I: H(F R F^-1) = F H(R) F^-1 for every R,
+    # and Y(F R F^-1) = W Y(R) W^-1 when R commutes with D (x) D, as a weight-preserving
+    # R does; an R with one entry off the weight fails the second identity
+    import rimealg.verify as verify
+
+    rng = random.Random(f"twisted-conjugation-{n}")
+    eye = identity(n, 1)
+    for p in (F(-1), F(5, 2), F(-2, 5), F(3)):
+        d, d_inv = _diagonal(n, p), _diagonal(n, 1 / p)
+        f, f_inv = kron(d, eye), kron(d_inv, eye)
+        w, w_inv = kron(kron(d @ d, d), eye), kron(kron(d_inv @ d_inv, d_inv), eye)
+        for off_weight in (False, True):
+            for _ in range(3):
+                r = _weighted(rng, n, off_weight)
+                assert verify._weight_preserving(r) != off_weight
+                twisted = f @ r @ f_inv
+                y = _ybe_residual(r)
+                assert not y.is_zero()
+                assert (_ybe_residual(twisted) == w @ y @ w_inv) != off_weight
+                for beta in (F(0), F(1), F(-7, 3)):
+                    assert _hecke_residual(twisted, beta) == f @ _hecke_residual(r, beta) @ f_inv
+
+
+def _cg_specs():
+    # cg suites at n = 2..4 off p = 1 and at p = 1, with q2inv = 1 (beta = 0) among them
+    return [FamilySpec("cg", n, q2inv=q2inv, p=p) for n in (2, 3, 4)
+            for q2inv, p in ((F(-7, 3), F(5, 2)), (F(1, 2), F(-2, 5)), (F(1), F(-1)), (F(1, 3), F(1)),
+                             (F(1), F(1)))]
+
+
+def _count_chain_sums(monkeypatch) -> list:
+    """The arity of each table the kernel sums, in order."""
+    import rimealg.verify as verify
+
+    arities = []
+    chain_sum = verify._chain_sum
+
+    def counting(n, arity, d, terms):
+        arities.append(arity)
+        return chain_sum(n, arity, d, terms)
+
+    monkeypatch.setattr(verify, "_chain_sum", counting)
+    return arities
+
+
+def _sums_of(sums, table, rhat):
+    # the sums of ``table`` among _record_sums's whose first operand is rhat
+    factors = tuple(names for _, names in table)
+    return [operands for operands, names in sums if names == factors and next(iter(operands.values())) == rhat]
+
+
+def test_warm_cg_suites_sum_no_arity3_table(monkeypatch):
+    # once a classical-cg suite, or a rime-quantum suite's carry, has filled the
+    # (classical-cg, n) entry, a full cg suite sums the twisted quantization in place
+    # of Rhat's tables: no arity-3 table and no Hecke table on Rhat.  Each report
+    # equals the public check's, ybe and hecke pass, and a second run is the same
+    import rimealg.verify as verify
+
+    arities, sums = _count_chain_sums(monkeypatch), _record_sums(monkeypatch)
+    rng = random.Random("warm-cg")
+    for spec in _cg_specs():
+        for warm in (FamilySpec("classical-cg", spec.n), _derivable_specs(rng, spec.n)[0]):
+            verify._companion_reports.cache_clear()
+            run_suite(warm)
+            arities.clear(), sums.clear()
+            reports = run_suite(spec)
+            assert 3 not in arities, (spec, warm)
+            rhat = build(spec)
+            assert _sums_of(sums, verify._HECKE, rhat) == [], spec
+            assert len(_sums_of(sums, verify._TWISTED, rhat)) == 1, spec
+            assert reports == _public_suite(spec, reports) and all(rep.passed for rep in reports), spec
+            assert run_suite(spec) == reports
+
+
+def test_cold_cg_suites_sum_rhats_tables(monkeypatch):
+    # on a cold (classical-cg, n) entry a cg suite sums Rhat's ybe and Hecke tables and
+    # not the twisted quantization, as before; the entry is read, never filled, so a
+    # second cold-entry run sums them again
+    import rimealg.verify as verify
+
+    arities, sums = _count_chain_sums(monkeypatch), _record_sums(monkeypatch)
+    for spec in _cg_specs():
+        verify._companion_reports.cache_clear()
+        for _ in ("first", "second"):
+            arities.clear(), sums.clear()
+            reports = run_suite(spec)
+            rhat = build(spec)
+            assert arities.count(3) == 1, spec
+            assert len(_sums_of(sums, verify._HECKE, rhat)) == 1, spec
+            assert _sums_of(sums, verify._TWISTED, rhat) == [], spec
+            assert reports == _public_suite(spec, reports) and all(rep.passed for rep in reports), spec
+        assert _memo_entry(FamilySpec("classical-cg", spec.n)) == {}
+
+
+def test_cg_suites_short_of_the_whole_suite_sum_rhats_tables(monkeypatch):
+    # on a warm entry, ybe alone, hecke alone and a suite less one check sum Rhat's own
+    # tables; the whole suite named in any order is decided from the premises
+    import rimealg.verify as verify
+
+    arities, sums = _count_chain_sums(monkeypatch), _record_sums(monkeypatch)
+    for spec in _cg_specs():
+        full = _suite_names(spec)
+        run_suite(FamilySpec("classical-cg", spec.n))
+        rhat = build(spec)
+        runs = [(["ybe"], True, False), (["hecke"], False, True), (full[::-1], False, False)]
+        runs += [([name for name in full if name != left], "ybe" != left, "hecke" != left) for left in full]
+        for names, ybe, hecke in runs:
+            arities.clear(), sums.clear()
+            reports = run_suite(spec, names)
+            assert (3 in arities, len(_sums_of(sums, verify._HECKE, rhat))) == (ybe, hecke), (spec, names)
+            assert reports == _public_suite(spec, reports), (spec, names)
+
+
+@pytest.mark.parametrize("off_weight", [True, False])
+def test_a_tampered_cremmer_gervais_fails_with_its_own_witness(monkeypatch, off_weight):
+    # CG shifted at one entry of row (1, 2), off the weight (column (1, 1)) or inside it
+    # (column (1, 2)): on a warm entry the twisted quantization fails, and the
+    # off-weight entry fails the weight premise too, so ybe and hecke sum Rhat's own
+    # tables and fail, each report equal to the public check's, witness and
+    # max_residual included
+    import rimealg.families as families
+    import rimealg.verify as verify
+
+    original = families.cremmer_gervais
+
+    def tampered(n, q2inv, p):
+        op = original(n, q2inv, p)
+        col = 0 if off_weight else 1
+        return _tampered(op, 1, col, op.dense_rows()[1][col] + F(1, 3))
+
+    monkeypatch.setattr(families, "cremmer_gervais", tampered)
+    arities, sums = _count_chain_sums(monkeypatch), _record_sums(monkeypatch)
+    for spec in _cg_specs():
+        verify._companion_reports.cache_clear()
+        run_suite(FamilySpec("classical-cg", spec.n))
+        rhat = build(spec)
+        assert verify._weight_preserving(rhat) != off_weight
+        arities.clear(), sums.clear()
+        reports = run_suite(spec)
+        assert 3 in arities and len(_sums_of(sums, verify._HECKE, rhat)) == 1, spec
+        assert reports == _public_suite(spec, reports), spec
+        by_name = {rep.name: rep for rep in reports}
+        assert not by_name["ybe"].passed and not by_name["hecke"].passed, spec
+        assert by_name["ybe"] == replace(check_ybe(rhat), metadata={**describe(spec), "n": spec.n}), spec
+
+
+def test_an_off_weight_twist_of_the_normal_form_sums_rhats_ybe_table(monkeypatch):
+    # classical_cg_r replaced by a' = Ad(X (x) X) a for a non-diagonal X, which passes
+    # every classical check, and CG by R' = P (I (x) D)(I + beta a')(D^-1 (x) I), which
+    # meets the twisted quantization on a' but is off the weight.  Hecke still follows
+    # (H(R') = F H(P (I + beta a')) F^-1 for every R'), so it is decided from the
+    # premises and passes; ybe does not, so it sums R''s table and fails, as check_ybe does
+    import rimealg.families as families
+    import rimealg.verify as verify
+
+    rng = random.Random("off-weight-twist")
+    arities = _count_chain_sums(monkeypatch)
+    for n in (2, 3):
+        for q2inv, p in ((F(-7, 3), F(5, 2)), (F(1, 2), F(-2, 5))):
+            x, eye = _invertible(rng, n), identity(n, 1)
+            a_prime = conjugate_pair(classical_cg_r(n), x)
+            d, beta = _diagonal(n, p), 1 - q2inv
+            r_prime = permutation(n) @ kron(eye, d) @ (identity(n, 2) + beta * a_prime) @ kron(_diagonal(n, 1 / p), eye)
+            assert chain_table({"R": r_prime, "a": a_prime, "X": d}, verify._TWISTED, c=beta) == zero(n, 2)
+            assert not verify._weight_preserving(r_prime)
+            monkeypatch.setattr(verify, "classical_cg_r", lambda n, a_prime=a_prime: a_prime)
+            monkeypatch.setattr(families, "cremmer_gervais", lambda n, q2inv, p, r_prime=r_prime: r_prime)
+            verify._companion_reports.cache_clear()
+            assert all(rep.passed for rep in run_suite(FamilySpec("classical-cg", n)))
+            spec = FamilySpec("cg", n, q2inv=q2inv, p=p)
+            arities.clear()
+            by_name = {rep.name: rep for rep in run_suite(spec)}
+            assert arities.count(3) == 1, spec
+            fam = describe(spec)
+            assert by_name["ybe"] == replace(check_ybe(r_prime), metadata={**fam, "n": n}), spec
+            assert not by_name["ybe"].passed, spec
+            hecke = check_hecke(r_prime, beta)
+            assert hecke.passed and by_name["hecke"] == replace(hecke, metadata={**fam, **hecke.metadata}), spec
