@@ -1,10 +1,11 @@
 """Exact construction and verification of rime, Cremmer-Gervais and
 classical Yang-Baxter matrices.
 
-The package builds every matrix family over exact rationals, checks each
-identity they satisfy with literally zero residuals, and demonstrates the
-two analytic statements (the unitary limit and the exponential formulas)
-in floating point.
+The package builds every matrix family over exact rationals and checks
+each identity they satisfy with literally zero residuals, the exponential
+laws that the idempotent and nilpotent relations integrate to among them.
+Only the unitary limit, the degeneration of the coefficient grid as
+beta -> 0, is read in floating point.
 
 The package namespace re-exports exactly each module's ``__all__``.
 """

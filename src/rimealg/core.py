@@ -620,11 +620,6 @@ def _from_scaled(n: int, arity: int, scale: int, rows) -> Operator:
     return Operator._wrap(n, arity, tuple(out))
 
 
-def _slot(m: Operator, slot: int) -> Operator:
-    """m tensor I (slot 1) or I tensor m (slot 2) on V tensor V; like embed, it only reindexes m's rows."""
-    return _reindexed(m, str(slot))
-
-
 def conjugate_pair(a: Operator, x: Operator) -> Operator:
     """Change of basis on both tensor factors: (X tensor X) a (X^-1 tensor X^-1).
 

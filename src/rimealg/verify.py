@@ -568,11 +568,18 @@ _SUITES = {
 # the checks of a suite's classical operator, whose reports the suites share
 _COMPANIONS = frozenset(("cybe", "acybe", "tilde", "idempotent", "nilpotent", "braid",
                          "equivalence-classical"))
-# the checks a suite decides from their premises (see run_suite): check -> family -> premises.
-# A premise is a check of the family's suite, which must be requested and pass; a (tag, check)
-# pair, whose passing report the (tag, n) memo entry must hold already; or a fact of _FACTS,
-# which the suite computes and never reports.  The square law is r^2 = -r for phi, r^2 = 0 for mu
-_DERIVED = {"ybe": {"rime-quantum": ("quantization", "cybe", "acybe", "idempotent"),
+# the checks a suite decides from their premises (see run_suite): check -> family -> premises,
+# in the order a suite decides them.  A premise is a check of the family's suite, which must be
+# requested and pass; a (tag, check) pair, check's report on the normal form of (tag, n), which
+# must pass; or a fact of _FACTS, which the suite computes and never reports.  First the carry:
+# r's checks from the normal form X carries onto r, whose report, the last premise, is r's.
+# The square law is r^2 = -r for phi, r^2 = 0 for mu
+_DERIVED = {**{check: {family: ("equivalence-classical", (nf, check))
+                       for family, nf in (("rime-quantum", "classical-cg"), ("classical-rime", "classical-cg"),
+                                          ("rime-unitary", "boundary"), ("classical-unitary", "boundary"))
+                       if check in _SUITES[nf]}
+               for check in (*_IDEMPOTENT, "nilpotent")},
+            "ybe": {"rime-quantum": ("quantization", "cybe", "acybe", "idempotent"),
                     "rime-unitary": ("quantization", "cybe", "acybe", "nilpotent"),
                     "cg": (("classical-cg", "cybe"), ("classical-cg", "acybe"),
                            ("classical-cg", "idempotent"), "weight-preserving", "twisted quantization")},
@@ -665,15 +672,17 @@ class _Operands:
 class _SuiteOperands(_Operands):
     """The operands of one suite: its spec, weights, RimeParams, beta and r's memo entry.
 
-    Rhat, r, X of the weights and the normal form X carries onto r are each
-    made at first use.  ``entry`` is r's memo entry when the caller looked
-    it up already, else None and looked up at the first check of r; ``key``
-    is its (recipe, constructors).
+    Rhat, r, X of the weights, the normal form X carries onto r, each
+    fact of _FACTS and each report of a check not of r are made at first
+    use and kept.  ``derived`` maps each check the suite decides from its
+    premises to them (see run_suite).  ``entry`` is r's memo entry when
+    the caller looked it up already, else None and looked up at the first
+    check of r; ``key`` is its (recipe, constructors).
     """
 
-    def __init__(self, spec: FamilySpec, phi, mu, params, beta, names, key, entry):
+    def __init__(self, spec: FamilySpec, phi, mu, params, beta, derived, key, entry):
         self.spec, self.phi, self.mu, self.params, self.beta = spec, phi, mu, params, lambda: beta
-        self.family, self.names, self._key, self._entry = spec.family, names, key, entry
+        self.family, self.derived, self._key, self._entry = spec.family, derived, key, entry
         self.weights = phi if mu is None else mu  # None for cg, classical-cg and boundary
         self._made, self._engines = {}, {}
         if self.family == "cg":
@@ -701,8 +710,8 @@ class _SuiteOperands(_Operands):
         return _recall(self._made, "x",
                        lambda: x_matrix(self.phi if self.mu is None else PhiVector(self.mu.mu)))
 
-    def nf(self) -> Operator:  # the classical normal form X carries onto r
-        return _recall(self._made, "nf", lambda: _normal_form(self.weights))
+    def nf(self) -> Operator:  # the classical normal form X carries onto r; for cg, r itself
+        return _recall(self._made, "nf", lambda: self.r() if self.weights is None else _normal_form(self.weights))
 
     def cg(self) -> Operator:  # the quantum normal form X carries onto Rhat
         return _recall(self._made, "cg", lambda: _normal_form(self.phi, self.beta()))
@@ -712,51 +721,34 @@ class _SuiteOperands(_Operands):
             self._entry = _companion_reports(*self._key)
         return self._entry
 
-    def holds(self, premise, reports: dict[str, VerificationReport]) -> bool:
-        """Whether ``premise`` of _DERIVED holds; ``reports`` holds the suite's requested checks.
-
-        A memo entry's report is only read: a cold entry fails the premise
-        and is not filled.  A fact is computed once per suite.
-        """
-        if premise in reports:
-            return reports[premise].passed
-        if isinstance(premise, tuple):
-            tag, check = premise
-            report = _companion_reports((tag, self.spec.n), self._key[1]).get(check)
-            return report is not None and report.passed
-        return _recall(self._made, premise, lambda: _FACTS[premise](self))
-
     def run(self, name: str) -> VerificationReport:
-        """The report of ``name``; a check of r reads and fills r's memo entry (see _companion)."""
-        if name in _COMPANIONS:
-            return _recall(self.entry(), name, lambda: self._companion(name))
-        return _CHECK_TABLE[name](self)
+        """The report of ``name``: remembered, else decided from its premises, else its own table's.
 
-    def _companion(self, name: str) -> VerificationReport:
-        """r's report of ``name``, taken over from the normal form where the equivalence allows.
-
-        Only where this suite runs r's equivalence anyway, or r's entry holds
-        its report: a check run alone on a cold entry then costs what it did.
-        A passing equivalence lets the check take the normal form's report
-        from the normal form's own entry, which one engine on the normal form
-        fills when it is empty, and keep it if it passes (see run_suite for
-        why it is r's).  Otherwise r's own table runs, so a failing report
-        always carries r's own witness and max_residual.
+        A check of r reads and fills r's memo entry.  Its pass from the
+        premises is the normal form's report; that of ybe, hecke and
+        equivalence-quantum is the one its table would give.
         """
-        memo, eq = self.entry(), "equivalence-classical"
-        if name != eq and (eq in self.names or eq in memo) and \
-                _recall(memo, eq, lambda: _CHECK_TABLE[eq](self)).passed:
-            nf_memo, nf = _recall(self._made, "normal form", self._normal_form_operands)
-            report = _recall(nf_memo, name, lambda: nf.run(name))
-            if report.passed:
-                return report
-        return _CHECK_TABLE[name](self)
+        memo = self.entry() if name in _COMPANIONS else self._made
+        if name not in memo:
+            premises = self.derived.get(name)
+            if premises and all(map(self.holds, premises)):
+                memo[name] = _PASSES[name](self, _Vanishing(self.spec.n)) if name in _PASSES else \
+                    self._normal_form_report(*premises[-1])
+            else:
+                memo[name] = _CHECK_TABLE[name](self)
+        return memo[name]
 
-    def _normal_form_operands(self) -> tuple[dict[str, VerificationReport], _Operands]:
-        # the normal form's memo entry, and the operands of its checks
-        nf_tag = "classical-cg" if self.mu is None else "boundary"
-        return (_companion_reports((nf_tag, self.spec.n), self._key[1]),
-                _Operands(self.nf, _no_beta, nf_tag))
+    def holds(self, premise) -> bool:
+        """Whether ``premise`` of _DERIVED holds; a check of the suite is one it requested."""
+        if premise in _FACTS:
+            return _recall(self._made, premise, lambda: _FACTS[premise](self))
+        return (self._normal_form_report(*premise) if isinstance(premise, tuple) else self.run(premise)).passed
+
+    def _normal_form_report(self, tag: str, check: str) -> VerificationReport:
+        """``check``'s report on the normal form of (tag, n), from its memo entry, which one engine fills."""
+        memo, nf = _recall(self._made, tag, lambda: (_companion_reports((tag, self.spec.n), self._key[1]),
+                                                     _Operands(self.nf, _no_beta, tag)))
+        return _recall(memo, check, lambda: nf.run(check))
 
 
 def _acybe(o: _Operands) -> VerificationReport:
@@ -855,10 +847,10 @@ def _companion_reports(recipe, constructors) -> dict[str, VerificationReport]:
     functions that build the operator and its X, as this module looks them
     up, so a replaced constructor makes a new entry.  An entry holds
     reports only, no operator or engine.  The (classical-cg, n) and
-    (boundary, n) entries also serve every phi and every mu of that n: a
-    suite of a weight vector reads them for the passing reports it takes
-    over from its normal form (see _SuiteOperands._companion), and fills
-    them when they are empty.
+    (boundary, n) entries also hold the reports of the normal forms that
+    the (tag, check) premises of _DERIVED name, for every phi, every mu
+    and cg of that n: a suite reads a premise there, and fills it when it
+    is absent (see run_suite).
     """
     return {}
 
@@ -876,6 +868,19 @@ def _applicable(spec: FamilySpec, phi: Optional[PhiVector], beta) -> tuple[str, 
     if (tag == "rime-quantum" and beta == 0) or (tag == "cg" and (spec.p != 1 or spec.q2inv == 1)):
         skip.add("quantization")
     return tuple(name for name in _SUITES[tag] if name not in skip)
+
+
+@lru_cache(maxsize=64)
+def _derived(tag: str, names: tuple, available: tuple) -> dict:
+    """The rows of _DERIVED that a suite of ``tag`` requesting ``names`` of ``available`` decides, in order.
+
+    A check is decided from its premises when it is requested with every
+    premise that is a check of its suite, or, where it has none (cg), with
+    the whole suite.  It is cached on its arguments, as _DERIVED and
+    _SUITES are fixed at import, so callers only read the dict.
+    """
+    return {name: premises for name, rows in _DERIVED.items() if name in names and (premises := rows.get(tag))
+            and set([p for p in premises if p in _SUITES[tag]] or available) <= set(names)}
 
 
 def run_suite(spec: FamilySpec, names=None) -> list[VerificationReport]:
@@ -904,24 +909,35 @@ def run_suite(spec: FamilySpec, names=None) -> list[VerificationReport]:
     requested check is one of them and r's entry holds them all, the suite
     returns them from that one lookup, before any operand is made.
 
-    The companions of a phi or a mu (every one of those checks but
-    equivalence-classical) are verified once per normal form, classical_cg_r
-    for phi and boundary_b for mu.  Every table of those checks is a
-    polynomial in r12, r13, r23, r21, P and I, and conjugation by
-    X (x) X (x) X commutes with each of them.  So once equivalence-classical
-    has proved r = Ad X(a) for the normal form a, with det X != 0, a table
-    vanishes on r exactly when it vanishes on a, and a passing report of a,
-    which carries no witness and the same name and metadata, is r's.  r's
-    own tables still run when the equivalence fails, when a's report fails
-    and when the suite neither runs nor remembers the equivalence, so a
-    failure is always reported on r itself.
+    A suite decides each check of _DERIVED from its premises, by one rule:
+    when the suite requests every premise that is a check of its suite (a
+    cg suite, whose premises are none, must request its whole suite), it
+    decides the check after every other check, in _DERIVED's order, and if
+    every premise passes, the check's report is the pass its table would
+    give, and that table is not summed.  A premise that is a check of the
+    suite passes through the same route; a (tag, check) premise is the
+    report of check on the normal form of (tag, n), read from that memo
+    entry and, when absent, computed there by one engine on the normal
+    form (for cg, r itself); a fact of _FACTS is computed once and never
+    reported.  The pass of a check of r is the normal form's report, which
+    carries no witness and the same name and metadata; that of ybe, hecke
+    and equivalence-quantum comes from its table route's helper on an
+    engine whose tables vanish (_Vanishing).  The check's own table runs
+    whenever a premise is not requested (a check alone, beta = 0, a phi
+    holding 0) or fails, so a failing report always carries its own
+    witness and max_residual.
 
-    A suite decides a check of _DERIVED last, from its premises, when it
-    requests every premise that is a check of its suite (a cg suite, whose
-    premises are none, must request its whole suite).  For every arity-2 r
-    and rationals c, s and beta, with P Rhat = I + c r, Y and
-    H(Rhat) = Rhat^2 - beta Rhat + (beta - 1) I the YBE and Hecke
-    residuals, B2(r) = r12 r13 r23 - r23 r13 r12 and P13 = P12 P23 P12:
+    The rows rest on these identities.  First the carry, for r's checks
+    but equivalence-classical in a suite of a phi or a mu: every table of
+    cybe, acybe, tilde, idempotent, nilpotent and braid is a polynomial in
+    r12, r13, r23, r21, P and I, and conjugation by X (x) X (x) X commutes
+    with each of them.  So once equivalence-classical has proved
+    r = Ad X(a) for the normal form a (classical_cg_r for phi, boundary_b
+    for mu), with det X != 0, a table vanishes on r exactly when it
+    vanishes on a.  Then, for every arity-2 r and rationals c, s and beta,
+    with P Rhat = I + c r, Y and H(Rhat) = Rhat^2 - beta Rhat + (beta - 1) I
+    the YBE and Hecke residuals, B2(r) = r12 r13 r23 - r23 r13 r12 and
+    P13 = P12 P23 P12:
 
     - Y(Rhat) = -P13 (c^2 CYBE(r) + c^3 B2(r));
     - B2(r) = r12 (A'(r) + s r13) - (A(r) + s r13) r12 - (r^2 + s r)12 r13
@@ -934,28 +950,21 @@ def run_suite(spec: FamilySpec, names=None) -> list[VerificationReport]:
     non-homogeneous acybe and r^2 = -r (phi) make A + r13, S and r^2 + r
     vanish, s = 1; the homogeneous acybe and r^2 = 0 (mu) do so for A, K
     and r^2, s = 0.  equivalence-classical makes (X (x) X) a = r (X (x) X)
-    for a = classical_cg_r, and the suite computes, without reporting it,
-    the normal form's own quantization P CG(1 - beta, 1) = I + beta a.
+    for a = classical_cg_r, and the fact "normal form quantization" is the
+    normal form's own P CG(1 - beta, 1) = I + beta a.
 
     A cg suite quantizes CG(q, p) at every p through a twist.  With
     D = diag(p, p^2, ..., p^n), F = D (x) I, a = classical_cg_r and
-    beta = 1 - q^-2, the table P CG (D (x) I) = (I (x) D)(I + beta a), which
-    the suite computes without reporting it, gives P R1 = I + beta a for
-    R1 = F^-1 CG F.  The (classical-cg, n) memo entry, read and never filled
-    here, must hold passing cybe, acybe and idempotent reports of a, so
+    beta = 1 - q^-2, the fact "twisted quantization",
+    P CG (D (x) I) = (I (x) D)(I + beta a), gives P R1 = I + beta a for
+    R1 = F^-1 CG F.  With a's cybe, acybe and idempotent passing,
     Y(R1) = H(R1) = 0 by the identities above at c = beta.  For every
     invertible diagonal D and arity-2 R, with R1 = F^-1 R F:
 
     - H(R) = F H(R1) F^-1;
     - Y(R) = W Y(R1) W^-1 with W = D^2 (x) D (x) I, when R commutes with
-      D (x) D: ybe also needs every stored column (k, l) of row (i, j) of
-      CG to have k + l = i + j.
-
-    When all hold, the check's report is the pass its table would give,
-    and that table is not summed.  It runs whenever a premise is not
-    requested (the check alone, beta = 0, a phi holding 0), is not in the
-    memo (a cold cg suite) or fails, so a failing report always carries
-    its own witness and max_residual.
+      D (x) D: ybe also needs the fact "weight-preserving", that every
+      stored column (k, l) of row (i, j) of CG has k + l = i + j.
     """
     tag = spec.family
     phi = PhiVector(spec.phi) if spec.phi is not None else None
@@ -983,16 +992,11 @@ def run_suite(spec: FamilySpec, names=None) -> list[VerificationReport]:
         entry = _companion_reports(*key)
         if all(map(entry.__contains__, names)):
             return _with_family(spec, [entry[name] for name in names])
-    operands = _SuiteOperands(spec, phi, mu, params, beta, names, key, entry)
-    # a derived check needs its premises among the suite's checks requested, or, where it has
-    # none (cg), the whole suite
-    derived = {name: premises for name in names if (premises := _DERIVED.get(name, {}).get(tag))
-               and set([p for p in premises if p in _SUITES[tag]] or available) <= set(names)}
-    # the derived checks last, after their premises, so every other check runs in the requested order
-    reports = {name: operands.run(name) for name in dict.fromkeys(names) if name not in derived}
-    for name, premises in derived.items():
-        passed = all(operands.holds(premise, reports) for premise in premises)
-        reports[name] = _PASSES[name](operands, _Vanishing(spec.n)) if passed else operands.run(name)
+    derived = _derived(tag, names, available)
+    operands = _SuiteOperands(spec, phi, mu, params, beta, derived, key, entry)
+    # the derived checks last, in _DERIVED's order, so every other check runs in the requested order
+    order = [name for name in dict.fromkeys(names) if name not in derived] + list(derived)
+    reports = {name: operands.run(name) for name in order}
     return _with_family(spec, [reports[name] for name in names])
 
 

@@ -24,7 +24,6 @@ from rimealg.core import (
     _pairs,
     _placed,
     _scaled_rows,
-    _slot,
     embed,
     flip21,
     identity,
@@ -452,12 +451,11 @@ def test_placement_tables_match_the_operator_placements():
             for leg in LEGS:
                 assert _placed(rows2, n, str(leg)) == _pairs(embed(r, leg)._rows), (n, leg)
             assert _placed(rows2, n, "21") == _pairs(flip21(r)._rows)
-            for slot in (1, 2):
-                assert _placed(rows1, n, str(slot)) == _pairs(_slot(m, slot)._rows)
+            eye1 = identity(n)
+            assert _placed(rows1, n, "1") == _pairs(kron(m, eye1)._rows)
+            assert _placed(rows1, n, "2") == _pairs(kron(eye1, m)._rows)
             d = rng.randint(1, 30)
             assert _placed(({0: d},), n, "P") == _pairs((permutation(n) * d)._rows)
-            eye1 = identity(n)
-            assert _slot(m, 1) == kron(m, eye1) and _slot(m, 2) == kron(eye1, m)
             assert embed(r, 12) == kron(r, eye1) and embed(r, 23) == kron(eye1, r)
             assert embed(r, 13).dense_rows() == d_embed(r.dense_rows(), n, 13)
             assert flip21(r).dense_rows() == d_flip21(r.dense_rows(), n)

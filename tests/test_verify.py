@@ -2237,24 +2237,88 @@ def test_suites_equal_the_direct_route_with_a_constructor_off_by_one_coefficient
     assert failed
 
 
-def test_a_failing_normal_form_report_is_never_taken_over():
-    # a FAIL planted in the normal form's entry is read and left alone: r's own
-    # tables run, and every report still equals the direct route's
+def _derived_rows():
     import rimealg.verify as verify
 
-    rng = random.Random("planted-fail")
+    return [(check, family) for check, rows in verify._DERIVED.items() for family in rows]
+
+
+def _row_specs(family, n):
+    # specs of ``family`` at n to which every check of the family applies
+    rng = random.Random(f"derived-row-{family}-{n}")
+    if family == "cg":
+        return [FamilySpec("cg", n, q2inv=F(-7, 3), p=F(5, 2)), FamilySpec("cg", n, q2inv=F(1, 3), p=F(1))]
+    quantum, unitary = _derivable_specs(rng, n)
+    return {"rime-quantum": [quantum], "rime-unitary": [unitary],
+            "classical-rime": [FamilySpec("classical-rime", n, phi=quantum.phi)],
+            "classical-unitary": [FamilySpec("classical-unitary", n, mu=unitary.mu)]}[family]
+
+
+def _classical_r(spec):
+    # r of a spec with weights, as verify builds it
+    import rimealg.verify as verify
+
+    if spec.phi is not None:
+        return verify.classical_rime_r(PhiVector(spec.phi))
+    return verify.classical_unitary_r0(MuVector(spec.mu))
+
+
+def _sums_own_table(sums, check, family, op):
+    # whether one of _record_sums's sums is the first table of check's own report on op
+    import rimealg.verify as verify
+
+    if check == "acybe":
+        check = "homogeneous-acybe" if family in _SKEW_TAGS else "nonhomogeneous-acybe"
+    factors = tuple(names for _, names in verify._CHECKS[check][1][0][1])
+    return any(names == factors and any(op == operand for operand in operands.values())
+               for operands, names in sums)
+
+
+@pytest.mark.parametrize("check, family", _derived_rows())
+def test_a_failing_premise_is_never_taken_over(monkeypatch, check, family):
+    # for each row of _DERIVED and each of its premises, a FAIL planted in that one
+    # premise alone: a memo report of the normal form or of r, left as it is; a fact
+    # of _FACTS; or, for quantization and equivalence-classical, an operand shifted
+    # at one coefficient (Rhat, X).  The check then sums its own table, on a cold memo
+    # and on one warm but for the check itself, and its report, witness and
+    # max_residual included, equals the direct route's.  With no FAIL planted it is
+    # decided from its premises: it passes and sums no table of its own
+    import rimealg.families as families
+    import rimealg.verify as verify
+
+    sums = _record_sums(monkeypatch)
     for n in (2, 3, 4):
-        for spec in _weighted_specs(rng, n):
-            verify._companion_reports.cache_clear()
-            entry = _normal_form_entry(spec)
-            planted = {name: verify.VerificationReport(name, False, F(1), ((1, 1, 1), (1, 1, 1), F(1)),
-                                                       {"planted": "yes"})
-                       for name in _COMPANION_NAMES}
-            entry.update(planted)
-            reports = run_suite(spec)
-            assert reports == _public_suite(spec, reports), spec
-            assert all(rep.passed for rep in reports), spec
-            assert entry == planted, spec
+        for spec in _row_specs(family, n):
+            for premise in (None, *verify._DERIVED[check][family]):
+                for memo in ("cold", "warm"):
+                    verify._companion_reports.cache_clear()
+                    if memo == "warm":
+                        run_suite(spec)
+                        _memo_entry(spec).pop(check, None)
+                    with monkeypatch.context() as patch:
+                        planted = None
+                        if premise in verify._FACTS:
+                            patch.setitem(verify._FACTS, premise, lambda o: False)
+                        elif premise in ("quantization", "equivalence-classical"):
+                            module, name = (families, "rime_from_beta") if premise == "quantization" else \
+                                (verify, "x_matrix")
+                            shifted = _off_by_one(getattr(module, name), random.Random(f"{premise}-{spec}"), True)
+                            patch.setattr(verify, name, shifted)
+                            patch.setattr(module, name, shifted)
+                        elif premise is not None:
+                            tag, name = premise if isinstance(premise, tuple) else (None, premise)
+                            entry = _memo_entry(spec if tag is None else FamilySpec(tag, n))
+                            planted = entry[name] = verify.VerificationReport(
+                                name, False, F(1), ((1, 1, 1), (1, 1, 1), F(1)), {"planted": "yes"})
+                        sums.clear()
+                        report = next(rep for rep in run_suite(spec) if rep.name == check)
+                        op = build(spec) if check in ("ybe", "hecke", "equivalence-quantum") else _classical_r(spec)
+                        own = _sums_own_table(sums, check, family, op)
+                        assert [report] == _public_suite(spec, [report]), (spec, premise, memo)
+                        assert own == (premise is not None), (spec, premise, memo)
+                        assert report.passed or premise is not None, (spec, memo)
+                        if planted is not None:
+                            assert entry[planted.name] is planted, (spec, premise, memo)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -2283,10 +2347,13 @@ def test_a_singular_basis_makes_each_companion_check_raise(monkeypatch, n):
                     verify._companion_reports.cache_clear()
 
 
-def test_a_check_alone_takes_over_a_remembered_equivalence_only(monkeypatch):
-    # a companion check requested without equivalence-classical sums r's own
-    # table on a cold entry, and takes the normal form's report once r's entry
-    # holds the equivalence; either way its report is the direct route's
+def test_a_companion_check_alone_sums_rs_own_table(monkeypatch):
+    # a companion check requested without equivalence-classical sums r's own table,
+    # on a cold memo, once r's entry holds the equivalence and once the normal form's
+    # entry holds the check, as every derived check short of a premise does: the
+    # normal form's entry is neither read nor filled.  Requested with the
+    # equivalence, the check takes the normal form's report.  Every report is the
+    # direct route's
     import rimealg.verify as verify
 
     sums = []
@@ -2299,10 +2366,19 @@ def test_a_check_alone_takes_over_a_remembered_equivalence_only(monkeypatch):
     assert (sums, entry) == ([(2, 6)], {})
     sums.clear()
     run_suite(spec, ["equivalence-classical"])
-    run_suite(spec, ["cybe"])
-    assert (sums, list(entry)) == ([(2, 6), (3, 1)], ["cybe"])
-    assert run_suite(spec, ["nilpotent", "cybe"]) == first + run_suite(spec, ["cybe"])
-    for rep in first + run_suite(spec, ["cybe"]):
+    cybe = run_suite(spec, ["cybe"])
+    assert (sums, entry) == ([(2, 6), (3, 6)], {})
+    run_suite(FamilySpec("boundary", 3))  # fills the normal form's entry
+    filled = dict(entry)
+    sums.clear()
+    acybe = run_suite(spec, ["acybe"])
+    assert (sums, entry) == ([(3, 6), (2, 6)], filled)
+    verify._companion_reports.cache_clear()
+    entry, sums[:] = _normal_form_entry(spec), []
+    taken = run_suite(spec, ["acybe", "equivalence-classical"])
+    assert (sums, list(entry)) == ([(2, 6), (3, 1), (2, 1)], ["acybe"])
+    assert taken[0] == acybe[0] and run_suite(spec, ["nilpotent", "cybe"]) == first + cybe
+    for rep in first + cybe + taken:
         assert [rep] == _public_suite(spec, [rep])
 
 
@@ -2798,24 +2874,45 @@ def test_warm_cg_suites_sum_no_arity3_table(monkeypatch):
             assert run_suite(spec) == reports
 
 
-def test_cold_cg_suites_sum_rhats_tables(monkeypatch):
-    # on a cold (classical-cg, n) entry a cg suite sums Rhat's ybe and Hecke tables and
-    # not the twisted quantization, as before; the entry is read, never filled, so a
-    # second cold-entry run sums them again
+@pytest.mark.parametrize("tampered", [False, True])
+def test_cold_cg_suites_fill_the_normal_form_entry(monkeypatch, tampered):
+    # on a cold (classical-cg, n) entry a full cg suite computes a's cybe, acybe and
+    # idempotent reports on a = classical_cg_r(n), its own r, and fills the entry with
+    # them; they pass, so ybe and hecke are decided through the twisted quantization:
+    # every arity-3 table summed is a's, none is Rhat's, and no Hecke table is summed.
+    # A second run reads the entry and sums no arity-3 table.  With classical_cg_r
+    # shifted at one coefficient, a premise fails, so Rhat's own ybe and Hecke tables
+    # run and every report, witness included, equals the public check's
     import rimealg.verify as verify
 
+    if tampered:
+        monkeypatch.setattr(verify, "classical_cg_r",
+                            _off_by_one(verify.classical_cg_r, random.Random("cold-cg-tampered"), True))
     arities, sums = _count_chain_sums(monkeypatch), _record_sums(monkeypatch)
     for spec in _cg_specs():
         verify._companion_reports.cache_clear()
-        for _ in ("first", "second"):
+        a, rhat = verify.classical_cg_r(spec.n), build(spec)
+        for memo in ("cold", "warm"):
             arities.clear(), sums.clear()
             reports = run_suite(spec)
-            rhat = build(spec)
-            assert arities.count(3) == 1, spec
-            assert len(_sums_of(sums, verify._HECKE, rhat)) == 1, spec
-            assert _sums_of(sums, verify._TWISTED, rhat) == [], spec
-            assert reports == _public_suite(spec, reports) and all(rep.passed for rep in reports), spec
-        assert _memo_entry(FamilySpec("classical-cg", spec.n)) == {}
+            own = (len(_sums_of(sums, verify._YBE, rhat)), len(_sums_of(sums, verify._HECKE, rhat)))
+            twisted = len(_sums_of(sums, verify._TWISTED, rhat))
+            cubic = [operands for operands, factors in sums
+                     if any(name[1:] in ("12", "13", "23") for names in factors for name in names)]
+            assert len(cubic) == arities.count(3), (spec, memo)
+            assert reports == _public_suite(spec, reports), (spec, memo)
+            entry = _memo_entry(FamilySpec("classical-cg", spec.n))
+            public = {"cybe": check_cybe(a), "acybe": check_nonhomogeneous_acybe(a),
+                      "idempotent": check_idempotent_exponential(a)}
+            if tampered:  # the premises are read up to the first that fails
+                assert entry == {name: public[name] for name in entry} and \
+                    not all(rep.passed for rep in entry.values()), (spec, memo)
+                assert own == (1, 1) and twisted <= 1, (spec, memo)
+                continue
+            assert entry == public and own == (0, 0) and twisted == 1, (spec, memo)
+            assert all(rep.passed for rep in reports), spec
+            # cold, a's cybe and acybe's A(r) + r13; warm, none
+            assert cubic == ([{"r": a}] * 2 if memo == "cold" else []), (spec, memo)
 
 
 def test_cg_suites_short_of_the_whole_suite_sum_rhats_tables(monkeypatch):
@@ -2840,10 +2937,10 @@ def test_cg_suites_short_of_the_whole_suite_sum_rhats_tables(monkeypatch):
 @pytest.mark.parametrize("off_weight", [True, False])
 def test_a_tampered_cremmer_gervais_fails_with_its_own_witness(monkeypatch, off_weight):
     # CG shifted at one entry of row (1, 2), off the weight (column (1, 1)) or inside it
-    # (column (1, 2)): on a warm entry the twisted quantization fails, and the
-    # off-weight entry fails the weight premise too, so ybe and hecke sum Rhat's own
-    # tables and fail, each report equal to the public check's, witness and
-    # max_residual included
+    # (column (1, 2)): on a warm entry, and on a cold one that the suite fills, the
+    # twisted quantization fails, and the off-weight entry fails the weight premise
+    # too, so ybe and hecke sum Rhat's own tables and fail, each report equal to the
+    # public check's, witness and max_residual included
     import rimealg.families as families
     import rimealg.verify as verify
 
@@ -2857,17 +2954,20 @@ def test_a_tampered_cremmer_gervais_fails_with_its_own_witness(monkeypatch, off_
     monkeypatch.setattr(families, "cremmer_gervais", tampered)
     arities, sums = _count_chain_sums(monkeypatch), _record_sums(monkeypatch)
     for spec in _cg_specs():
-        verify._companion_reports.cache_clear()
-        run_suite(FamilySpec("classical-cg", spec.n))
-        rhat = build(spec)
-        assert verify._weight_preserving(rhat) != off_weight
-        arities.clear(), sums.clear()
-        reports = run_suite(spec)
-        assert 3 in arities and len(_sums_of(sums, verify._HECKE, rhat)) == 1, spec
-        assert reports == _public_suite(spec, reports), spec
-        by_name = {rep.name: rep for rep in reports}
-        assert not by_name["ybe"].passed and not by_name["hecke"].passed, spec
-        assert by_name["ybe"] == replace(check_ybe(rhat), metadata={**describe(spec), "n": spec.n}), spec
+        for memo in ("warm", "cold"):
+            verify._companion_reports.cache_clear()
+            if memo == "warm":
+                run_suite(FamilySpec("classical-cg", spec.n))
+            rhat = build(spec)
+            assert verify._weight_preserving(rhat) != off_weight
+            arities.clear(), sums.clear()
+            reports = run_suite(spec)
+            assert 3 in arities and len(_sums_of(sums, verify._HECKE, rhat)) == 1, (spec, memo)
+            assert len(_sums_of(sums, verify._YBE, rhat)) == 1, (spec, memo)
+            assert reports == _public_suite(spec, reports), (spec, memo)
+            by_name = {rep.name: rep for rep in reports}
+            assert not by_name["ybe"].passed and not by_name["hecke"].passed, (spec, memo)
+            assert by_name["ybe"] == replace(check_ybe(rhat), metadata={**describe(spec), "n": spec.n}), (spec, memo)
 
 
 def test_an_off_weight_twist_of_the_normal_form_sums_rhats_ybe_table(monkeypatch):
